@@ -53,6 +53,7 @@ from .semigroup import (
     Trajectory,
     apply,
     apply_dzeta,
+    apply_many,
     default_method,
     operator_bound,
     read_trajectory,

@@ -10,10 +10,11 @@ the family closed under further evolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .grid_field import Field, Grid, sample
+from .grid_field import Field, Grid
 from .kernel import as_time
 
 __all__ = [
@@ -91,9 +92,15 @@ class GaussianMixture:
         return GaussianMixture(amp, self.widths / denom, self.centers)
 
     def sampled(self, grid: Grid) -> Field:
+        """The mixture on a grid, built by axis: each term is the outer
+        product of its 1-D factors ``e^{-a (x_j - mu_j)^2}``."""
         if grid.n != self.n:
             raise ValueError(f"mixture is {self.n}-dimensional, grid is {grid.n}-dimensional")
-        return sample(grid, self)
+        out = np.zeros(grid.shape + (self.m,), dtype=complex)
+        for c, a, mu in zip(self.amplitudes, self.widths, self.centers):
+            term = reduce(np.multiply.outer, [np.exp(-a * (grid.axis - mu_j) ** 2) for mu_j in mu])
+            out = out + term[..., np.newaxis] * c
+        return Field(grid, out)
 
 
 def random_gaussian_mixture(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_field import Field, interior_slices
-from .semigroup import Trajectory, apply, apply_dzeta
+from .semigroup import Trajectory, apply, apply_dzeta, apply_many
 from .weights import SpaceSpec, weighted_norm
 
 __all__ = [
@@ -210,14 +210,12 @@ def time_integral(f: Field, t: float, eps: float = 0.0, steps: int = 256, method
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     nodes = _graded_nodes(t, eps, steps)
+    states = apply_many(nodes, f, method=method)
+    prev_vals = next(states).values
     acc = np.zeros_like(f.values)
-    prev_t = None
-    prev_vals = None
-    for s_node in nodes:
-        vals = apply(s_node, f, method=method).values
-        if prev_vals is not None:
-            acc = acc + 0.5 * (s_node - prev_t) * (vals + prev_vals)
-        prev_t, prev_vals = s_node, vals
+    for prev_t, s_node, state in zip(nodes, nodes[1:], states):
+        acc = acc + 0.5 * (s_node - prev_t) * (state.values + prev_vals)
+        prev_vals = state.values
     return Field(f.grid, acc, meta={"t": t, "eps": eps, "nodes": len(nodes)})
 
 

@@ -10,6 +10,12 @@ Two independent numerical paths compute the same operator:
   frequencies, inverse FFT.  Fast but implicitly periodic; accurate for
   fields that decay to negligible size at the grid boundary.
 
+Both paths use that the kernel and its symbol factor by axis,
+``chi_zeta(x) = prod_j chi_zeta^(1)(x_j)``: quadrature applies the 1-D factor
+from :func:`kernel.kernel_eval` along each axis in turn (the same zero-fill
+Riemann sum as the n-D one), and the spectral multiplier is the outer product
+of the 1-D symbols from :func:`kernel.kernel_fourier`.
+
 Cross-checking the two paths against each other is one of the strongest
 consistency tests in the package, since they share no code beyond the symbol.
 """
@@ -19,10 +25,11 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as _fft
 
 from . import kernel as _kernel
 from .grid_field import Field, Grid, read_field_csv, write_field_csv
@@ -33,6 +40,7 @@ __all__ = [
     "default_method",
     "DEFAULT_TAIL_BUDGET",
     "apply",
+    "apply_many",
     "apply_dzeta",
     "operator_bound",
     "Trajectory",
@@ -70,51 +78,41 @@ def _as_method(method) -> Method:
     return Method(str(method).lower())
 
 
-def _difference_squared_norms(g: Grid) -> np.ndarray:
-    """Squared norms of all pairwise grid-point differences: the lattice
-    ``{k h : |k_i| <= N-1}`` with 2N-1 points per axis."""
-    ax = (np.arange(2 * g.N - 1) - (g.N - 1)) * g.h
-    sq = np.zeros((1,) * g.n)
-    for axis in range(g.n):
-        shape = [1] * g.n
-        shape[axis] = ax.size
-        sq = sq + (ax**2).reshape(shape)
-    return sq
+def _difference_axis(g: Grid) -> np.ndarray:
+    """One axis of the difference lattice of the grid: all pairwise
+    point differences ``k h`` with ``|k| <= N-1``, as a column of 1-D points."""
+    return ((np.arange(2 * g.N - 1) - (g.N - 1)) * g.h)[:, np.newaxis]
 
 
-def _kernel_on_difference_lattice(z: complex, g: Grid) -> np.ndarray:
-    sq = _difference_squared_norms(g)
-    return (4.0 * np.pi * z) ** (-g.n / 2.0) * np.exp(-sq / (4.0 * z))
+def _riemann_sum(factors, f: Field) -> np.ndarray:
+    """Exact zero-fill discrete convolution with a separable kernel.
 
-
-def _dzeta_on_difference_lattice(z: complex, g: Grid) -> np.ndarray:
-    sq = _difference_squared_norms(g)
-    chi = (4.0 * np.pi * z) ** (-g.n / 2.0) * np.exp(-sq / (4.0 * z))
-    return chi * (sq / (4.0 * z * z) - g.n / (2.0 * z))
-
-
-def _convolve(kernel_values: np.ndarray, f: Field) -> np.ndarray:
-    """Exact zero-fill discrete convolution.
-
-    With the kernel on the difference lattice (2N-1 per axis) and the field on
-    the grid (N per axis), 'valid' overlap has length N per axis and entry i
-    equals sum_j kernel[(i-j) + N-1] f[j]: the Riemann sum of the convolution
-    at grid point i with zero extension, for every grid parity.
+    ``factors[j]`` is the kernel's factor for axis ``j`` on the difference
+    lattice (2N-1 points).  Entry ``i`` of the result is
+    ``sum_j kernel[i-j+N-1] f[j] h^n``, the Riemann sum of the convolution at
+    grid point ``i`` with zero extension, for every grid parity.  One
+    dimension takes the padding and transforms of ``scipy.signal.fftconvolve``
+    in 'valid' mode, bit for bit, one transform per component (so components
+    that are exact multiples of each other stay so); from two dimensions on,
+    each axis is one product with the dense Toeplitz matrix
+    ``T[i, j] = factor[i-j+N-1] h``, faster than FFTs at these sizes.
     """
-    out = np.empty(f.values.shape, dtype=complex)
-    for c in range(f.m):
-        out[..., c] = fftconvolve(kernel_values, f.values[..., c], mode="valid")
-    return out * f.grid.cell_volume
-
-
-def _spectral_multiply(z: complex, f: Field) -> np.ndarray:
-    # the multiplier goes through kernel.kernel_fourier (module attribute, not
-    # a local alias) so the spectral path provably follows the symbol module
     g = f.grid
-    multiplier = np.asarray(_kernel.kernel_fourier(z, g.fourier_points))[..., np.newaxis]
-    axes = tuple(range(g.n))
-    spect = np.fft.fftn(f.values, axes=axes)
-    return np.fft.ifftn(spect * multiplier, axes=axes)
+    if g.n == 1:
+        size = _fft.next_fast_len(3 * g.N - 2, False)
+        kernel_spectrum = _fft.fft(factors[0], size)
+        out = np.empty(f.values.shape, dtype=complex)
+        for c in range(f.m):
+            full = _fft.ifft(kernel_spectrum * _fft.fft(f.values[:, c], size))
+            out[:, c] = full[g.N - 1 : 2 * g.N - 1]
+        return out * g.h
+    lag = np.subtract.outer(np.arange(g.N), np.arange(g.N)) + (g.N - 1)
+    out = f.values
+    for axis, factor in enumerate(factors):
+        moved = np.moveaxis(out, axis, 0)
+        product = (factor * g.h)[lag] @ moved.reshape(g.N, -1)
+        out = np.moveaxis(product.reshape(moved.shape), 0, axis)
+    return out
 
 
 def _tail_meta(z: complex, g: Grid, budget: float) -> dict:
@@ -138,18 +136,39 @@ def apply(zeta, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_BUDGET)
     ``tail_budget`` the metadata records ``tail_warning=True`` rather than
     raising, so suites can assert on grid adequacy.
     """
-    ct = as_time(zeta)
-    if ct.is_zero:
-        return f
-    z = ct.value
-    m = default_method(ct) if method is None else _as_method(method)
-    if m is Method.QUADRATURE:
-        values = _convolve(_kernel_on_difference_lattice(z, f.grid), f)
-    else:
-        values = _spectral_multiply(z, f)
-    meta = _tail_meta(z, f.grid, tail_budget)
-    meta["method"] = m.value
-    return Field(f.grid, values, meta=meta)
+    return next(apply_many((zeta,), f, method, tail_budget))
+
+
+def apply_many(times, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_BUDGET):
+    """Yield ``apply(t, f, method, tail_budget)`` for each time in turn.
+
+    The spectral path transforms ``f`` once for all times.  States are
+    produced one at a time, so a caller holds only the states it keeps.
+    """
+    g = f.grid
+    axes = tuple(range(g.n))
+    spectrum = None
+    for zeta in times:
+        ct = as_time(zeta)
+        if ct.is_zero:
+            yield f
+            continue
+        z = ct.value
+        m = default_method(ct) if method is None else _as_method(method)
+        if m is Method.QUADRATURE:
+            factor = _kernel.kernel_eval(z, _difference_axis(g), 1)
+            values = _riemann_sum([factor] * g.n, f)
+        else:
+            if spectrum is None:
+                spectrum = np.fft.fftn(f.values, axes=axes)
+            # the symbol goes through kernel.kernel_fourier (module attribute,
+            # not a local alias) so the spectral path provably follows it
+            symbol = _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
+            multiplier = reduce(np.multiply.outer, (symbol,) * g.n)
+            values = np.fft.ifftn(spectrum * multiplier[..., np.newaxis], axes=axes)
+        meta = _tail_meta(z, g, tail_budget)
+        meta["method"] = m.value
+        yield Field(g, values, meta=meta)
 
 
 def apply_dzeta(zeta, f: Field, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Field:
@@ -157,16 +176,23 @@ def apply_dzeta(zeta, f: Field, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Fie
 
     This convolves ``f`` with the kernel's time derivative; it equals the
     derivative of ``apply(zeta, f)`` with respect to ``zeta`` and also the
-    spatial Laplacian of ``apply(zeta, f)``.
+    spatial Laplacian of ``apply(zeta, f)``.  By the product rule it is the
+    sum over axes ``j`` of the kernel with axis ``j``'s factor differentiated.
     """
     ct = as_time(zeta)
     if ct.is_zero:
         raise ValueError("derivative kernel undefined at zeta = 0")
     z = ct.value
-    values = _convolve(_dzeta_on_difference_lattice(z, f.grid), f)
-    meta = _tail_meta(z, f.grid, tail_budget)
+    g = f.grid
+    d = _difference_axis(g)
+    factor = _kernel.kernel_eval(z, d, 1)
+    dfactor = _kernel.kernel_dzeta(z, d, 1)
+    values = sum(
+        _riemann_sum([dfactor if a == j else factor for a in range(g.n)], f) for j in range(g.n)
+    )
+    meta = _tail_meta(z, g, tail_budget)
     meta["method"] = "quadrature-dzeta"
-    return Field(f.grid, values, meta=meta)
+    return Field(g, values, meta=meta)
 
 
 def operator_bound(zeta, k: float, g: Grid) -> float:
@@ -179,16 +205,17 @@ def operator_bound(zeta, k: float, g: Grid) -> float:
 
         weighted_norm(apply(zeta, f, quadrature), s) <= M_k * weighted_norm(f, s)
 
-    for any space ``s`` with weight exponent ``k`` (sup or Lp kind).
+    for any space ``s`` with weight exponent ``k`` (sup or Lp kind).  The
+    weight does not factor by axis, so this stays an n-D sum.
     """
     ct = as_time(zeta)
     if ct.is_zero:
         raise ValueError("operator bound undefined at zeta = 0")
     if k < 0:
         raise ValueError(f"weight exponent must be >= 0, got {k}")
-    sq = _difference_squared_norms(g)
-    absker = np.abs(_kernel_on_difference_lattice(ct.value, g))
-    w = (1.0 + np.sqrt(sq)) ** k
+    d = _difference_axis(g)
+    absker = reduce(np.multiply.outer, (np.abs(_kernel.kernel_eval(ct.value, d, 1)),) * g.n)
+    w = (1.0 + np.sqrt(reduce(np.add.outer, (d[:, 0] ** 2,) * g.n))) ** k
     return float(np.sum(w * absker) * g.cell_volume)
 
 
@@ -232,9 +259,9 @@ def trajectory(f: Field, times, method=None) -> Trajectory:
 
     A leading time 0 maps to ``f`` itself; every positive time is one
     kernel application to the initial field (the evolution is exact in time,
-    so there is no stepping error to accumulate).
+    so there is no stepping error to accumulate), through :func:`apply_many`.
     """
-    states = tuple(apply(t, f, method=method) for t in times)
+    states = tuple(apply_many(times, f, method=method))
     return Trajectory(tuple(times), states)
 
 

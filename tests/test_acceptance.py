@@ -286,3 +286,22 @@ def test_mutation_sensitivity(monkeypatch):
         f"doubled-decay multiplier trips {len(failing)} checks "
         f"(need >= 2): {', '.join(failing[:4])}{'...' if len(failing) > 4 else ''}",
     )
+
+    # a kernel formula that drops the power of its prefactor (4 pi zeta)^(-n/2)
+    # must trip a quadrature check: the propagator samples kernel.kernel_eval
+    def wrong_kernel(zeta, x, n):
+        z = complex(zeta.value if hasattr(zeta, "value") else zeta)
+        x = np.asarray(x, dtype=float)
+        sq = x**2 if x.ndim == 0 else np.sum(x**2, axis=-1)
+        return 4.0 * np.pi * z * np.exp(-sq / (4.0 * z))
+
+    monkeypatch.undo()
+    monkeypatch.setattr(gausspoisson.kernel, "kernel_eval", wrong_kernel)
+    report = run_suite(SuiteConfig(checks=("path-agreement", "holomorphy")))
+    failing = [r.name for r in report.results if not r.passed]
+    _report(
+        "mutation sensitivity",
+        len(failing) >= 1,
+        f"kernel without its prefactor power trips {len(failing)} quadrature checks "
+        f"(need >= 1): {', '.join(failing[:4])}{'...' if len(failing) > 4 else ''}",
+    )

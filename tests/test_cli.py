@@ -1,7 +1,14 @@
 """Command line: config parsing, subcommands, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import gausspoisson
 
 from gausspoisson import (
     Method,
@@ -210,3 +217,24 @@ def test_effective_config_rerun_is_identical(tmp_path):
     assert main(["evolve", "--config", str(out1 / "effective.cfg"), "--out", str(out2)]) == 0
     assert (out1 / "field.csv").read_bytes() == (out2 / "field.csv").read_bytes()
     assert (out1 / "effective.cfg").read_bytes() == (out2 / "effective.cfg").read_bytes()
+
+
+def test_verify_report_identical_across_blas_threads(tmp_path):
+    # per-axis quadrature runs on BLAS matrix products, so the report must not
+    # depend on how many threads the BLAS library uses.  N=65 because OpenBLAS
+    # keeps products of 33x33 matrices on one thread whatever the setting;
+    # the groups are the ones that evolve by quadrature
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid.n=2\ngrid.N=65\nchecks=path-agreement,holomorphy,contour,operator-bound\n")
+    src = str(Path(gausspoisson.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"threads{threads}"
+        code = "import sys; from gausspoisson.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = [sys.executable, "-c", code, "verify", "--config", str(cfg), "--out", str(out)]
+        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode in (0, 1), done.stderr
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]

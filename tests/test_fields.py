@@ -119,3 +119,17 @@ def test_named_field_rules():
 def test_field_rule_unknown_name_lists_choices():
     with pytest.raises(ValueError, match="gaussian"):
         field_rule("nope")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sampled_by_axis_matches_point_rule(n):
+    g = make_grid(n, 4.0, 17)
+    mix = GaussianMixture(
+        amplitudes=[[1.0, 0.5j], [-0.3 + 0.2j, 2.0]],
+        widths=[1.5, 0.4 + 0.3j],
+        centers=np.linspace(-1.0, 1.0, 2 * n).reshape(2, n),
+    )
+    got = mix.sampled(g).values
+    expect = sample(g, mix).values
+    assert got.shape == expect.shape == g.shape + (2,)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
