@@ -41,5 +41,6 @@ for dt, N in ((2e-2, 513), (1e-2, 1025), (5e-3, 2049)):
     g = make_grid(1, 12.0, N)
     u0 = sample(g, field_rule("gaussian"))
     times = np.arange(0.5, 1.5 + dt / 2, dt)
-    res = classical_residual(trajectory(u0, times))
+    traj = trajectory(u0, times)
+    res = classical_residual(traj.times, traj.states)
     print(f"  dt = {dt:.0e}, N = {N:5d}: residual {res:.3e}")

@@ -161,40 +161,40 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_pass else 1
 
 
+def _continuity_table(cfg: SuiteConfig, f):
+    for e in continuity_scan(f, cfg.space, cfg.alpha, cfg.rays, cfg.radii, margin=cfg.margin):
+        yield e.ray, e.radius, e.residual
+
+
+def _generator_table(cfg: SuiteConfig, f):
+    for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+        res = generator_residuals(f, 0.5, dt, space=cfg.space, margin=cfg.margin)
+        yield dt, res.r1, res.r2, res.r3
+
+
+def _mild_table(cfg: SuiteConfig, f):
+    for steps in (32, 64, 128, 256, 512):
+        yield steps, mild_identity_residual(f, 1.0, steps=steps, space=cfg.space, margin=cfg.margin)
+
+
+# check -> (CSV header, SuiteConfig attribute naming the field rule, rows(cfg, field))
+_TABLES = {
+    "continuity": ("ray,radius,residual", "continuity_rule", _continuity_table),
+    "generator": ("dt,r1,r2,r3", "rule", _generator_table),
+    "mild": ("steps,residual", "rule", _mild_table),
+}
+
+
 def _cmd_table(args) -> int:
     mapping = read_config(args.config) if args.config else {}
     cfg = _suite_config(mapping)
     check = args.check or mapping.get("table.check")
-    if check not in ("continuity", "generator", "mild"):
-        raise ConfigError(f"table needs --check continuity|generator|mild, got {check!r}")
+    if check not in _TABLES:
+        raise ConfigError(f"table needs --check {'|'.join(_TABLES)}, got {check!r}")
+    header, rule, rows = _TABLES[check]
     out = _out_dir(args.out)
-    grid = cfg.grid
-
-    lines = []
-    if check == "continuity":
-        f = sample(grid, field_rule(cfg.continuity_rule))
-        entries = continuity_scan(f, cfg.space, cfg.alpha, cfg.rays, cfg.radii, margin=cfg.margin)
-        lines.append("ray,radius,residual")
-        for e in entries:
-            lines.append(
-                f"{format(e.ray, '.17g')},{format(e.radius, '.17g')},{format(e.residual, '.17g')}"
-            )
-    elif check == "generator":
-        f = sample(grid, field_rule(cfg.rule))
-        lines.append("dt,r1,r2,r3")
-        for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
-            res = generator_residuals(f, 0.5, dt, space=cfg.space, margin=cfg.margin)
-            lines.append(
-                f"{format(dt, '.17g')},{format(res.r1, '.17g')},"
-                f"{format(res.r2, '.17g')},{format(res.r3, '.17g')}"
-            )
-    else:
-        f = sample(grid, field_rule(cfg.rule))
-        lines.append("steps,residual")
-        for steps in (32, 64, 128, 256, 512):
-            residual = mild_identity_residual(f, 1.0, steps=steps, space=cfg.space, margin=cfg.margin)
-            lines.append(f"{steps},{format(residual, '.17g')}")
-
+    f = sample(cfg.grid, field_rule(getattr(cfg, rule)))
+    lines = [header] + [",".join(format(v, ".17g") for v in row) for row in rows(cfg, f)]
     (out / f"{check}_table.csv").write_text("\n".join(lines) + "\n")
     effective = dict(cfg.to_mapping())
     effective["table.check"] = check
@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="emit residual scan tables as CSV")
     table.add_argument("--config", help="flat key=value configuration file")
-    table.add_argument("--check", choices=("continuity", "generator", "mild"))
+    table.add_argument("--check", choices=tuple(_TABLES))
     table.add_argument("--out", required=True, help="output directory")
     table.set_defaults(func=_cmd_table)
 

@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .grid_field import Field, Grid
+from .grid_field import Field, Grid, squared_norm
 from .kernel import as_time
 
 __all__ = [
@@ -140,17 +140,13 @@ def boundary_max(f: Field) -> float:
     return float(mag[mask].max())
 
 
-def _sqnorm(points: np.ndarray) -> np.ndarray:
-    return np.sum(np.asarray(points, dtype=float) ** 2, axis=-1)
-
-
 # named analytic rules for configuration files and the command line; each maps
 # a point array (..., n) to scalar values (...)
 FIELD_RULES = {
     "constant": lambda X: np.ones(np.asarray(X).shape[:-1], dtype=complex),
-    "gaussian": lambda X: np.exp(-_sqnorm(X)),
-    "wide_gaussian": lambda X: np.exp(-_sqnorm(X) / 4.0),
-    "modulated_gaussian": lambda X: np.cos(3.0 * np.asarray(X, float)[..., 0]) * np.exp(-_sqnorm(X)),
+    "gaussian": lambda X: np.exp(-squared_norm(X)),
+    "wide_gaussian": lambda X: np.exp(-squared_norm(X) / 4.0),
+    "modulated_gaussian": lambda X: np.cos(3.0 * np.asarray(X, float)[..., 0]) * np.exp(-squared_norm(X)),
     "cosine": lambda X: np.cos(np.asarray(X, float)[..., 0]),
 }
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_field import Field, interior_slices
-from .semigroup import Trajectory, apply, apply_dzeta, apply_many
-from .weights import SpaceSpec, weighted_norm
+from .semigroup import apply, apply_dzeta, apply_many
+from .weights import SpaceSpec, difference_norm
 
 __all__ = [
     "LaplacianMethod",
@@ -114,10 +114,6 @@ class GeneratorResiduals:
         return max(self.r1, self.r2, self.r3)
 
 
-def _norm_diff(a: Field, b: Field, s: SpaceSpec, margin: float) -> float:
-    return weighted_norm(a.with_values(a.values - b.values), s, margin=margin)
-
-
 def generator_residuals(
     f: Field,
     t: float,
@@ -148,9 +144,9 @@ def generator_residuals(
     u_of_lap = apply(t, discrete_laplacian(f, laplacian), method=method)
     deriv = apply_dzeta(t, f)
     return GeneratorResiduals(
-        r1=_norm_diff(dudt, lap_u, s, margin),
-        r2=_norm_diff(lap_u, u_of_lap, s, margin),
-        r3=_norm_diff(dudt, deriv, s, margin),
+        r1=difference_norm(dudt, lap_u, s, margin),
+        r2=difference_norm(lap_u, u_of_lap, s, margin),
+        r3=difference_norm(dudt, deriv, s, margin),
     )
 
 
@@ -172,7 +168,7 @@ def difference_quotient_residual(
         raise ValueError(f"step must be positive, got {h}")
     s = _space(space)
     quotient = f.with_values((apply(h, f, method=method).values - f.values) / h)
-    return _norm_diff(quotient, discrete_laplacian(f, laplacian), s, margin)
+    return difference_norm(quotient, discrete_laplacian(f, laplacian), s, margin)
 
 
 def _graded_nodes(t: float, eps: float, steps: int) -> np.ndarray:
@@ -241,34 +237,44 @@ def mild_identity_residual(
     upper = apply(t, f, method=method)
     lower = f if eps == 0 else apply(eps, f, method=method)
     rhs = upper.with_values(upper.values - lower.values)
-    return _norm_diff(lhs, rhs, s, margin)
+    return difference_norm(lhs, rhs, s, margin)
 
 
 def classical_residual(
-    traj: Trajectory,
+    times,
+    states,
     margin: float = DEFAULT_MARGIN,
     laplacian=LaplacianMethod.FINITE_DIFFERENCE,
 ) -> float:
-    """Pointwise heat-equation residual along a uniformly spaced trajectory.
+    """Pointwise heat-equation residual along uniformly spaced times.
+
+    ``states`` holds the field at each of ``times``: any iterable, such as
+    ``apply_many(times, f)`` or a trajectory's states.  It is read once, in
+    order, through a window of three consecutive states, so a streamed
+    evolution is never held whole.  States at non-positive times are skipped.
 
     Returns the max over interior times and interior grid points of the
     Euclidean component norm of ``central time difference - Delta u``.  Needs
     at least 3 positive, uniformly spaced times.
     """
-    times = np.asarray(traj.times)
-    positive = times > 0
-    if np.count_nonzero(positive) < 3:
+    times = np.asarray(times, dtype=float)
+    positive = times[times > 0]
+    if len(positive) < 3:
         raise ValueError("need at least 3 positive times")
-    idx = np.flatnonzero(positive)
-    dts = np.diff(times[idx])
+    dts = np.diff(positive)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ValueError("positive times must be uniformly spaced")
     dt = float(dts[0])
-    window = interior_slices(traj.grid, margin)
+    window = []
     worst = 0.0
-    for a, b, c in zip(idx, idx[1:], idx[2:]):
-        dudt = (traj.states[c].values - traj.states[a].values) / (2.0 * dt)
-        lap = discrete_laplacian(traj.states[b], laplacian).values
-        pointwise = np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1))
-        worst = max(worst, float(pointwise[window].max()))
+    for t, state in zip(times, states, strict=True):
+        if not t > 0:
+            continue
+        window = window[-2:] + [state]
+        if len(window) == 3:
+            a, b, c = window
+            dudt = (c.values - a.values) / (2.0 * dt)
+            lap = discrete_laplacian(b, laplacian).values
+            pointwise = np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1))
+            worst = max(worst, float(pointwise[interior_slices(b.grid, margin)].max()))
     return worst

@@ -25,6 +25,7 @@ __all__ = [
     "test_function",
     "is_interior_supported",
     "interior_slices",
+    "squared_norm",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -120,6 +121,15 @@ class Grid:
 def make_grid(n: int, L: float, N: int) -> Grid:
     """Build the uniform lattice on ``[-L, L]^n`` with ``N`` points per axis."""
     return Grid(n=int(n), L=float(L), N=int(N))
+
+
+def squared_norm(x) -> np.ndarray:
+    """``|x|^2`` of one point (a scalar is a 1-D point) or of an array of
+    points with coordinates along the last axis."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return x**2
+    return np.sum(x**2, axis=-1)
 
 
 @dataclass(frozen=True)

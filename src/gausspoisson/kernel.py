@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainccinv, gammaincc
 
-from .grid_field import Field, Grid, make_grid, sample
+from .grid_field import Field, Grid, make_grid, sample, squared_norm
 
 __all__ = [
     "ComplexTime",
@@ -107,13 +107,6 @@ def _require_positive(zeta) -> complex:
     return ct.value
 
 
-def _squared_norm(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return x**2
-    return np.sum(x**2, axis=-1)
-
-
 def kernel_eval(zeta, x, n: int):
     """Evaluate the kernel at points ``x``.
 
@@ -121,7 +114,7 @@ def kernel_eval(zeta, x, n: int):
     points with coordinates along the last axis; the result drops that axis.
     """
     z = _require_positive(zeta)
-    sq = _squared_norm(x)
+    sq = squared_norm(x)
     pref = (4.0 * np.pi * z) ** (-n / 2.0)
     return pref * np.exp(-sq / (4.0 * z))
 
@@ -132,7 +125,7 @@ def kernel_dzeta(zeta, x, n: int):
     The shared closed form is ``chi_zeta(x) (|x|^2/(4 zeta^2) - n/(2 zeta))``.
     """
     z = _require_positive(zeta)
-    sq = _squared_norm(x)
+    sq = squared_norm(x)
     return kernel_eval(z, x, n) * (sq / (4.0 * z * z) - n / (2.0 * z))
 
 
@@ -153,7 +146,7 @@ def kernel_fourier(zeta, xi):
     :func:`kernel_eval`.  Unlike the kernel itself the symbol extends to
     ``zeta = 0``, where it is identically 1."""
     z = as_time(zeta).value
-    return np.exp(-z * _squared_norm(xi))
+    return np.exp(-z * squared_norm(xi))
 
 
 def kernel_tail_bound(zeta, alpha: float, R: float, n: int) -> float:

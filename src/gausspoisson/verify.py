@@ -2,7 +2,7 @@
 
 Each check turns one identity of the underlying theory into a nonnegative
 residual and compares it against a configured tolerance.  A report is a
-deterministic list of check results (fixed registration order, seeded
+deterministic list of check results (fixed table order, seeded
 randomness), serializable as CSV and as readable text.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .generator import (
 )
 from .grid_field import Field, Grid, make_grid, sample
 from .kernel import as_time
-from .semigroup import Method, apply, apply_dzeta, operator_bound, trajectory
-from .weights import SpaceSpec, weight_inequality_check, weighted_norm
+from .semigroup import Method, apply, apply_dzeta, apply_many, operator_bound
+from .weights import SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
 
 __all__ = [
     "parse_complex",
@@ -107,24 +108,6 @@ DEFAULT_TOLERANCES = {
     "classical_refinement": 1e-9,
 }
 
-CHECK_GROUPS = (
-    "weights",
-    "kernel-mass",
-    "fourier-symbol",
-    "semigroup-law",
-    "path-agreement",
-    "gaussian-closed-form",
-    "kernel-reproduction",
-    "continuity",
-    "holomorphy",
-    "contour",
-    "generator",
-    "quotient-order",
-    "mild",
-    "operator-bound",
-    "classical",
-)
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -152,8 +135,9 @@ class SuiteConfig:
     checks: tuple | None = None
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.pi / 2:
-            raise ValueError(f"sector angle must lie in (0, pi/2), got {self.alpha}")
+        _continuity_geometry(self.alpha, self.rays, self.radii)
+        field_rule(self.rule)
+        field_rule(self.continuity_rule)
         for z in self.zetas:
             ct = as_time(z)
             if not ct.is_zero and ct.value.imag != 0 and not ct.in_sector(self.alpha):
@@ -315,17 +299,13 @@ class VerificationReport:
 # -- check operations ----------------------------------------------------------
 
 
-def _diff_norm(a: Field, b: Field, s: SpaceSpec, margin: float) -> float:
-    return weighted_norm(a.with_values(a.values - b.values), s, margin=margin)
-
-
 def semigroup_law_residual(zeta1, zeta2, f: Field, s: SpaceSpec, margin: float = 0.25, method=None) -> float:
     """Interior-window weighted-norm residual of the composition law:
     evolving by ``zeta1 + zeta2`` in one step versus two."""
     z1, z2 = as_time(zeta1), as_time(zeta2)
     one_step = apply(z1.value + z2.value, f, method=method)
     two_step = apply(z1, apply(z2, f, method=method), method=method)
-    return _diff_norm(one_step, two_step, s, margin)
+    return difference_norm(one_step, two_step, s, margin)
 
 
 @dataclass(frozen=True)
@@ -335,13 +315,9 @@ class ContinuityEntry:
     residual: float
 
 
-def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: float = 0.25, method=None) -> list:
-    """Residuals of ``G(r e^{i ray}) f - f`` for each ray and shrinking radius.
-
-    Rows are ordered by (ray, radius in the given order); every ray must lie
-    strictly inside the sector of angle ``alpha``.  Strong continuity at zero
-    time predicts the residuals to fall to 0 along every ray.
-    """
+def _continuity_geometry(alpha: float, rays, radii) -> tuple:
+    """Validate a continuity scan's sector angle, rays and radii; returns the
+    radii as floats."""
     if not 0 < alpha < math.pi / 2:
         raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
     radii = tuple(float(r) for r in radii)
@@ -349,13 +325,25 @@ def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: f
         raise ValueError("radii must be positive")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    entries = []
     for ray in rays:
         if not abs(ray) < alpha:
             raise ValueError(f"ray angle {ray} is outside the sector of angle {alpha}")
+    return radii
+
+
+def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: float = 0.25, method=None) -> list:
+    """Residuals of ``G(r e^{i ray}) f - f`` for each ray and shrinking radius.
+
+    Rows are ordered by (ray, radius in the given order); every ray must lie
+    strictly inside the sector of angle ``alpha``.  Strong continuity at zero
+    time predicts the residuals to fall to 0 along every ray.
+    """
+    radii = _continuity_geometry(alpha, rays, radii)
+    entries = []
+    for ray in rays:
         for r in radii:
             zeta = r * complex(math.cos(ray), math.sin(ray))
-            residual = _diff_norm(apply(zeta, f, method=method), f, s, margin)
+            residual = difference_norm(apply(zeta, f, method=method), f, s, margin)
             entries.append(ContinuityEntry(float(ray), r, residual))
     return entries
 
@@ -395,12 +383,11 @@ def holomorphy_residuals(
     d_re = (u_re_plus.values - u_re_minus.values) / (2.0 * h)
     d_im = (u_im_plus.values - u_im_minus.values) / (2.0 * h)
     conjugate = f.with_values(0.5 * (d_re + 1j * d_im))
-    zero = f.with_values(np.zeros_like(f.values))
     deriv = apply_dzeta(z, f)
     quotient = f.with_values(d_re)
     return HolomorphyResiduals(
-        cauchy_riemann=_diff_norm(conjugate, zero, s, margin),
-        derivative_match=_diff_norm(quotient, deriv, s, margin),
+        cauchy_riemann=weighted_norm(conjugate, s, margin=margin),
+        derivative_match=difference_norm(quotient, deriv, s, margin),
     )
 
 
@@ -436,342 +423,282 @@ def contour_residual(
 
 
 # -- the aggregated suite --------------------------------------------------------
-
-
-def _fmt_zeta(z) -> str:
-    return format_complex(complex(z))
+#
+# The suite is a table of check groups (see _GROUPS at the end).  A group's
+# rows function yields units ``(compute, (name, tol_key), ...)``: the names
+# and tolerance keys of a unit's rows are known before anything runs, and
+# ``compute()`` does the unit's shared work once and returns one
+# ``(residual, meta)`` per row, in row order.
 
 
 def _relative(residual: float, scale: float) -> float:
     return residual / scale if scale > 0 else residual
 
 
-def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    """Run the configured check groups and assemble the deterministic report.
+def _ratio(coarse: float, fine: float, fallback: float) -> float:
+    return coarse / fine if fine > 0 else fallback
 
-    Checks run in fixed registration order with seeded randomness, so two
-    runs from identical configurations produce byte-identical reports.  A
-    crashing check is recorded as failed (residual ``inf``, error message in
-    the metadata) and the suite continues.
-    """
-    grid = cfg.grid
-    s = cfg.space
-    margin = cfg.margin
-    registry = []
 
-    def register(group: str, name: str, anchor: str, tol: float, thunk) -> None:
-        if cfg.checks is None or group in cfg.checks:
-            registry.append((name, anchor, tol, thunk))
+class _Inputs:
+    """The inputs one run's groups share; each field is built on first use."""
 
+    def __init__(self, cfg: SuiteConfig):
+        self.cfg = cfg
+        self.grid = cfg.grid
+        self.s = cfg.space
+        self.margin = cfg.margin
+
+    @cached_property
+    def unit_gaussian(self) -> GaussianMixture:
+        return GaussianMixture([[1.0]], [1.0], [[0.0] * self.cfg.n])
+
+    @cached_property
+    def gaussian_field(self) -> Field:
+        return self.unit_gaussian.sampled(self.grid)
+
+    @cached_property
+    def mixture_field(self) -> Field:
+        rng = np.random.default_rng([self.cfg.seed, 1])
+        return random_gaussian_mixture(self.cfg.n, m=1, terms=3, rng=rng).sampled(self.grid)
+
+    @cached_property
+    def rule_field(self) -> Field:
+        return sample(self.grid, field_rule(self.cfg.rule))
+
+    @cached_property
+    def continuity_field(self) -> Field:
+        return sample(self.grid, field_rule(self.cfg.continuity_rule))
+
+
+def _weights(inp: _Inputs):
     # weight inequalities over a seeded point cloud
-    def weights_check():
-        rng = np.random.default_rng([cfg.seed, 0])
+    def pointwise():
+        rng = np.random.default_rng([inp.cfg.seed, 0])
         worst = math.inf
         for k in (0.0, 1.0, 2.0, 3.5):
             for _ in range(200):
-                x = rng.normal(0.0, 3.0, size=cfg.n)
-                y = rng.normal(0.0, 3.0, size=cfg.n)
+                x = rng.normal(0.0, 3.0, size=inp.cfg.n)
+                y = rng.normal(0.0, 3.0, size=inp.cfg.n)
                 worst = min(worst, weight_inequality_check(k, x, y).min())
-        return max(0.0, -worst), {"pairs": 800}
+        return [(max(0.0, -worst), {"pairs": 800})]
 
-    register(
-        "weights",
-        "weights[pointwise]",
-        "pointwise weight inequalities",
-        cfg.tol("weights"),
-        weights_check,
-    )
+    yield pointwise, ("weights[pointwise]", "weights")
 
+
+def _kernel_mass(inp: _Inputs):
     # kernel mass on per-time grids sized from the tail bound
-    for z in cfg.zetas:
-        zc = complex(z)
-        real = zc.imag == 0
-        tol = cfg.tol("kernel_mass_real" if real else "kernel_mass_complex")
+    def mass(z):
+        g = kernelmod.grid_for_time(z, inp.cfg.n)
+        return [(abs(kernelmod.kernel_mass(z, g) - 1.0), {"grid": (g.n, g.L, g.N)})]
 
-        def mass_check(zc=zc):
-            g = kernelmod.grid_for_time(zc, cfg.n)
-            mass = kernelmod.kernel_mass(zc, g)
-            return abs(mass - 1.0), {"grid": (g.n, g.L, g.N)}
+    for z in map(complex, inp.cfg.zetas):
+        tol_key = "kernel_mass_real" if z.imag == 0 else "kernel_mass_complex"
+        yield partial(mass, z), (f"kernel-mass[zeta={format_complex(z)}]", tol_key)
 
-        register(
-            "kernel-mass",
-            f"kernel-mass[zeta={_fmt_zeta(zc)}]",
-            "kernel unit mass",
-            tol,
-            mass_check,
-        )
 
+def _fourier_symbol(inp: _Inputs):
     # DFT of the sampled kernel against the symbol, low-frequency window
-    for zc in (1.0, 1.0 + 1.0j):
+    def symbol(z):
+        return [(kernelmod.fourier_symbol_residual(z, inp.grid), {})]
 
-        def fourier_check(zc=zc):
-            return kernelmod.fourier_symbol_residual(zc, grid), {}
+    for z in (1.0, 1.0 + 1.0j):
+        yield partial(symbol, z), (f"fourier-symbol[zeta={format_complex(z)}]", "fourier_symbol")
 
-        register(
-            "fourier-symbol",
-            f"fourier-symbol[zeta={_fmt_zeta(zc)}]",
-            "kernel Fourier symbol",
-            cfg.tol("fourier_symbol"),
-            fourier_check,
-        )
 
-    mixture = random_gaussian_mixture(cfg.n, m=1, terms=3, rng=np.random.default_rng([cfg.seed, 1]))
-    mixture_field = mixture.sampled(grid)
-    rule_field = sample(grid, field_rule(cfg.rule))
-
+def _semigroup_law(inp: _Inputs):
     # composition law, relative to the field norm
-    for z1, z2 in cfg.law_pairs:
-        for label, f in (("rule", rule_field), ("mixture", mixture_field)):
+    def law(z1, z2, label):
+        f = inp.rule_field if label == "rule" else inp.mixture_field
+        residual = semigroup_law_residual(z1, z2, f, inp.s, margin=inp.margin)
+        return [(_relative(residual, weighted_norm(f, inp.s, margin=inp.margin)), {})]
 
-            def law_check(z1=z1, z2=z2, f=f):
-                residual = semigroup_law_residual(z1, z2, f, s, margin=margin)
-                return _relative(residual, weighted_norm(f, s, margin=margin)), {}
+    for z1, z2 in inp.cfg.law_pairs:
+        for label in ("rule", "mixture"):
+            name = f"semigroup-law[{format_complex(z1)};{format_complex(z2)};{label}]"
+            yield partial(law, z1, z2, label), (name, "semigroup_law")
 
-            register(
-                "semigroup-law",
-                f"semigroup-law[{_fmt_zeta(z1)};{_fmt_zeta(z2)};{label}]",
-                "semigroup composition law",
-                cfg.tol("semigroup_law"),
-                law_check,
-            )
 
+def _path_agreement(inp: _Inputs):
     # quadrature vs spectral on the interior half-window
-    for z in cfg.zetas:
-        zc = complex(z)
+    def agreement(z):
+        f = inp.mixture_field
+        a = apply(z, f, method=Method.QUADRATURE)
+        b = apply(z, f, method=Method.SPECTRAL)
+        return [(_relative(difference_norm(a, b, inp.s, 0.25), weighted_norm(f, inp.s, margin=0.25)), {})]
 
-        def path_check(zc=zc):
-            a = apply(zc, mixture_field, method=Method.QUADRATURE)
-            b = apply(zc, mixture_field, method=Method.SPECTRAL)
-            residual = _diff_norm(a, b, s, 0.25)
-            return _relative(residual, weighted_norm(mixture_field, s, margin=0.25)), {}
+    for z in map(complex, inp.cfg.zetas):
+        yield partial(agreement, z), (f"path-agreement[zeta={format_complex(z)}]", "path_agreement")
 
-        register(
-            "path-agreement",
-            f"path-agreement[zeta={_fmt_zeta(zc)}]",
-            "quadrature/spectral path agreement",
-            cfg.tol("path_agreement"),
-            path_check,
-        )
 
-    # closed-form Gaussian evolution
-    unit_gaussian = GaussianMixture([[1.0]], [1.0], [[0.0] * cfg.n])
-    gaussian_field = unit_gaussian.sampled(grid)
+def _gaussian_closed_form(inp: _Inputs):
+    def closed_form(t):
+        evolved = apply(t, inp.gaussian_field)
+        exact = inp.unit_gaussian.evolved(t).sampled(inp.grid)
+        return [(difference_norm(evolved, exact, SpaceSpec.make(0), inp.margin), {})]
+
     for t in (0.1, 1.0, 5.0):
+        yield partial(closed_form, t), (f"gaussian-closed-form[t={t:g}]", "gaussian_closed_form")
 
-        def gaussian_check(t=t):
-            evolved = apply(t, gaussian_field)
-            exact = unit_gaussian.evolved(t).sampled(grid)
-            return _diff_norm(evolved, exact, SpaceSpec.make(0), margin), {}
 
-        register(
-            "gaussian-closed-form",
-            f"gaussian-closed-form[t={t:g}]",
-            "closed-form Gaussian evolution",
-            cfg.tol("gaussian_closed_form"),
-            gaussian_check,
-        )
-
+def _kernel_reproduction(inp: _Inputs):
     # evolving the kernel reproduces the kernel at the summed time
-    def reproduction_check():
-        f = kernelmod.sample_kernel(0.5, grid)
-        evolved = apply(0.5, f)
-        exact = kernelmod.sample_kernel(1.0, grid)
-        return _diff_norm(evolved, exact, SpaceSpec.make(0), margin), {}
+    def reproduction():
+        evolved = apply(0.5, kernelmod.sample_kernel(0.5, inp.grid))
+        exact = kernelmod.sample_kernel(1.0, inp.grid)
+        return [(difference_norm(evolved, exact, SpaceSpec.make(0), inp.margin), {})]
 
-    register(
-        "kernel-reproduction",
-        "kernel-reproduction[s=0.5;t=0.5]",
-        "kernel reproduces itself under evolution",
-        cfg.tol("kernel_reproduction"),
-        reproduction_check,
-    )
+    yield reproduction, ("kernel-reproduction[s=0.5;t=0.5]", "kernel_reproduction")
 
-    # strong continuity along sector rays
-    continuity_field = sample(grid, field_rule(cfg.continuity_rule))
 
-    def continuity_rows(ray):
+def _continuity(inp: _Inputs):
+    # strong continuity along sector rays: one scan per ray gives both rows
+    def scan(ray):
         entries = continuity_scan(
-            continuity_field, s, cfg.alpha, [ray], cfg.radii, margin=margin
+            inp.continuity_field, inp.s, inp.cfg.alpha, [ray], inp.cfg.radii, margin=inp.margin
         )
-        return [e.residual for e in entries]
+        residuals = [e.residual for e in entries]
+        rises = [later - earlier for earlier, later in zip(residuals, residuals[1:])]
+        return [(residuals[-1], {"radii": len(residuals)}), (max([0.0, *rises]), {})]
 
-    for ray in cfg.rays:
+    for ray in inp.cfg.rays:
+        final, monotone = f"continuity-final[ray={ray:g}]", f"continuity-monotone[ray={ray:g}]"
+        yield partial(scan, ray), (final, "continuity_final"), (monotone, "continuity_monotone")
 
-        def final_check(ray=ray):
-            residuals = continuity_rows(ray)
-            return residuals[-1], {"radii": len(cfg.radii)}
 
-        def monotone_check(ray=ray):
-            residuals = continuity_rows(ray)
-            worst = 0.0
-            for earlier, later in zip(residuals, residuals[1:]):
-                worst = max(worst, later - earlier)
-            return max(0.0, worst), {}
-
-        register(
-            "continuity",
-            f"continuity-final[ray={ray:g}]",
-            "strong continuity at zero time",
-            cfg.tol("continuity_final"),
-            final_check,
+def _holomorphy(inp: _Inputs):
+    # second-order shrink of both residuals from one coarse/fine pair
+    def ratios():
+        coarse, fine = (
+            holomorphy_residuals(inp.gaussian_field, 1.0, h, inp.s, margin=inp.margin) for h in (1e-2, 5e-3)
         )
-        register(
-            "continuity",
-            f"continuity-monotone[ray={ray:g}]",
-            "strong continuity at zero time",
-            cfg.tol("continuity_monotone"),
-            monotone_check,
-        )
+        pairs = [(getattr(coarse, a), getattr(fine, a)) for a in ("cauchy_riemann", "derivative_match")]
+        return [(abs(_ratio(num, den, 4.0) - 4.0), {"coarse": num, "fine": den}) for num, den in pairs]
 
-    # holomorphy: second-order shrink of both residuals, vanishing contour
-    def holomorphy_ratio(attr):
-        coarse = holomorphy_residuals(gaussian_field, 1.0, 1e-2, s, margin=margin)
-        fine = holomorphy_residuals(gaussian_field, 1.0, 5e-3, s, margin=margin)
-        num, den = getattr(coarse, attr), getattr(fine, attr)
-        ratio = num / den if den > 0 else 4.0
-        return abs(ratio - 4.0), {"coarse": num, "fine": den}
+    yield ratios, *((f"holomorphy-ratio[{r}]", "holomorphy_ratio") for r in ("cauchy-riemann", "derivative"))
 
-    register(
-        "holomorphy",
-        "holomorphy-ratio[cauchy-riemann]",
-        "holomorphy in the time parameter",
-        cfg.tol("holomorphy_ratio"),
-        lambda: holomorphy_ratio("cauchy_riemann"),
-    )
-    register(
-        "holomorphy",
-        "holomorphy-ratio[derivative]",
-        "holomorphy in the time parameter",
-        cfg.tol("holomorphy_ratio"),
-        lambda: holomorphy_ratio("derivative_match"),
-    )
 
-    def contour_check():
-        return contour_residual(gaussian_field, 1.0, 0.25, 64, s, margin=margin), {}
+def _contour(inp: _Inputs):
+    def contour():
+        return [(contour_residual(inp.gaussian_field, 1.0, 0.25, 64, inp.s, margin=inp.margin), {})]
 
-    register(
-        "contour",
-        "contour[center=1;radius=0.25;m=64]",
-        "vanishing contour integral",
-        cfg.tol("contour"),
-        contour_check,
-    )
+    yield contour, ("contour[center=1;radius=0.25;m=64]", "contour")
 
-    # generator identities at t = 0.5
-    def generator_check(attr):
-        res = generator_residuals(gaussian_field, 0.5, 1e-3, space=s, margin=margin)
-        return getattr(res, attr), {}
 
-    for attr in ("r1", "r2", "r3"):
-        register(
-            "generator",
-            f"generator[{attr}]",
-            "generator equals the Laplacian",
-            cfg.tol("generator"),
-            lambda attr=attr: generator_check(attr),
-        )
+def _generator(inp: _Inputs):
+    # generator identities at t = 0.5, all three from one evaluation
+    def identities():
+        res = generator_residuals(inp.gaussian_field, 0.5, 1e-3, space=inp.s, margin=inp.margin)
+        return [(res.r1, {}), (res.r2, {}), (res.r3, {})]
 
+    yield identities, *((f"generator[{r}]", "generator") for r in ("r1", "r2", "r3"))
+
+
+def _quotient_order(inp: _Inputs):
     # first-order convergence of the difference quotient (ratio window)
-    def quotient_check():
-        steps = (1e-2, 5e-3, 2.5e-3)
+    def order():
         residuals = [
-            difference_quotient_residual(gaussian_field, h, space=s, margin=margin)
-            for h in steps
+            difference_quotient_residual(inp.gaussian_field, h, space=inp.s, margin=inp.margin)
+            for h in (1e-2, 5e-3, 2.5e-3)
         ]
         violation = 0.0
         for a, b in zip(residuals, residuals[1:]):
-            ratio = a / b if b > 0 else 2.0
+            ratio = _ratio(a, b, 2.0)
             violation = max(violation, 1.5 - ratio, ratio - 2.5)
-        return max(0.0, violation), {"residuals": residuals}
+        return [(max(0.0, violation), {"residuals": residuals})]
 
-    register(
-        "quotient-order",
-        "quotient-order[h=1e-2..2.5e-3]",
-        "difference quotient converges to the Laplacian",
-        cfg.tol("quotient_order"),
-        quotient_check,
-    )
+    yield order, ("quotient-order[h=1e-2..2.5e-3]", "quotient_order")
 
-    # mild identity and its refinement behavior
-    def mild_check():
-        return mild_identity_residual(gaussian_field, 1.0, steps=256, space=s, margin=margin), {}
 
-    def mild_refinement_check():
-        coarse = mild_identity_residual(gaussian_field, 1.0, steps=256, space=s, margin=margin)
-        fine = mild_identity_residual(gaussian_field, 1.0, steps=512, space=s, margin=margin)
-        ratio = coarse / fine if fine > 0 else 2.0
-        return max(0.0, 2.0 - ratio), {"coarse": coarse, "fine": fine}
+def _mild(inp: _Inputs):
+    # mild identity at 256 steps and its gain at 512
+    def identity():
+        coarse, fine = (
+            mild_identity_residual(inp.gaussian_field, 1.0, steps=steps, space=inp.s, margin=inp.margin)
+            for steps in (256, 512)
+        )
+        refinement = max(0.0, 2.0 - _ratio(coarse, fine, 2.0))
+        return [(coarse, {}), (refinement, {"coarse": coarse, "fine": fine})]
 
-    register(
-        "mild",
-        "mild[t=1;steps=256]",
-        "mild solution identity",
-        cfg.tol("mild"),
-        mild_check,
-    )
-    register(
-        "mild",
-        "mild-refinement[steps=256->512]",
-        "mild solution identity",
-        cfg.tol("mild_refinement"),
-        mild_refinement_check,
-    )
+    yield identity, ("mild[t=1;steps=256]", "mild"), ("mild-refinement[steps=256->512]", "mild_refinement")
 
+
+def _operator_bound(inp: _Inputs):
     # weighted operator norm bound over seeded random fields
+    def bound_check(k, z):
+        space_k = SpaceSpec.make(k, inp.s.kind.value, inp.s.p)
+        bound = operator_bound(z, k, inp.grid)
+        rng = np.random.default_rng([inp.cfg.seed, 2, int(k), int(z.imag != 0)])
+        violation = 0.0
+        for _ in range(100):
+            f = random_gaussian_mixture(inp.cfg.n, m=1, terms=3, rng=rng).sampled(inp.grid)
+            lhs = weighted_norm(apply(z, f, method=Method.QUADRATURE), space_k)
+            rhs = bound * weighted_norm(f, space_k) * (1.0 + 1e-8)
+            violation = max(violation, lhs - rhs)
+        return [(max(0.0, violation), {"bound": bound})]
+
     for k in (0.0, 1.0, 2.0):
-        for zc in (1.0, complex(np.exp(1j * np.pi / 4))):
+        for z in (1.0, complex(np.exp(1j * np.pi / 4))):
+            name = f"operator-bound[k={k:g};zeta={format_complex(z)}]"
+            yield partial(bound_check, k, z), (name, "operator_bound")
 
-            def bound_check(k=k, zc=zc):
-                space_k = SpaceSpec.make(k, s.kind.value, s.p)
-                bound = operator_bound(zc, k, grid)
-                rng = np.random.default_rng([cfg.seed, 2, int(k), int(zc.imag != 0)])
-                violation = 0.0
-                for _ in range(100):
-                    mix = random_gaussian_mixture(cfg.n, m=1, terms=3, rng=rng)
-                    f = mix.sampled(grid)
-                    lhs = weighted_norm(apply(zc, f, method=Method.QUADRATURE), space_k)
-                    rhs = bound * weighted_norm(f, space_k) * (1.0 + 1e-8)
-                    violation = max(violation, lhs - rhs)
-                return max(0.0, violation), {"bound": bound}
 
-            register(
-                "operator-bound",
-                f"operator-bound[k={k:g};zeta={_fmt_zeta(zc)}]",
-                "weighted operator norm bound",
-                cfg.tol("operator_bound"),
-                bound_check,
-            )
-
-    # classical solutions: pointwise heat equation, refinement gain
-    def classical_check():
+def _classical(inp: _Inputs):
+    # pointwise heat equation along streamed trajectories, refinement gain
+    def refinement():
         def residual(n_points, dt):
-            g = make_grid(cfg.n, cfg.L, n_points)
-            f = unit_gaussian.sampled(g)
+            f = inp.unit_gaussian.sampled(make_grid(inp.cfg.n, inp.cfg.L, n_points))
             times = np.arange(0.5, 1.5 + dt / 2, dt)
-            return classical_residual(trajectory(f, times), margin=margin)
+            return classical_residual(times, apply_many(times, f), margin=inp.margin)
 
-        coarse = residual(cfg.N, 1e-2)
-        fine = residual(2 * cfg.N - 1, 5e-3)
-        ratio = coarse / fine if fine > 0 else 3.0
-        return max(0.0, 3.0 - ratio), {"coarse": coarse, "fine": fine}
+        coarse = residual(inp.cfg.N, 1e-2)
+        fine = residual(2 * inp.cfg.N - 1, 5e-3)
+        return [(max(0.0, 3.0 - _ratio(coarse, fine, 3.0)), {"coarse": coarse, "fine": fine})]
 
-    register(
-        "classical",
-        "classical[gaussian;dt=1e-2]",
-        "pointwise heat equation along trajectories",
-        cfg.tol("classical_refinement"),
-        classical_check,
-    )
+    yield refinement, ("classical[gaussian;dt=1e-2]", "classical_refinement")
 
+
+# (group, anchor, rows) in report order
+_GROUPS = (
+    ("weights", "pointwise weight inequalities", _weights),
+    ("kernel-mass", "kernel unit mass", _kernel_mass),
+    ("fourier-symbol", "kernel Fourier symbol", _fourier_symbol),
+    ("semigroup-law", "semigroup composition law", _semigroup_law),
+    ("path-agreement", "quadrature/spectral path agreement", _path_agreement),
+    ("gaussian-closed-form", "closed-form Gaussian evolution", _gaussian_closed_form),
+    ("kernel-reproduction", "kernel reproduces itself under evolution", _kernel_reproduction),
+    ("continuity", "strong continuity at zero time", _continuity),
+    ("holomorphy", "holomorphy in the time parameter", _holomorphy),
+    ("contour", "vanishing contour integral", _contour),
+    ("generator", "generator equals the Laplacian", _generator),
+    ("quotient-order", "difference quotient converges to the Laplacian", _quotient_order),
+    ("mild", "mild solution identity", _mild),
+    ("operator-bound", "weighted operator norm bound", _operator_bound),
+    ("classical", "pointwise heat equation along trajectories", _classical),
+)
+
+CHECK_GROUPS = tuple(group for group, _, _ in _GROUPS)
+
+
+def run_suite(cfg: SuiteConfig) -> VerificationReport:
+    """Run the configured check groups and assemble the deterministic report.
+
+    Groups run in table order with seeded randomness, so two runs from
+    identical configurations produce byte-identical reports.  A crashing unit
+    is recorded as failed (every row it computes gets residual ``inf`` and
+    the error message in its metadata) and the suite continues.
+    """
+    inputs = _Inputs(cfg)
     results = []
-    for name, anchor, tol, thunk in registry:
-        try:
-            residual, meta = thunk()
-            residual = float(residual)
-            passed = math.isfinite(residual) and residual <= tol
-        except Exception as exc:  # a crashing check is a failed row, not a crashed suite
-            residual = math.inf
-            passed = False
-            meta = {"error": repr(exc)}
-        results.append(CheckResult(name, anchor, residual, tol, passed, meta))
+    for group, anchor, rows in _GROUPS:
+        if cfg.checks is not None and group not in cfg.checks:
+            continue
+        for compute, *specs in rows(inputs):
+            try:
+                outcomes = [(float(residual), meta) for residual, meta in compute()]
+            except Exception as exc:  # a crashing unit fails its rows, not the suite
+                outcomes = [(math.inf, {"error": repr(exc)}) for _ in specs]
+            for (name, tol_key), (residual, meta) in zip(specs, outcomes, strict=True):
+                tol = cfg.tol(tol_key)
+                passed = math.isfinite(residual) and residual <= tol
+                results.append(CheckResult(name, anchor, residual, tol, passed, meta))
     return VerificationReport(tuple(results))

@@ -24,6 +24,7 @@ __all__ = [
     "weight_on_grid",
     "weight_inequality_check",
     "weighted_norm",
+    "difference_norm",
 ]
 
 
@@ -159,3 +160,8 @@ def weighted_norm(f: Field, s: SpaceSpec, margin: float = 0.0) -> float:
     if s.kind in (SpaceKind.BUC, SpaceKind.C0):
         return float(quotient.max())
     return float(np.sum(quotient**s.p) * g.cell_volume) ** (1.0 / s.p)
+
+
+def difference_norm(a: Field, b: Field, s: SpaceSpec, margin: float = 0.0) -> float:
+    """:func:`weighted_norm` of the difference ``a - b`` of two fields on one grid."""
+    return weighted_norm(a.with_values(a.values - b.values), s, margin=margin)

@@ -256,7 +256,8 @@ def test_classical_solution_refinement():
         g = make_grid(1, 12.0, N)
         f = UNIT_MIXTURE.sampled(g)
         times = np.arange(0.5, 1.5 + dt / 2, dt)
-        return classical_residual(trajectory(f, times), margin=MARGIN)
+        traj = trajectory(f, times)
+        return classical_residual(traj.times, traj.states, margin=MARGIN)
 
     coarse = residual(1025, 1e-2)
     fine = residual(2049, 5e-3)

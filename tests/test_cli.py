@@ -161,6 +161,12 @@ def test_verify_bad_config_exits_two(tmp_path):
     cfg.write_text("bogus.key=1\n")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert main(["verify", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "r")]) == 2
+    # continuity geometry is rejected when the config is parsed, before any check runs
+    for geometry in ("rays=1.3", "radii=0.25,0.5", "radii="):
+        cfg.write_text(FAST + geometry + "\n")
+        out = tmp_path / "geometry"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.csv").exists()
 
 
 def test_usage_errors_exit_two(tmp_path):

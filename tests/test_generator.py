@@ -7,6 +7,7 @@ from gausspoisson import (
     LaplacianMethod,
     Method,
     SpaceSpec,
+    apply_many,
     classical_residual,
     difference_quotient_residual,
     discrete_laplacian,
@@ -165,7 +166,7 @@ def test_classical_residual_small_and_refines():
         g = make_grid(1, 12.0, N)
         f = sample(g, lambda p: np.exp(-p[..., 0] ** 2))
         traj = trajectory(f, [0.5 - dt, 0.5, 0.5 + dt])
-        return classical_residual(traj)
+        return classical_residual(traj.times, traj.states)
 
     coarse = residual(1e-2, 1025)
     fine = residual(5e-3, 2049)
@@ -176,13 +177,23 @@ def test_classical_residual_small_and_refines():
 def test_classical_residual_validation():
     traj2 = trajectory(GAUSSIAN, [0.4, 0.5])
     with pytest.raises(ValueError):
-        classical_residual(traj2)
+        classical_residual(traj2.times, traj2.states)
     uneven = trajectory(GAUSSIAN, [0.1, 0.2, 0.4])
     with pytest.raises(ValueError):
-        classical_residual(uneven)
+        classical_residual(uneven.times, uneven.states)
     # a leading zero time is ignored by the uniform-spacing rule
     ok = trajectory(GAUSSIAN, [0.0, 0.4, 0.5, 0.6])
-    assert classical_residual(ok) < 1e-2
+    assert classical_residual(ok.times, ok.states) < 1e-2
+    with pytest.raises(ValueError):
+        classical_residual(ok.times, ok.states[:-1])  # one state per time
+
+
+def test_classical_residual_streams_states():
+    # a one-pass stream of states gives the stored trajectory's residual
+    times = 0.5 + 0.05 * np.arange(6)
+    traj = trajectory(GAUSSIAN, times)
+    streamed = classical_residual(times, apply_many(times, GAUSSIAN))
+    assert streamed == classical_residual(traj.times, traj.states)
 
 
 def test_residuals_respect_weighted_space():

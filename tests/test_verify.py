@@ -1,5 +1,8 @@
 """Suite configuration, individual checks, and report serialization."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,8 +22,13 @@ from gausspoisson import (
     sample,
     semigroup_law_residual,
 )
+from gausspoisson import verify
 from gausspoisson.fields import field_rule
 from gausspoisson.verify import CheckResult
+
+# report.csv of run_suite(SuiteConfig()), byte for byte: a refactor of the suite
+# must reproduce it
+REFERENCE_REPORT = Path(__file__).parent / "data" / "reference_report.csv"
 
 
 def test_parse_complex_forms():
@@ -55,6 +63,17 @@ def test_suite_config_validation():
         SuiteConfig(checks=("no-such-group",))
     with pytest.raises(ValueError):
         SuiteConfig(tolerances={"no_such_tol": 1.0})
+    # continuity geometry and field rules are checked up front, not as inf rows
+    with pytest.raises(ValueError, match="outside the sector"):
+        SuiteConfig(rays=(1.3,))
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        SuiteConfig(radii=(0.25, 0.5))
+    with pytest.raises(ValueError, match="positive"):
+        SuiteConfig(radii=())
+    with pytest.raises(ValueError, match="unknown field rule"):
+        SuiteConfig(rule="no-such-rule")
+    with pytest.raises(ValueError, match="unknown field rule"):
+        SuiteConfig(continuity_rule="no-such-rule")
 
 
 def test_suite_config_tolerance_override():
@@ -186,9 +205,54 @@ def test_run_suite_flags_unreachable_tolerance():
     assert report.failures()[0].name.startswith("contour")
 
 
-def test_check_groups_cover_report_names():
+# the functions whose work a unit shares between its rows
+SHARED_WORK = ("continuity_scan", "holomorphy_residuals", "generator_residuals", "mild_identity_residual")
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    """One run of the default suite, with the calls of each SHARED_WORK function counted."""
+    calls = dict.fromkeys(SHARED_WORK, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in SHARED_WORK:
+            def counted(*args, _name=name, _original=getattr(verify, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            mp.setattr(verify, name, counted)
+        report = run_suite(SuiteConfig())
+    return report, calls
+
+
+def test_check_groups_cover_report_names(default_run):
     # every check name extends one of the declared group names
-    report = run_suite(SuiteConfig())
+    report, _ = default_run
     for r in report.results:
         base = r.name.split("[")[0]
         assert any(base == g or base.startswith(g + "-") for g in CHECK_GROUPS), r.name
+    assert report.to_csv_text().encode() == REFERENCE_REPORT.read_bytes()
+
+
+def test_units_do_shared_work_once(default_run):
+    _, calls = default_run
+    assert calls == {
+        "continuity_scan": len(SuiteConfig().rays),  # final and monotone rows from one scan
+        "holomorphy_residuals": 2,  # one coarse/fine pair for both ratios
+        "generator_residuals": 1,  # r1, r2 and r3 from one evaluation
+        "mild_identity_residual": 2,  # the 256-step residual and its refinement
+    }
+
+
+def test_crashing_unit_fails_all_its_rows(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("holomorphy broke")
+
+    monkeypatch.setattr(verify, "holomorphy_residuals", broken)
+    report = run_suite(SuiteConfig(checks=("holomorphy", "contour")))
+    holomorphy = [r for r in report.results if r.name.startswith("holomorphy")]
+    assert len(holomorphy) == 2
+    for r in holomorphy:
+        assert r.residual == math.inf and not r.passed
+        assert "holomorphy broke" in r.meta["error"]
+    (contour,) = [r for r in report.results if r.name.startswith("contour")]
+    assert contour.passed
