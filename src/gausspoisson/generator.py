@@ -73,16 +73,11 @@ def discrete_laplacian(f: Field, method=LaplacianMethod.SPECTRAL) -> Field:
         out = np.zeros_like(f.values)
         inv_h2 = 1.0 / (g.h * g.h)
         for axis in range(g.n):
-            padded = np.concatenate(
-                [
-                    np.zeros_like(np.take(f.values, [0], axis=axis)),
-                    f.values,
-                    np.zeros_like(np.take(f.values, [0], axis=axis)),
-                ],
-                axis=axis,
-            )
-            up = np.take(padded, range(2, g.N + 2), axis=axis)
-            down = np.take(padded, range(0, g.N), axis=axis)
+            pad = [(0, 0)] * f.values.ndim
+            pad[axis] = (1, 1)
+            padded = np.pad(f.values, pad)
+            before = (slice(None),) * axis
+            up, down = padded[before + (slice(2, None),)], padded[before + (slice(None, -2),)]
             out = out + (up - 2.0 * f.values + down) * inv_h2
         return Field(g, out, meta={"laplacian": method.value})
     axes = tuple(range(g.n))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincc
 
 from .grid_field import Field, Grid, make_grid, sample, squared_norm
 
@@ -166,6 +165,7 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int) -> float:
         raise ValueError(f"zeta argument {ct.argument:.4f} outside the sector of angle {alpha:.4f}")
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
+    from scipy.special import gammaincc  # imported on use: it is most of the package's import time
     a = math.cos(alpha) / (4.0 * ct.modulus)
     return math.cos(alpha) ** (-n / 2.0) * float(gammaincc(n / 2.0, a * R * R))
 
@@ -180,6 +180,7 @@ def weighted_kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -
         raise ValueError(f"weight exponent must be >= 0, got {k}")
     if k == 0:
         return kernel_tail_bound(zeta, alpha, R, n)
+    from scipy.special import gammaincc
     ct = as_time(zeta)
     base = kernel_tail_bound(zeta, alpha, R, n)
     a = math.cos(alpha) / (4.0 * ct.modulus)
@@ -216,6 +217,7 @@ def grid_for_time(zeta, n: int, tol: float = 1e-10, alpha: float | None = None, 
     ct = as_time(zeta)
     if ct.is_zero:
         raise ValueError("cannot size a grid for zeta = 0")
+    from scipy.special import gammainccinv
     if alpha is None:
         alpha = default_sector_angle(ct)
     r = ct.modulus

@@ -29,7 +29,6 @@ from functools import reduce
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as _fft
 
 from . import kernel as _kernel
 from .grid_field import Field, Grid, read_field_csv, write_field_csv
@@ -99,6 +98,7 @@ def _riemann_sum(factors, f: Field) -> np.ndarray:
     """
     g = f.grid
     if g.n == 1:
+        from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
         size = _fft.next_fast_len(3 * g.N - 2, False)
         kernel_spectrum = _fft.fft(factors[0], size)
         out = np.empty(f.values.shape, dtype=complex)

@@ -97,6 +97,12 @@ def test_evolve_input_file(tmp_path):
     assert got.grid == g  # grid comes from the file, not the config
 
 
+def test_evolve_header_only_input_exits_two(tmp_path):
+    src = tmp_path / "empty.csv"
+    src.write_text("x1,re_1,im_1\r\n")
+    assert main(["evolve", "--input", str(src), "--zeta", "0.1", "--out", str(tmp_path / "run")]) == 2
+
+
 def test_evolve_input_validation(tmp_path):
     out = str(tmp_path / "x")
     # no input source

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausspoisson import (
+    Field,
     LaplacianMethod,
     Method,
     SpaceSpec,
@@ -43,6 +44,28 @@ def test_finite_difference_stencil_exact_on_quadratics():
     lap = discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
     inner = slice(1, 8)
     np.testing.assert_allclose(lap.values[inner, 0].real, 2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n, N", [(1, 7), (2, 6), (3, 5)])
+def test_finite_difference_matches_explicit_stencil(n, N):
+    g = make_grid(n, 1.3, N)
+    rng = np.random.default_rng(n)
+    f = Field(g, rng.standard_normal(g.shape + (2,)) + 1j * rng.standard_normal(g.shape + (2,)))
+    inv_h2 = 1.0 / (g.h * g.h)
+    zero = np.zeros(f.m, dtype=complex)
+    expect = np.zeros_like(f.values)
+    for idx in np.ndindex(g.shape):
+        acc = np.zeros(f.m, dtype=complex)
+        for axis in range(n):
+            up, down = list(idx), list(idx)
+            up[axis] += 1
+            down[axis] -= 1
+            fu = f.values[tuple(up)] if up[axis] < N else zero
+            fd = f.values[tuple(down)] if down[axis] >= 0 else zero
+            acc = acc + (fu - 2.0 * f.values[idx] + fd) * inv_h2
+        expect[idx] = acc
+    lap = discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
+    assert np.array_equal(lap.values, expect)
 
 
 def test_finite_difference_refines_at_second_order():

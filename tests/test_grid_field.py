@@ -1,5 +1,7 @@
 """Grid geometry, field containers, pairing, and CSV round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from gausspoisson import (
     write_field_csv,
 )
 from gausspoisson import test_function as make_test_function
+
+FIELD_GOLDEN = Path(__file__).parent / "data" / "field_golden.csv"
 
 
 def test_grid_geometry():
@@ -191,8 +195,58 @@ def test_field_csv_header_shape(tmp_path):
     assert header == "x1,re_1,im_1,re_2,im_2"
 
 
+def golden_field() -> Field:
+    """2-D, m=2, N=5 field whose values need all 17 digits, plus -0.0, the
+    smallest subnormal, 1e300 and an exact integer."""
+    g = make_grid(2, 0.7, 5)
+    k = np.arange(g.size * 2, dtype=float).reshape(g.shape + (2,))
+    vals = np.empty(k.shape, dtype=complex)
+    vals.real = np.sqrt(k + 2.0) * np.where(k % 2, -1.0, 1.0)
+    vals.imag = 1.0 / (k + 3.0)
+    vals[0, 0, 0] = complex(-0.0, 5e-324)
+    vals[0, 1, 1] = complex(1e300, -42.0)
+    return Field(g, vals)
+
+
+def test_write_field_csv_matches_golden_bytes(tmp_path):
+    """The file layout (17 significant digits, CRLF line ends) is pinned by
+    bytes written by the per-value ``format(x, ".17g")`` writer."""
+    f = golden_field()
+    path = tmp_path / "field.csv"
+    write_field_csv(f, path)
+    assert path.read_bytes() == FIELD_GOLDEN.read_bytes()
+    back = read_field_csv(FIELD_GOLDEN)
+    assert back.grid == f.grid
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
 def test_read_field_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x1,re_1,im_1\n0,1,0\n1,1,0\n")  # lattice not centered
+    with pytest.raises(ValueError):
+        read_field_csv(path)
+
+
+def test_read_field_csv_rejects_empty_files(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x1,re_1,im_1\r\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        read_field_csv(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="malformed field CSV header"):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "-1,1,0\n#0,1,0\n1,1,0\n",  # a comment line is not skipped
+        "-1,1,0\n0,1\n1,1,0\n",  # ragged row
+        "-1,1,0\n0,one,0\n1,1,0\n",  # non-numeric cell
+    ],
+)
+def test_read_field_csv_rejects_bad_body(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,re_1,im_1\n" + body)
     with pytest.raises(ValueError):
         read_field_csv(path)
