@@ -80,10 +80,11 @@ def discrete_laplacian(f: Field, method=LaplacianMethod.SPECTRAL) -> Field:
             up, down = padded[before + (slice(2, None),)], padded[before + (slice(None, -2),)]
             out = out + (up - 2.0 * f.values + down) * inv_h2
         return Field(g, out, meta={"laplacian": method.value})
+    from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
     axes = tuple(range(g.n))
-    spect = np.fft.fftn(f.values, axes=axes)
+    spect = _fft.fftn(f.values, axes=axes)
     spect = spect * (-g.fourier_squared_norms)[..., np.newaxis]
-    return Field(g, np.fft.ifftn(spect, axes=axes), meta={"laplacian": method.value})
+    return Field(g, _fft.ifftn(spect, axes=axes, overwrite_x=True), meta={"laplacian": method.value})
 
 
 @dataclass(frozen=True)

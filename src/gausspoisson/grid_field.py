@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,10 +73,6 @@ class Grid:
         ax.setflags(write=False)
         return ax
 
-    def coords(self) -> list[np.ndarray]:
-        """Sparse per-axis coordinate arrays, broadcastable to ``shape``."""
-        return list(np.meshgrid(*(self.axis,) * self.n, indexing="ij", sparse=True))
-
     @cached_property
     def points(self) -> np.ndarray:
         """All lattice points, shape ``(N,)*n + (n,)``, row-major order."""
@@ -87,9 +83,7 @@ class Grid:
     @cached_property
     def squared_norms(self) -> np.ndarray:
         """``|x|^2`` at every lattice point, shape ``(N,)*n``."""
-        out = np.zeros(self.shape)
-        for c in self.coords():
-            out = out + c**2
+        out = reduce(np.add.outer, (self.axis**2,) * self.n)
         out.setflags(write=False)
         return out
 
@@ -103,20 +97,9 @@ class Grid:
     @cached_property
     def fourier_squared_norms(self) -> np.ndarray:
         """``|xi|^2`` over the DFT frequency lattice, shape ``(N,)*n``."""
-        out = np.zeros(self.shape)
-        for axis in range(self.n):
-            shape = [1] * self.n
-            shape[axis] = self.N
-            out = out + (self.fourier_axis**2).reshape(shape)
+        out = reduce(np.add.outer, (self.fourier_axis**2,) * self.n)
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def fourier_points(self) -> np.ndarray:
-        """All DFT frequency lattice points, shape ``(N,)*n + (n,)``."""
-        pts = np.stack(np.meshgrid(*(self.fourier_axis,) * self.n, indexing="ij"), axis=-1)
-        pts.setflags(write=False)
-        return pts
 
 
 def make_grid(n: int, L: float, N: int) -> Grid:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -132,11 +133,9 @@ def kernel_mass(zeta, g: Grid) -> complex:
     """Riemann sum of the kernel over a grid; approximates 1 on the whole of
     the right half-plane, with error controlled by the tail bound plus the
     quadrature (aliasing) error."""
-    z = _require_positive(zeta)
-    # evaluate through the squared norms directly to avoid materializing points
-    pref = (4.0 * np.pi * z) ** (-g.n / 2.0)
-    total = np.sum(pref * np.exp(-g.squared_norms / (4.0 * z)))
-    return complex(total * g.cell_volume)
+    # the kernel is a product of 1-D kernels, so its lattice sum is the n-th
+    # power of the sum along one axis
+    return complex(np.sum(kernel_eval(zeta, g.axis[:, np.newaxis], 1)) ** g.n * g.cell_volume)
 
 
 def kernel_fourier(zeta, xi):
@@ -244,18 +243,11 @@ def fourier_symbol_residual(zeta, g: Grid, fraction: float = 0.5) -> float:
     and by the phase accounting for the grid starting at ``-L``.  Frequencies
     with ``|xi_axis| <= fraction * xi_max`` on every axis are compared.
     """
+    from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
     z = _require_positive(zeta)
-    chi = sample_kernel(z, g).values[..., 0]
-    spect = np.fft.fftn(chi)
     freq = g.fourier_axis
-    keep1d = np.abs(freq) <= fraction * np.abs(freq).max()
-    phase = np.exp(1j * freq * g.L)
-    keep = np.ones(g.shape, dtype=bool)
-    for ax in range(g.n):
-        shape = [1] * g.n
-        shape[ax] = g.N
-        spect = spect * phase.reshape(shape)
-        keep = keep & keep1d.reshape(shape)
-    approx = spect * g.cell_volume
-    exact = np.asarray(kernel_fourier(z, g.fourier_points))
+    phase = reduce(np.multiply.outer, (np.exp(1j * freq * g.L),) * g.n)
+    keep = reduce(np.logical_and.outer, (np.abs(freq) <= fraction * np.abs(freq).max(),) * g.n)
+    approx = _fft.fftn(sample_kernel(z, g).values[..., 0]) * phase * g.cell_volume
+    exact = reduce(np.multiply.outer, (kernel_fourier(z, freq[:, np.newaxis]),) * g.n)
     return float(np.abs(approx - exact)[keep].max())

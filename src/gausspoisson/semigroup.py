@@ -159,13 +159,15 @@ def apply_many(times, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_B
             factor = _kernel.kernel_eval(z, _difference_axis(g), 1)
             values = _riemann_sum([factor] * g.n, f)
         else:
+            from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
             if spectrum is None:
-                spectrum = np.fft.fftn(f.values, axes=axes)
+                spectrum = _fft.fftn(f.values, axes=axes)
             # the symbol goes through kernel.kernel_fourier (module attribute,
             # not a local alias) so the spectral path provably follows it
             symbol = _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
             multiplier = reduce(np.multiply.outer, (symbol,) * g.n)
-            values = np.fft.ifftn(spectrum * multiplier[..., np.newaxis], axes=axes)
+            # the product is a temporary, so the inverse transform may overwrite it
+            values = _fft.ifftn(spectrum * multiplier[..., np.newaxis], axes=axes, overwrite_x=True)
         meta = _tail_meta(z, g, tail_budget)
         meta["method"] = m.value
         yield Field(g, values, meta=meta)

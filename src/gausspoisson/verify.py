@@ -22,7 +22,7 @@ from .generator import (
     generator_residuals,
     mild_identity_residual,
 )
-from .grid_field import Field, Grid, make_grid, sample
+from .grid_field import Field, Grid, interior_slices, make_grid, sample
 from .kernel import as_time
 from .semigroup import Method, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
@@ -126,7 +126,6 @@ class SuiteConfig:
     margin: float = 0.25
     seed: int = 7
     zetas: tuple = DEFAULT_ZETAS
-    law_pairs: tuple = DEFAULT_LAW_PAIRS
     rays: tuple = (-math.pi / 4, 0.0, math.pi / 4)
     radii: tuple = tuple(2.0**-j for j in range(1, 11))
     rule: str = "gaussian"
@@ -135,6 +134,7 @@ class SuiteConfig:
     checks: tuple | None = None
 
     def __post_init__(self):
+        interior_slices(self.grid, self.margin)
         _continuity_geometry(self.alpha, self.rays, self.radii)
         field_rule(self.rule)
         field_rule(self.continuity_rule)
@@ -279,9 +279,10 @@ class VerificationReport:
         lines = []
         for r in self.results:
             status = "PASS" if r.passed else "FAIL"
+            error = f"  error: {r.meta['error']}" if "error" in r.meta else ""
             lines.append(
                 f"{status}  {r.name:<{width}}  residual {r.residual:.6e}"
-                f"  tol {r.tolerance:.6e}  [{r.anchor}]"
+                f"  tol {r.tolerance:.6e}  [{r.anchor}]{error}"
             )
         n_pass = sum(1 for r in self.results if r.passed)
         lines.append(f"{n_pass}/{len(self.results)} checks passed")
@@ -512,7 +513,7 @@ def _semigroup_law(inp: _Inputs):
         residual = semigroup_law_residual(z1, z2, f, inp.s, margin=inp.margin)
         return [(_relative(residual, weighted_norm(f, inp.s, margin=inp.margin)), {})]
 
-    for z1, z2 in inp.cfg.law_pairs:
+    for z1, z2 in DEFAULT_LAW_PAIRS:
         for label in ("rule", "mixture"):
             name = f"semigroup-law[{format_complex(z1)};{format_complex(z2)};{label}]"
             yield partial(law, z1, z2, label), (name, "semigroup_law")

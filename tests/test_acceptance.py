@@ -289,7 +289,8 @@ def test_mutation_sensitivity(monkeypatch):
     )
 
     # a kernel formula that drops the power of its prefactor (4 pi zeta)^(-n/2)
-    # must trip a quadrature check: the propagator samples kernel.kernel_eval
+    # must trip a quadrature check, since the propagator samples
+    # kernel.kernel_eval, and every kernel-mass row, since the mass sums it
     def wrong_kernel(zeta, x, n):
         z = complex(zeta.value if hasattr(zeta, "value") else zeta)
         x = np.asarray(x, dtype=float)
@@ -298,11 +299,18 @@ def test_mutation_sensitivity(monkeypatch):
 
     monkeypatch.undo()
     monkeypatch.setattr(gausspoisson.kernel, "kernel_eval", wrong_kernel)
-    report = run_suite(SuiteConfig(checks=("path-agreement", "holomorphy")))
-    failing = [r.name for r in report.results if not r.passed]
+    report = run_suite(SuiteConfig(checks=("kernel-mass", "path-agreement", "holomorphy")))
+    failing = [r.name for r in report.results if not r.passed and not r.name.startswith("kernel-mass")]
     _report(
         "mutation sensitivity",
         len(failing) >= 1,
         f"kernel without its prefactor power trips {len(failing)} quadrature checks "
         f"(need >= 1): {', '.join(failing[:4])}{'...' if len(failing) > 4 else ''}",
+    )
+    mass = [r for r in report.results if r.name.startswith("kernel-mass")]
+    tripped = sum(not r.passed for r in mass)
+    _report(
+        "mutation sensitivity",
+        len(mass) == len(SuiteConfig().zetas) and tripped == len(mass),
+        f"kernel without its prefactor power trips {tripped} of {len(mass)} kernel-mass checks (need all)",
     )

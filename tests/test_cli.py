@@ -167,10 +167,11 @@ def test_verify_bad_config_exits_two(tmp_path):
     cfg.write_text("bogus.key=1\n")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert main(["verify", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "r")]) == 2
-    # continuity geometry is rejected when the config is parsed, before any check runs
-    for geometry in ("rays=1.3", "radii=0.25,0.5", "radii="):
-        cfg.write_text(FAST + geometry + "\n")
-        out = tmp_path / "geometry"
+    # continuity geometry, the interior margin and the grid are rejected when
+    # the config is parsed, before any check runs
+    for bad in ("rays=1.3", "radii=0.25,0.5", "radii=", "margin=0.6", "grid.N=1", "grid.L=0"):
+        cfg.write_text(FAST + bad + "\n")
+        out = tmp_path / "bad"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.csv").exists()
 
@@ -238,15 +239,30 @@ def test_verify_report_identical_across_blas_threads(tmp_path):
     # the groups are the ones that evolve by quadrature
     cfg = tmp_path / "c.cfg"
     cfg.write_text("grid.n=2\ngrid.N=65\nchecks=path-agreement,holomorphy,contour,operator-bound\n")
-    src = str(Path(gausspoisson.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
         out = tmp_path / f"threads{threads}"
         code = "import sys; from gausspoisson.cli import main; sys.exit(main(sys.argv[1:]))"
-        args = [sys.executable, "-c", code, "verify", "--config", str(cfg), "--out", str(out)]
-        done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+        done = _run_python(code, "verify", "--config", str(cfg), "--out", str(out),
+                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         assert done.returncode in (0, 1), done.stderr
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_import_loads_no_scipy():
+    # scipy.fft and scipy.special are imported where they are used; importing
+    # either with the package would add about 0.3 s to every command's start
+    code = "import sys, gausspoisson; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def _run_python(code, *args, **env):
+    """Run ``python -c code args`` in a fresh interpreter that imports this
+    checkout's package, with extra environment variables."""
+    src = str(Path(gausspoisson.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300)

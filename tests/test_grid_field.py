@@ -44,10 +44,11 @@ def test_grid_validation():
 
 
 def test_grid_arrays_are_read_only():
-    g = make_grid(1, 1.0, 3)
-    for arr in (g.axis, g.points, g.squared_norms, g.fourier_axis, g.fourier_points):
-        with pytest.raises(ValueError):
-            arr[...] = 0.0
+    for n in (1, 2, 3):
+        g = make_grid(n, 1.0, 3)
+        for arr in (g.axis, g.points, g.squared_norms, g.fourier_axis, g.fourier_squared_norms):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 def test_fourier_axis_convention():
@@ -58,10 +59,12 @@ def test_fourier_axis_convention():
 
 
 def test_fourier_squared_norms_match_points():
-    g = make_grid(2, 4.0, 9)
-    np.testing.assert_allclose(
-        g.fourier_squared_norms, np.sum(g.fourier_points**2, axis=-1)
-    )
+    # against dense coordinate lattices; the grid builds both from one axis
+    for n in (1, 2, 3):
+        g = make_grid(n, 4.0, 9)
+        for axis, norms in ((g.axis, g.squared_norms), (g.fourier_axis, g.fourier_squared_norms)):
+            mesh = np.meshgrid(*(axis,) * n, indexing="ij")
+            np.testing.assert_array_equal(norms, sum(c**2 for c in mesh))
 
 
 def test_field_coerces_scalar_values_to_one_component():

@@ -109,6 +109,16 @@ def test_kernel_mass_is_one():
     assert abs(kernel_mass(1.0, g2) - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("zeta", [0.7, 0.5 * np.exp(1j * np.pi / 3)])
+def test_kernel_mass_matches_brute_force_lattice_sum(n, zeta):
+    # the n-D Riemann sum of the kernel formula written out over every point
+    g = make_grid(n, 5.0, 21)
+    pref = (4.0 * np.pi * zeta) ** (-n / 2.0)
+    brute = np.sum(pref * np.exp(-np.sum(g.points**2, axis=-1) / (4.0 * zeta))) * g.cell_volume
+    assert abs(kernel_mass(zeta, g) - brute) <= 1e-13 * abs(brute)
+
+
 def test_kernel_fourier_is_gaussian_symbol():
     xi = np.array([0.5, -1.0])
     zeta = 0.3 + 0.2j

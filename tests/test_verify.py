@@ -74,6 +74,17 @@ def test_suite_config_validation():
         SuiteConfig(rule="no-such-rule")
     with pytest.raises(ValueError, match="unknown field rule"):
         SuiteConfig(continuity_rule="no-such-rule")
+    # so are the interior margin and the grid
+    with pytest.raises(ValueError, match="interior margin"):
+        SuiteConfig(margin=0.6)
+    with pytest.raises(ValueError, match="interior margin"):
+        SuiteConfig(margin=-0.1)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        SuiteConfig(N=1)
+    with pytest.raises(ValueError, match="half-extent"):
+        SuiteConfig(L=0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        SuiteConfig(n=0)
 
 
 def test_suite_config_tolerance_override():
@@ -256,3 +267,9 @@ def test_crashing_unit_fails_all_its_rows(monkeypatch):
         assert "holomorphy broke" in r.meta["error"]
     (contour,) = [r for r in report.results if r.name.startswith("contour")]
     assert contour.passed
+    # the text report says why a row crashed; the CSV keeps its documented columns
+    lines = report.to_text().splitlines()
+    assert [line for line in lines if "holomorphy broke" in line] == [
+        line for line in lines if line.startswith("FAIL  holomorphy")
+    ]
+    assert "holomorphy broke" not in report.to_csv_text()
