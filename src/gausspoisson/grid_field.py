@@ -232,6 +232,8 @@ def interior_slices(grid: Grid, margin: float) -> tuple[slice, ...]:
     if not 0.0 <= margin < 0.5:
         raise ValueError(f"interior margin must lie in [0, 0.5), got {margin}")
     b = int(np.ceil(margin * (grid.N - 1)))
+    if 2 * b >= grid.N:
+        raise ValueError(f"interior margin {margin} leaves no points of a grid with N={grid.N}")
     return (slice(b, grid.N - b),) * grid.n
 
 

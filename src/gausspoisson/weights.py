@@ -155,8 +155,8 @@ def weighted_norm(f: Field, s: SpaceSpec, margin: float = 0.0) -> float:
         raise ValueError("empty grid")
     sl = interior_slices(g, margin) if margin > 0 else (slice(None),) * g.n
     mag = np.sqrt(np.sum(np.abs(f.values[sl]) ** 2, axis=-1))
-    w = weight_on_grid(s.k, g)[sl]
-    quotient = mag / w
+    # the weight on the window only; at k=0 it is 1 and the quotient is mag
+    quotient = mag / (1.0 + np.sqrt(g.squared_norms[sl])) ** s.k if s.k else mag
     if s.kind in (SpaceKind.BUC, SpaceKind.C0):
         return float(quotient.max())
     return float(np.sum(quotient**s.p) * g.cell_volume) ** (1.0 / s.p)

@@ -174,6 +174,10 @@ def test_verify_bad_config_exits_two(tmp_path):
         out = tmp_path / "bad"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.csv").exists()
+    # a margin that leaves an empty interior window on an even N
+    cfg.write_text("grid.N=4\nmargin=0.45\nchecks=weights,contour\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
+    assert not (tmp_path / "empty" / "report.csv").exists()
 
 
 def test_usage_errors_exit_two(tmp_path):

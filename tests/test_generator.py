@@ -46,11 +46,29 @@ def test_finite_difference_stencil_exact_on_quadratics():
     np.testing.assert_allclose(lap.values[inner, 0].real, 2.0, rtol=1e-12)
 
 
-@pytest.mark.parametrize("n, N", [(1, 7), (2, 6), (3, 5)])
+def _padded_stencil(values, n, h):
+    # the finite-difference Laplacian as first written: zero-pad each axis
+    # with np.pad, then (up - 2 f + down) / h^2 summed over the axes
+    out = np.zeros_like(values)
+    for axis in range(n):
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (1, 1)
+        padded = np.pad(values, pad)
+        before = (slice(None),) * axis
+        up, down = padded[before + (slice(2, None),)], padded[before + (slice(None, -2),)]
+        out = out + (up - 2.0 * values + down) * (1.0 / (h * h))
+    return out
+
+
+def _random_field(g, m, rng):
+    shape = g.shape + (m,)
+    return Field(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("n, N", [(1, 7), (2, 6), (3, 5), (1, 3), (2, 3), (3, 3)])
 def test_finite_difference_matches_explicit_stencil(n, N):
     g = make_grid(n, 1.3, N)
-    rng = np.random.default_rng(n)
-    f = Field(g, rng.standard_normal(g.shape + (2,)) + 1j * rng.standard_normal(g.shape + (2,)))
+    f = _random_field(g, 2, np.random.default_rng(n))
     inv_h2 = 1.0 / (g.h * g.h)
     zero = np.zeros(f.m, dtype=complex)
     expect = np.zeros_like(f.values)
@@ -66,6 +84,33 @@ def test_finite_difference_matches_explicit_stencil(n, N):
         expect[idx] = acc
     lap = discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
     assert np.array_equal(lap.values, expect)
+    assert np.array_equal(lap.values, _padded_stencil(f.values, n, g.h))
+
+
+@pytest.mark.parametrize("n, N", [(1, 65), (2, 33), (3, 9)])
+def test_classical_residual_window_matches_full_grid(n, N):
+    # the residual formed on the interior window (plus a stencil halo) equals
+    # the full-grid residual sliced afterwards, at the edge too (margin 0)
+    g = make_grid(n, 4.0, N)
+    rng = np.random.default_rng([n, N])
+    times = 0.5 + 0.01 * np.arange(5)
+    states = [_random_field(g, 2, rng) for _ in times]
+    dt = float(np.diff(times)[0])
+    for method in LaplacianMethod:
+        laps = [
+            _padded_stencil(s.values, n, g.h)
+            if method is LaplacianMethod.FINITE_DIFFERENCE
+            else discrete_laplacian(s, method).values
+            for s in states
+        ]
+        for margin in (0.0, 0.25, 0.45):
+            inner = interior_slices(g, margin)
+            expect = 0.0
+            for i in range(1, len(states) - 1):
+                dudt = (states[i + 1].values - states[i - 1].values) / (2.0 * dt)
+                pointwise = np.sqrt(np.sum(np.abs(dudt - laps[i]) ** 2, axis=-1))
+                expect = max(expect, float(pointwise[inner].max()))
+            assert classical_residual(times, states, margin, method) == expect
 
 
 def test_finite_difference_refines_at_second_order():

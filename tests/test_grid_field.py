@@ -174,6 +174,8 @@ def test_interior_slices():
         interior_slices(g, 0.5)
     with pytest.raises(ValueError):
         interior_slices(g, -0.1)
+    with pytest.raises(ValueError, match="leaves no points"):
+        interior_slices(make_grid(1, 12.0, 4), 0.45)  # would be slice(2, 2)
 
 
 def test_field_csv_round_trip_is_exact(tmp_path):

@@ -16,6 +16,7 @@ from gausspoisson import (
     default_method,
     interior_slices,
     kernel_eval,
+    kernel_fourier,
     make_grid,
     operator_bound,
     read_trajectory,
@@ -223,6 +224,42 @@ def test_apply_many_matches_apply_per_time(n, N):
             expect = apply(t, f, method=method)
             np.testing.assert_array_equal(state.values, expect.values)
             assert state.meta == expect.meta
+
+
+def test_spectral_apply_flushes_subnormals_bit_for_bit(monkeypatch):
+    # the symbol underflows through the subnormal range in a ring of
+    # frequencies; apply zeroes those parts of spectrum * symbol before the
+    # inverse transform, and its states keep every bit of the unflushed one
+    from scipy import fft
+
+    g = make_grid(2, 3.0, 129)
+    f = random_gaussian_mixture(2, m=2, rng=np.random.default_rng(8)).sampled(g)
+    tiny = np.finfo(float).tiny
+
+    def subnormal_parts(x):
+        parts = x.view(float)
+        return int(np.count_nonzero((parts != 0) & (np.abs(parts) < tiny)))
+
+    inverse = fft.ifftn
+    seen = []
+
+    def checked_ifftn(x, *args, **kwargs):
+        seen.append(subnormal_parts(x))
+        return inverse(x, *args, **kwargs)
+
+    spectrum = fft.fftn(f.values, axes=(0, 1))
+    for t in (0.5, 1.0):
+        symbol = kernel_fourier(t, g.fourier_axis[:, np.newaxis])
+        product = spectrum * np.multiply.outer(symbol, symbol)[..., np.newaxis]
+        assert subnormal_parts(product) > 0  # the flush has work to do here
+        expect = inverse(product, axes=(0, 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(fft, "ifftn", checked_ifftn)
+            got = apply(t, f, method=Method.SPECTRAL)
+        assert seen == [0]
+        seen.clear()
+        np.testing.assert_array_equal(got.values.view(float), expect.view(float))
+        assert np.array_equal(np.signbit(got.values.view(float)), np.signbit(expect.view(float)))
 
 
 @pytest.mark.parametrize("N", [64, 1025])

@@ -79,6 +79,9 @@ def test_suite_config_validation():
         SuiteConfig(margin=0.6)
     with pytest.raises(ValueError, match="interior margin"):
         SuiteConfig(margin=-0.1)
+    # an even N with a margin near 1/2 leaves an empty window
+    with pytest.raises(ValueError, match="leaves no points"):
+        SuiteConfig(L=12.0, N=4, margin=0.45)
     with pytest.raises(ValueError, match="at least 2 points"):
         SuiteConfig(N=1)
     with pytest.raises(ValueError, match="half-extent"):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gausspoisson import (
+    Field,
     SpaceKind,
     SpaceSpec,
     Weight,
+    interior_slices,
     make_grid,
     sample,
     weight_eval,
@@ -130,3 +132,20 @@ def test_margin_restricts_norm_window():
     f = sample(g, lambda p: np.zeros(p.shape[:-1])).with_values(vals)
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0)), 100.0)
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0), margin=0.25), 1.0)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 2.5])
+def test_weighted_norm_matches_full_grid_weight(k):
+    # the weight is built on the interior window only (and skipped at k=0);
+    # the norms keep every bit of the full-grid weight sliced afterwards
+    g = make_grid(2, 3.0, 33)
+    rng = np.random.default_rng(int(2 * k))
+    f = Field(g, rng.standard_normal(g.shape + (2,)) + 1j * rng.standard_normal(g.shape + (2,)))
+    for margin in (0.0, 0.25):
+        sl = interior_slices(g, margin)
+        mag = np.sqrt(np.sum(np.abs(f.values[sl]) ** 2, axis=-1))
+        quotient = mag / weight_on_grid(k, g)[sl]
+        assert weighted_norm(f, SpaceSpec.make(k), margin) == float(quotient.max())
+        for p in (1.0, 2.0, 2.5):
+            expect = float(np.sum(quotient**p) * g.cell_volume) ** (1.0 / p)
+            assert weighted_norm(f, SpaceSpec.make(k, "Lp", p), margin) == expect
