@@ -82,7 +82,6 @@ from .weights import (
     WeightSlacks,
     weight_eval,
     weight_inequality_check,
-    weight_on_grid,
     weighted_norm,
 )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_field import Field, Grid, interior_slices
+from .grid_field import Field, interior_slices
 
 __all__ = [
     "Weight",
@@ -21,7 +21,6 @@ __all__ = [
     "SpaceSpec",
     "WeightSlacks",
     "weight_eval",
-    "weight_on_grid",
     "weight_inequality_check",
     "weighted_norm",
     "difference_norm",
@@ -96,13 +95,6 @@ def weight_eval(k: float, x) -> np.ndarray | float:
     else:
         r = np.sqrt(np.sum(x**2, axis=-1))
     return (1.0 + r) ** k
-
-
-def weight_on_grid(k: float, grid: Grid) -> np.ndarray:
-    """The weight sampled at every lattice point, shape ``grid.shape``."""
-    if not k >= 0:
-        raise ValueError(f"weight exponent must be >= 0, got {k}")
-    return (1.0 + np.sqrt(grid.squared_norms)) ** k
 
 
 @dataclass(frozen=True)

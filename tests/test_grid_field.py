@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gausspoisson import (
     Field,
@@ -11,11 +14,13 @@ from gausspoisson import (
     is_interior_supported,
     make_grid,
     pair,
+    random_gaussian_mixture,
     read_field_csv,
     sample,
     translate,
     write_field_csv,
 )
+from gausspoisson import grid_field
 from gausspoisson import test_function as make_test_function
 
 FIELD_GOLDEN = Path(__file__).parent / "data" / "field_golden.csv"
@@ -223,6 +228,122 @@ def test_write_field_csv_matches_golden_bytes(tmp_path):
     back = read_field_csv(FIELD_GOLDEN)
     assert back.grid == f.grid
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def reference_csv_rows(table: np.ndarray) -> bytes:
+    """Rows of a float table as the ``%``-template writer formatted them:
+    ``"%.17g" % x`` per value, CRLF line ends.  The oracle for the bytes of
+    ``write_field_csv``."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    return ((row * len(table)) % tuple(table.ravel().tolist())).encode()
+
+
+def reference_write_field_csv(f: Field, path) -> None:
+    """The ``%``-template writer that ``write_field_csv`` replaced."""
+    g = f.grid
+    header = [f"x{i + 1}" for i in range(g.n)] + [f"{part}_{c + 1}" for c in range(f.m) for part in ("re", "im")]
+    table = np.concatenate([g.points.reshape(-1, g.n), f.values.reshape(-1, f.m).view(float)], axis=1)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode() + reference_csv_rows(table))
+
+
+# arbitrary finite doubles; hypothesis favours 0, -0, the extremes and
+# subnormals among them
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 6)), elements=finite_doubles))
+def test_csv_rows_match_percent_formatting(table):
+    assert grid_field._csv_block_bytes(table) == reference_csv_rows(table)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.data())
+def test_write_field_csv_matches_reference_writer(tmp_path_factory, data):
+    n, m = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+    g = make_grid(n, data.draw(st.floats(0.1, 1e3)), data.draw(st.integers(2, 9)))
+    parts = data.draw(hnp.arrays(np.float64, g.shape + (m, 2), elements=finite_doubles))
+    f = Field(g, parts[..., 0] + 1j * parts[..., 1])
+    out = tmp_path_factory.mktemp("csv")
+    write_field_csv(f, out / "new.csv")
+    reference_write_field_csv(f, out / "old.csv")
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def edge_values() -> np.ndarray:
+    """Signed zeros, extremes, powers of ten with both neighbours, and the
+    notation and exponent-width boundaries of ``%.17g``."""
+    vals = [0.0, 5e-324, np.finfo(float).max, 1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0]
+    vals += [1e99, 1e100, 1e-99, 1e-100]
+    for k in range(-300, 301):
+        p = float(f"1e{k}")
+        vals += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    vals = np.array(vals)
+    return np.concatenate([vals, -vals])
+
+
+def edge_mismatches() -> list[int]:
+    """Column counts 1-6 for which the formatter and ``%`` disagree on the
+    edge values."""
+    vals = edge_values()
+    bad = []
+    for cols in range(1, 7):
+        table = vals[: len(vals) // cols * cols].reshape(-1, cols)
+        if grid_field._csv_block_bytes(table) != reference_csv_rows(table):
+            bad.append(cols)
+    return bad
+
+
+def test_csv_rows_match_percent_formatting_on_edge_values():
+    assert edge_mismatches() == []
+
+
+@pytest.mark.parametrize("bound, shift", [("_FIXED_MIN_EXP", -1), ("_FIXED_MIN_EXP", 1), ("_FIXED_MAX_EXP", -1), ("_FIXED_MAX_EXP", 1)])
+def test_edge_values_catch_a_moved_notation_boundary(monkeypatch, bound, shift):
+    monkeypatch.setattr(grid_field, bound, getattr(grid_field, bound) + shift)
+    grid_field._csv_tables.cache_clear()
+    try:
+        assert edge_mismatches() == [1, 2, 3, 4, 5, 6]
+    finally:
+        grid_field._csv_tables.cache_clear()  # rebuilt unmutated on next use
+
+
+def _count_fallback(monkeypatch) -> list[int]:
+    """Count the values sent to the ``%`` fallback."""
+    seen = [0]
+    exact = grid_field._percent_g17
+
+    def spy(values):
+        seen[0] += len(values)
+        return exact(values)
+
+    monkeypatch.setattr(grid_field, "_percent_g17", spy)
+    return seen
+
+
+def test_near_ties_take_the_fallback_and_match(monkeypatch):
+    # 17 digits and a 5: at these magnitudes the double nearest such a
+    # decimal is sometimes the tie itself, which only the exact conversion
+    # decides
+    rng = np.random.default_rng(5)
+    digits = rng.integers(10**16, 10**17, size=1200).tolist()
+    exps = rng.integers(-5, 6, size=1200).tolist()
+    table = np.array([float(f"{d}5e{k}") for d, k in zip(digits, exps)]).reshape(-1, 4)
+    seen = _count_fallback(monkeypatch)
+    assert grid_field._csv_block_bytes(table) == reference_csv_rows(table)
+    assert seen[0] > 0
+
+
+def test_sampled_mixture_takes_the_fast_path(monkeypatch, tmp_path):
+    # the evolve input: the write's speed must not rest on the fallback
+    g = make_grid(2, 12.0, 65)
+    f = random_gaussian_mixture(2, m=2, terms=3, rng=np.random.default_rng(7)).sampled(g)
+    seen = _count_fallback(monkeypatch)
+    write_field_csv(f, tmp_path / "new.csv")
+    assert seen[0] == 0
+    reference_write_field_csv(f, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_read_field_csv_rejects_malformed(tmp_path):

@@ -13,7 +13,6 @@ from gausspoisson import (
     sample,
     weight_eval,
     weight_inequality_check,
-    weight_on_grid,
     weighted_norm,
 )
 
@@ -32,13 +31,6 @@ def test_weight_rejects_negative_exponent():
         Weight(-0.5)
     with pytest.raises(ValueError):
         weight_eval(-1.0, 0.0)
-
-
-def test_weight_on_grid_agrees_with_pointwise():
-    g = make_grid(2, 3.0, 13)
-    w = weight_on_grid(1.5, g)
-    assert w.shape == g.shape
-    np.testing.assert_allclose(w, weight_eval(1.5, g.points))
 
 
 def test_weight_inequalities_hold_on_random_pairs():
@@ -144,7 +136,7 @@ def test_weighted_norm_matches_full_grid_weight(k):
     for margin in (0.0, 0.25):
         sl = interior_slices(g, margin)
         mag = np.sqrt(np.sum(np.abs(f.values[sl]) ** 2, axis=-1))
-        quotient = mag / weight_on_grid(k, g)[sl]
+        quotient = mag / ((1.0 + np.sqrt(g.squared_norms)) ** k)[sl]
         assert weighted_norm(f, SpaceSpec.make(k), margin) == float(quotient.max())
         for p in (1.0, 2.0, 2.5):
             expect = float(np.sum(quotient**p) * g.cell_volume) ** (1.0 / p)
