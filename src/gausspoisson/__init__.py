@@ -30,7 +30,6 @@ from .grid_field import (
     read_field_csv,
     sample,
     test_function,
-    translate,
     write_field_csv,
 )
 from .kernel import (
@@ -45,7 +44,6 @@ from .kernel import (
     kernel_mass,
     kernel_tail_bound,
     sample_kernel,
-    sample_kernel_dzeta,
     weighted_kernel_tail_bound,
 )
 from .semigroup import (

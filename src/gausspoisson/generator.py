@@ -298,7 +298,7 @@ def classical_residual(
     for t, state in zip(times, states, strict=True):
         if not t > 0:
             continue
-        window = window[-2:] + [state]
+        window.append(state)
         if len(window) == 3:
             a, b, c = window
             inner = interior_slices(b.grid, margin)
@@ -306,4 +306,6 @@ def classical_residual(
             lap = _window_laplacian(b, laplacian, inner)
             pointwise = np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1))
             worst = max(worst, float(pointwise.max()))
+            # release the oldest state before the next one is computed
+            del window[0], a, dudt, lap, pointwise
     return worst

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property, reduce
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "Field",
     "make_grid",
     "sample",
-    "translate",
     "pair",
     "test_function",
     "is_interior_supported",
@@ -165,28 +164,6 @@ def sample(grid: Grid, rule: Callable[[np.ndarray], np.ndarray]) -> Field:
     """
     vals = np.asarray(rule(grid.points), dtype=complex)
     return Field(grid, vals)
-
-
-def translate(f: Field, shift: Sequence[int]) -> Field:
-    """Shift a field by an integer lattice vector, zero-filling off the grid.
-
-    The result ``g`` satisfies ``g(x) = f(x + shift*h)`` wherever the shifted
-    point stays on the grid; points shifted outside ``[-L, L]^n`` read as 0.
-    """
-    g = f.grid
-    shift = np.asarray(shift, dtype=int)
-    if shift.shape != (g.n,):
-        raise ValueError(f"shift must be an integer vector of length {g.n}")
-    if np.any(np.abs(shift) >= g.N):
-        raise ValueError(f"shift {tuple(shift)} exceeds grid size {g.N}")
-    out = np.zeros_like(f.values)
-    dst, src = [], []
-    for s in shift:
-        lo, hi = max(0, -s), min(g.N, g.N - s)
-        dst.append(slice(lo, hi))
-        src.append(slice(lo + s, hi + s))
-    out[tuple(dst)] = f.values[tuple(src)]
-    return Field(g, out)
 
 
 def pair(f: Field, phi: Field) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "kernel_tail_bound",
     "weighted_kernel_tail_bound",
     "sample_kernel",
-    "sample_kernel_dzeta",
     "grid_for_time",
     "fourier_symbol_residual",
 ]
@@ -197,12 +196,6 @@ def sample_kernel(zeta, g: Grid) -> Field:
     """The kernel sampled on a grid as a scalar field."""
     z = _require_positive(zeta)
     return sample(g, lambda X: kernel_eval(z, X, g.n))
-
-
-def sample_kernel_dzeta(zeta, g: Grid) -> Field:
-    """The kernel's time derivative sampled on a grid as a scalar field."""
-    z = _require_positive(zeta)
-    return sample(g, lambda X: kernel_dzeta(z, X, g.n))
 
 
 def grid_for_time(zeta, n: int, tol: float = 1e-10, alpha: float | None = None, k: float = 0.0) -> Grid:

@@ -145,12 +145,14 @@ def _tail_meta(z: complex, g: Grid, budget: float) -> dict:
 def apply(zeta, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Field:
     """Apply the evolution operator at time ``zeta`` to a field.
 
-    Zero time returns ``f`` itself (the operator is the identity there).  For
-    ``Re zeta > 0`` the selected method runs; ``method=None`` picks the
-    default for the time.  The result carries provenance metadata including a
-    kernel tail bound beyond the grid half-extent; if that exceeds
-    ``tail_budget`` the metadata records ``tail_warning=True`` rather than
-    raising, so suites can assert on grid adequacy.
+    Zero time returns a field that shares ``f``'s values array (the operator
+    is the identity there), with its own metadata
+    ``{"zeta": 0, "method": "identity"}``.  For ``Re zeta > 0`` the selected
+    method runs; ``method=None`` picks the default for the time.  The result
+    carries provenance metadata including a kernel tail bound beyond the grid
+    half-extent; if that exceeds ``tail_budget`` the metadata records
+    ``tail_warning=True`` rather than raising, so suites can assert on grid
+    adequacy.
     """
     return next(apply_many((zeta,), f, method, tail_budget))
 
@@ -167,7 +169,7 @@ def apply_many(times, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_B
     for zeta in times:
         ct = as_time(zeta)
         if ct.is_zero:
-            yield f
+            yield Field(g, f.values, meta={"zeta": ct.value, "method": "identity"})
             continue
         z = ct.value
         m = default_method(ct) if method is None else _as_method(method)
@@ -186,6 +188,7 @@ def apply_many(times, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_B
             _flush_subnormals(product)
             # the product is a temporary, so the inverse transform may overwrite it
             values = _fft.ifftn(product, axes=axes, overwrite_x=True)
+            del symbol, multiplier, product  # not held while the caller has the state
         meta = _tail_meta(z, g, tail_budget)
         meta["method"] = m.value
         yield Field(g, values, meta=meta)
@@ -277,9 +280,9 @@ class Trajectory:
 def trajectory(f: Field, times, method=None) -> Trajectory:
     """Evolve ``f`` through the given strictly increasing real times.
 
-    A leading time 0 maps to ``f`` itself; every positive time is one
-    kernel application to the initial field (the evolution is exact in time,
-    so there is no stepping error to accumulate), through :func:`apply_many`.
+    A leading time 0 keeps ``f``'s values; every positive time is one kernel
+    application to the initial field (the evolution is exact in time, so
+    there is no stepping error to accumulate), through :func:`apply_many`.
     """
     states = tuple(apply_many(times, f, method=method))
     return Trajectory(tuple(times), states)

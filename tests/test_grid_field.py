@@ -17,7 +17,6 @@ from gausspoisson import (
     random_gaussian_mixture,
     read_field_csv,
     sample,
-    translate,
     write_field_csv,
 )
 from gausspoisson import grid_field
@@ -111,23 +110,6 @@ def test_sample_vector_rule():
     f = sample(g, lambda p: np.stack([p[..., 0], p[..., 0] ** 2], axis=-1))
     assert f.m == 2
     np.testing.assert_allclose(f.values[..., 1], f.values[..., 0] ** 2)
-
-
-def test_translate_shifts_values_exactly():
-    g = make_grid(1, 2.0, 5)
-    f = sample(g, lambda p: p[..., 0])
-    shifted = translate(f, [1])  # g(x) = f(x + h)
-    np.testing.assert_allclose(shifted.values[:4, 0].real, g.axis[1:])
-    assert shifted.values[4, 0] == 0.0  # fell off the grid
-
-
-def test_translate_validation():
-    g = make_grid(2, 1.0, 3)
-    f = sample(g, lambda p: np.zeros(p.shape[:-1]))
-    with pytest.raises(ValueError):
-        translate(f, [1])  # wrong length
-    with pytest.raises(ValueError):
-        translate(f, [3, 0])  # exceeds grid
 
 
 def test_pair_is_quadrature_sum():

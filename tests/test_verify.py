@@ -1,6 +1,9 @@
 """Suite configuration, individual checks, and report serialization."""
 
 import math
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -276,3 +279,143 @@ def test_crashing_unit_fails_all_its_rows(monkeypatch):
         line for line in lines if line.startswith("FAIL  holomorphy")
     ]
     assert "holomorphy broke" not in report.to_csv_text()
+
+
+# 2-D N=65: 4225 points, above the grid size from which run_suite starts
+# helper threads; multi-unit groups and the single costliest unit, classical
+THREADED = SuiteConfig(n=2, N=65, checks=("semigroup-law", "gaussian-closed-form", "classical"))
+
+
+def _set_cpus(mp, cpus):
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.fixture(scope="module")
+def threaded_reports():
+    """Reports of THREADED with the CPU count set to 1, 2 and 4; at 4, with
+    more threads than this machine may have cores and frequent thread
+    switches."""
+    reports = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for cpus in (1, 2):
+            _set_cpus(mp, cpus)
+            reports[cpus] = run_suite(THREADED)
+        _set_cpus(mp, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reports[4] = run_suite(THREADED)
+        finally:
+            sys.setswitchinterval(interval)
+    return reports
+
+
+def test_report_identical_whatever_the_thread_count(threaded_reports):
+    texts = {cpus: report.to_csv_text() for cpus, report in threaded_reports.items()}
+    assert texts[2] == texts[1]
+    assert texts[4] == texts[1]
+
+
+def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_reports):
+    ran_on = []
+
+    def broken(*args, **kwargs):
+        ran_on.append(threading.current_thread())
+        raise RuntimeError("classical broke")
+
+    monkeypatch.setattr(verify, "classical_residual", broken)
+    _set_cpus(monkeypatch, 2)
+    report = run_suite(THREADED)
+    # the last unit is the first one a helper takes
+    assert ran_on and ran_on[0] is not threading.current_thread()
+    *rest, classical = report.results
+    assert classical.residual == math.inf and "classical broke" in classical.meta["error"]
+    expected = threaded_reports[1].results
+    assert classical.name == expected[-1].name
+    assert [(r.name, r.residual, r.passed, r.meta) for r in rest] == [
+        (r.name, r.residual, r.passed, r.meta) for r in expected[:-1]
+    ]
+
+
+@pytest.fixture
+def spy_threads(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+@pytest.mark.parametrize(
+    "offset, cpus, checks, helpers",
+    [
+        (-1, 8, ("fourier-symbol",), 0),  # below the threshold
+        (0, 1, ("fourier-symbol",), 0),  # one CPU
+        (0, 8, ("fourier-symbol",), 1),  # two units
+        (0, 4, ("kernel-mass",), 3),  # six units
+    ],
+)
+def test_helper_count_follows_grid_size_cpus_and_units(monkeypatch, spy_threads, offset, cpus, checks, helpers):
+    _set_cpus(monkeypatch, cpus)
+    report = run_suite(SuiteConfig(N=verify._THREADED_MIN_POINTS + offset, checks=checks))
+    assert len(spy_threads) == helpers
+    assert not any(thread.is_alive() for thread in spy_threads)
+    assert all(np.isfinite(r.residual) for r in report.results)
+
+
+def test_interrupt_empties_the_queue_and_joins_the_helpers(monkeypatch):
+    helper_took_its_unit, joining = threading.Event(), threading.Event()
+    ran = []
+
+    class Spy(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    def interrupted(z, g):  # kernel-mass, at the front: the calling thread
+        ran.append(z)
+        assert helper_took_its_unit.wait(timeout=30)
+        raise KeyboardInterrupt
+
+    def finishes_after_the_interrupt(z, g):  # fourier-symbol, at the back: the helper
+        ran.append(z)
+        helper_took_its_unit.set()
+        assert joining.wait(timeout=30)
+        return 0.0
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    monkeypatch.setattr(verify.kernelmod, "kernel_mass", interrupted)
+    monkeypatch.setattr(verify.kernelmod, "fourier_symbol_residual", finishes_after_the_interrupt)
+    _set_cpus(monkeypatch, 2)
+    cfg = SuiteConfig(N=verify._THREADED_MIN_POINTS, checks=("kernel-mass", "fourier-symbol"))
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(cfg)
+    # the helper finished its unit, then found the queue empty
+    assert sorted(ran, key=abs) == [0.25, 1 + 1j]
+    assert not [t for t in threading.enumerate() if isinstance(t, Spy)]
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_helper_that_dies_leaves_no_silent_gap(monkeypatch):
+    class HelperDied(BaseException):
+        pass
+
+    helper_took_its_unit = threading.Event()
+
+    def dies_off_the_main_thread(z, g):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_took_its_unit.wait(timeout=30)
+            return 0.0
+        helper_took_its_unit.set()
+        raise HelperDied
+
+    monkeypatch.setattr(verify.kernelmod, "fourier_symbol_residual", dies_off_the_main_thread)
+    _set_cpus(monkeypatch, 2)
+    cfg = SuiteConfig(N=verify._THREADED_MIN_POINTS, checks=("fourier-symbol",))
+    with pytest.raises(RuntimeError, match=r"fourier-symbol\[zeta=1\+1i\]"):
+        run_suite(cfg)
