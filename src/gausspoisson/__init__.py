@@ -9,7 +9,7 @@ parameter, the Laplacian as generator, the mild-solution identity, and the
 pointwise heat equation along trajectories.
 """
 
-from .fields import FIELD_RULES, GaussianMixture, boundary_max, field_rule, random_gaussian_mixture
+from .fields import FIELD_RULES, GaussianMixture, field_rule, random_gaussian_mixture
 from .generator import (
     GeneratorResiduals,
     LaplacianMethod,
@@ -24,12 +24,9 @@ from .grid_field import (
     Field,
     Grid,
     interior_slices,
-    is_interior_supported,
     make_grid,
-    pair,
     read_field_csv,
     sample,
-    test_function,
     write_field_csv,
 )
 from .kernel import (

@@ -20,7 +20,6 @@ from .kernel import as_time
 __all__ = [
     "GaussianMixture",
     "random_gaussian_mixture",
-    "boundary_max",
     "field_rule",
     "FIELD_RULES",
 ]
@@ -103,41 +102,21 @@ class GaussianMixture:
         return Field(grid, out)
 
 
-def random_gaussian_mixture(
-    n: int,
-    m: int = 1,
-    terms: int = 3,
-    rng=None,
-    center_box: float = 2.0,
-    width_range: tuple = (1.0, 2.0),
-) -> GaussianMixture:
+def random_gaussian_mixture(n: int, m: int = 1, terms: int = 3, rng=None) -> GaussianMixture:
     """Draw a seeded random mixture that decays fast away from the origin.
 
-    Centers are uniform in ``[-center_box, center_box]^n`` and widths uniform
-    in ``width_range``, so with the defaults every term is below 1e-12 within
-    distance 6 of the centers; amplitudes are standard complex Gaussians.
-    Pass an integer or a generator as ``rng`` for reproducibility.
+    Centers are uniform in ``[-2, 2]^n`` and widths uniform in ``[1, 2]``, so
+    every term is below 1e-12 within distance 6 of the centers; amplitudes
+    are standard complex Gaussians.  Pass an integer or a generator as
+    ``rng`` for reproducibility.
     """
     rng = np.random.default_rng(rng)
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
     amp = (rng.standard_normal((terms, m)) + 1j * rng.standard_normal((terms, m))) / np.sqrt(2.0)
-    wid = rng.uniform(width_range[0], width_range[1], size=terms)
-    cen = rng.uniform(-center_box, center_box, size=(terms, n))
+    wid = rng.uniform(1.0, 2.0, size=terms)
+    cen = rng.uniform(-2.0, 2.0, size=(terms, n))
     return GaussianMixture(amp.astype(complex), wid.astype(complex), cen)
-
-
-def boundary_max(f: Field) -> float:
-    """Largest pointwise magnitude on the outermost lattice layer.
-
-    Fields meant for interior-window comparisons should keep this below
-    about 1e-12 so zero-fill and periodic wrap artifacts stay negligible.
-    """
-    g = f.grid
-    mask = np.ones(g.shape, dtype=bool)
-    mask[(slice(1, g.N - 1),) * g.n] = False
-    mag = np.sqrt(np.sum(np.abs(f.values) ** 2, axis=-1))
-    return float(mag[mask].max())
 
 
 # named analytic rules for configuration files and the command line; each maps

@@ -46,12 +46,6 @@ class LaplacianMethod(enum.Enum):
     SPECTRAL = "spectral"
 
 
-def _as_laplacian(method) -> LaplacianMethod:
-    if isinstance(method, LaplacianMethod):
-        return method
-    return LaplacianMethod(str(method).lower())
-
-
 def _space(s) -> SpaceSpec:
     return SpaceSpec.make(0) if s is None else s
 
@@ -65,7 +59,7 @@ def discrete_laplacian(f: Field, method=LaplacianMethod.SPECTRAL) -> Field:
     Both are self-adjoint for the quadrature pairing on interior-supported
     fields.
     """
-    method = _as_laplacian(method)
+    method = LaplacianMethod(method)
     g = f.grid
     if method is LaplacianMethod.FINITE_DIFFERENCE:
         if g.N < 3:
@@ -78,17 +72,16 @@ def discrete_laplacian(f: Field, method=LaplacianMethod.SPECTRAL) -> Field:
     return Field(g, _fft.ifftn(spect, axes=axes, overwrite_x=True), meta={"laplacian": method.value})
 
 
-def _window_laplacian(f: Field, method: LaplacianMethod, inner) -> np.ndarray:
-    """``discrete_laplacian(f, method).values[inner]``.
+def _window_laplacian(f: Field, inner) -> np.ndarray:
+    """``discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE).values[inner]``.
 
     The stencil is formed only on the window plus a one-point halo, clipped at
-    the grid edge, where the zero-fill is the grid's own.  The spectral
-    Laplacian transforms the whole grid (as does a grid too small for the
-    stencil, which ``discrete_laplacian`` rejects).
+    the grid edge, where the zero-fill is the grid's own.  A grid too small
+    for the stencil goes to ``discrete_laplacian``, which rejects it.
     """
     g = f.grid
-    if method is LaplacianMethod.SPECTRAL or g.N < 3:
-        return discrete_laplacian(f, method).values[inner]
+    if g.N < 3:
+        return discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE).values[inner]
     halo = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, g.N)) for s in inner)
     lap = _stencil(f.values[halo], g.n, 1.0 / (g.h * g.h))
     return lap[tuple(slice(s.start - h.start, s.stop - h.start) for s, h in zip(inner, halo))]
@@ -146,28 +139,27 @@ def generator_residuals(
     dt: float,
     space: SpaceSpec | None = None,
     margin: float = DEFAULT_MARGIN,
-    laplacian=LaplacianMethod.SPECTRAL,
-    method=None,
 ) -> GeneratorResiduals:
     """Residuals of the generator identities at real time ``t``.
 
     The time derivative is the central difference
     ``(G(t+dt)f - G(t-dt)f) / (2 dt)``, so all three residuals carry an
-    O(dt^2) bias on top of grid error.  ``r2`` applies the same Laplacian
-    discretization on both sides so its bias cancels to leading order; it is
-    only meaningful when ``f`` is smooth enough to differentiate on the grid.
+    O(dt^2) bias on top of grid error.  The Laplacian is the spectral one.
+    ``r2`` applies it on both sides so its bias cancels to leading order; it
+    is only meaningful when ``f`` is smooth enough to differentiate on the
+    grid.
     """
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
     if not 0 < dt < t:
         raise ValueError(f"need 0 < dt < t, got dt={dt}, t={t}")
     s = _space(space)
-    u = apply(t, f, method=method)
-    u_plus = apply(t + dt, f, method=method)
-    u_minus = apply(t - dt, f, method=method)
+    u = apply(t, f)
+    u_plus = apply(t + dt, f)
+    u_minus = apply(t - dt, f)
     dudt = u.with_values((u_plus.values - u_minus.values) / (2.0 * dt))
-    lap_u = discrete_laplacian(u, laplacian)
-    u_of_lap = apply(t, discrete_laplacian(f, laplacian), method=method)
+    lap_u = discrete_laplacian(u)
+    u_of_lap = apply(t, discrete_laplacian(f))
     deriv = apply_dzeta(t, f)
     return GeneratorResiduals(
         r1=difference_norm(dudt, lap_u, s, margin),
@@ -181,10 +173,8 @@ def difference_quotient_residual(
     h: float,
     space: SpaceSpec | None = None,
     margin: float = DEFAULT_MARGIN,
-    laplacian=LaplacianMethod.SPECTRAL,
-    method=None,
 ) -> float:
-    """Residual of ``(G(h)f - f)/h`` against the discrete Laplacian of ``f``.
+    """Residual of ``(G(h)f - f)/h`` against the spectral Laplacian of ``f``.
 
     For fields in the generator's domain this tends to 0 as ``h`` does, at
     observed order about 1 for smooth fields (the leading error term is
@@ -193,8 +183,8 @@ def difference_quotient_residual(
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
     s = _space(space)
-    quotient = f.with_values((apply(h, f, method=method).values - f.values) / h)
-    return difference_norm(quotient, discrete_laplacian(f, laplacian), s, margin)
+    quotient = f.with_values((apply(h, f).values - f.values) / h)
+    return difference_norm(quotient, discrete_laplacian(f), s, margin)
 
 
 def _graded_nodes(t: float, eps: float, steps: int) -> np.ndarray:
@@ -217,7 +207,7 @@ def _graded_nodes(t: float, eps: float, steps: int) -> np.ndarray:
     return out
 
 
-def time_integral(f: Field, t: float, eps: float = 0.0, steps: int = 256, method=None) -> Field:
+def time_integral(f: Field, t: float, eps: float = 0.0, steps: int = 256) -> Field:
     """Composite-trapezoid quadrature of ``s -> G(s)f`` over ``[eps, t]``.
 
     With ``eps = 0`` the nodes are geometrically refined toward 0 (ratio-2
@@ -232,7 +222,7 @@ def time_integral(f: Field, t: float, eps: float = 0.0, steps: int = 256, method
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     nodes = _graded_nodes(t, eps, steps)
-    states = apply_many(nodes, f, method=method)
+    states = apply_many(nodes, f)
     prev_vals = next(states).values
     acc = np.zeros_like(f.values)
     for prev_t, s_node, state in zip(nodes, nodes[1:], states):
@@ -248,30 +238,24 @@ def mild_identity_residual(
     eps: float = 0.0,
     space: SpaceSpec | None = None,
     margin: float = DEFAULT_MARGIN,
-    laplacian=LaplacianMethod.SPECTRAL,
-    method=None,
 ) -> float:
     """Residual of the mild-solution identity in the weighted norm.
 
     For ``eps = 0`` this is
     ``|| Delta ∫_0^t G(s)f ds - (G(t)f - f) ||`` over the interior window;
-    for ``eps > 0`` the right-hand side becomes ``G(t)f - G(eps)f``.
+    for ``eps > 0`` the right-hand side becomes ``G(t)f - G(eps)f``.  The
+    Laplacian is the spectral one.
     """
     s = _space(space)
-    integral = time_integral(f, t, eps=eps, steps=steps, method=method)
-    lhs = discrete_laplacian(integral, laplacian)
-    upper = apply(t, f, method=method)
-    lower = f if eps == 0 else apply(eps, f, method=method)
+    integral = time_integral(f, t, eps=eps, steps=steps)
+    lhs = discrete_laplacian(integral)
+    upper = apply(t, f)
+    lower = f if eps == 0 else apply(eps, f)
     rhs = upper.with_values(upper.values - lower.values)
     return difference_norm(lhs, rhs, s, margin)
 
 
-def classical_residual(
-    times,
-    states,
-    margin: float = DEFAULT_MARGIN,
-    laplacian=LaplacianMethod.FINITE_DIFFERENCE,
-) -> float:
+def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:
     """Pointwise heat-equation residual along uniformly spaced times.
 
     ``states`` holds the field at each of ``times``: any iterable, such as
@@ -280,9 +264,9 @@ def classical_residual(
     evolution is never held whole.  States at non-positive times are skipped.
 
     Returns the max over interior times and interior grid points of the
-    Euclidean component norm of ``central time difference - Delta u``, formed
-    on the interior window only.  Needs at least 3 positive, uniformly spaced
-    times.
+    Euclidean component norm of ``central time difference - Delta u``, with
+    the finite-difference Laplacian, formed on the interior window only.
+    Needs at least 3 positive, uniformly spaced times.
     """
     times = np.asarray(times, dtype=float)
     positive = times[times > 0]
@@ -292,7 +276,6 @@ def classical_residual(
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ValueError("positive times must be uniformly spaced")
     dt = float(dts[0])
-    laplacian = _as_laplacian(laplacian)
     window = []
     worst = 0.0
     for t, state in zip(times, states, strict=True):
@@ -303,7 +286,7 @@ def classical_residual(
             a, b, c = window
             inner = interior_slices(b.grid, margin)
             dudt = (c.values[inner] - a.values[inner]) / (2.0 * dt)
-            lap = _window_laplacian(b, laplacian, inner)
+            lap = _window_laplacian(b, inner)
             pointwise = np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1))
             worst = max(worst, float(pointwise.max()))
             # release the oldest state before the next one is computed

@@ -2,8 +2,7 @@
 
 A :class:`Grid` is the uniform lattice on ``[-L, L]^n`` with ``N`` points per
 axis.  A :class:`Field` holds one complex ``C^m`` value per lattice point and
-is the discrete stand-in for a function ``R^n -> C^m``.  Pairing against
-interior-supported test functions replaces distributional evaluation.
+is the discrete stand-in for a function ``R^n -> C^m``.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ __all__ = [
     "Field",
     "make_grid",
     "sample",
-    "pair",
-    "test_function",
-    "is_interior_supported",
     "interior_slices",
     "squared_norm",
     "write_field_csv",
@@ -46,8 +42,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"grid dimension must be >= 1, got {self.n}")
-        if not self.L > 0:
-            raise ValueError(f"grid half-extent must be positive, got {self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"grid half-extent must be positive and finite, got {self.L}")
         if self.N < 2:
             raise ValueError(f"grid needs at least 2 points per axis, got {self.N}")
 
@@ -164,45 +160,6 @@ def sample(grid: Grid, rule: Callable[[np.ndarray], np.ndarray]) -> Field:
     """
     vals = np.asarray(rule(grid.points), dtype=complex)
     return Field(grid, vals)
-
-
-def pair(f: Field, phi: Field) -> np.ndarray:
-    """Quadrature pairing ``sum_x f(x) phi(x) h^n``, the discrete ``∫ f φ dx``.
-
-    ``phi`` must be scalar-valued and live on the same grid.  Returns a
-    complex vector of length ``f.m``.  No conjugation is applied.
-    """
-    if phi.grid != f.grid:
-        raise ValueError("field and test function live on different grids")
-    if phi.m != 1:
-        raise ValueError("test functions must be scalar-valued")
-    spatial = tuple(range(f.grid.n))
-    return np.sum(f.values * phi.values, axis=spatial) * f.grid.cell_volume
-
-
-def is_interior_supported(f: Field, layers: int = 2) -> bool:
-    """True iff the outermost ``layers`` lattice layers are exactly zero."""
-    if layers < 1 or 2 * layers >= f.grid.N:
-        raise ValueError(f"{layers} boundary layers do not fit a grid of {f.grid.N} points")
-    inner = (slice(layers, f.grid.N - layers),) * f.grid.n
-    mask = np.ones(f.grid.shape, dtype=bool)
-    mask[inner] = False
-    return not np.any(f.values[mask])
-
-
-def test_function(grid: Grid, rule: Callable[[np.ndarray], np.ndarray], layers: int = 2) -> Field:
-    """Sample a scalar rule and certify interior support.
-
-    Raises if the rule is nonzero anywhere on the outermost ``layers`` grid
-    layers; compactly supported rules (see :mod:`gausspoisson.fields`) vanish
-    there exactly.
-    """
-    phi = sample(grid, rule)
-    if phi.m != 1:
-        raise ValueError("test functions must be scalar-valued")
-    if not is_interior_supported(phi, layers):
-        raise ValueError(f"rule does not vanish on the outermost {layers} grid layers")
-    return phi
 
 
 def interior_slices(grid: Grid, margin: float) -> tuple[slice, ...]:

@@ -64,13 +64,6 @@ class ComplexTime:
             raise ValueError("argument undefined at zero time")
         return math.atan2(self.value.imag, self.value.real)
 
-    @property
-    def direction(self) -> complex:
-        """The unit ``zeta / |zeta|``."""
-        if self.is_zero:
-            raise ValueError("direction undefined at zero time")
-        return self.value / abs(self.value)
-
     def in_sector(self, alpha: float) -> bool:
         """True iff ``|arg zeta| < alpha`` for ``0 < alpha < pi/2``."""
         if not 0.0 < alpha < math.pi / 2:
@@ -198,27 +191,23 @@ def sample_kernel(zeta, g: Grid) -> Field:
     return sample(g, lambda X: kernel_eval(z, X, g.n))
 
 
-def grid_for_time(zeta, n: int, tol: float = 1e-10, alpha: float | None = None, k: float = 0.0) -> Grid:
+def grid_for_time(zeta, n: int, tol: float = 1e-10) -> Grid:
     """Pick a grid just large and fine enough for kernel quadrature at ``zeta``.
 
-    The half-extent comes from inverting the (weighted) tail bound at
-    ``tol / 10``; the spacing resolves both the modulus width
-    ``sqrt(2 r / cos(alpha))`` and, for nonreal times, the local oscillation
-    wavelength at the truncation radius.
+    The half-extent comes from inverting the tail bound at ``tol / 10`` in
+    the sector of angle ``alpha = default_sector_angle(zeta)``; the spacing
+    resolves both the modulus width ``sqrt(2 r / cos(alpha))`` and, for
+    nonreal times, the local oscillation wavelength at the truncation radius.
     """
     ct = as_time(zeta)
     if ct.is_zero:
         raise ValueError("cannot size a grid for zeta = 0")
     from scipy.special import gammainccinv
-    if alpha is None:
-        alpha = default_sector_angle(ct)
+    alpha = default_sector_angle(ct)
     r = ct.modulus
     a = math.cos(alpha) / (4.0 * r)
     target = (tol / 10.0) * math.cos(alpha) ** (n / 2.0)
     R = math.sqrt(float(gammainccinv(n / 2.0, min(target, 1.0))) / a)
-    if k > 0:
-        while weighted_kernel_tail_bound(ct, alpha, R, n, k) > tol / 10.0:
-            R *= 1.1
     sigma = math.sqrt(2.0 * r / math.cos(alpha))
     h = sigma / 12.0
     s = abs(math.sin(ct.argument))
@@ -228,19 +217,19 @@ def grid_for_time(zeta, n: int, tol: float = 1e-10, alpha: float | None = None, 
     return make_grid(n, R, N)
 
 
-def fourier_symbol_residual(zeta, g: Grid, fraction: float = 0.5) -> float:
+def fourier_symbol_residual(zeta, g: Grid) -> float:
     """Max-abs mismatch between the rescaled DFT of the sampled kernel and the
     symbol ``exp(-zeta |xi|^2)`` on the low-frequency window.
 
     The DFT is rescaled to the continuous convention: multiplied by ``h^n``
     and by the phase accounting for the grid starting at ``-L``.  Frequencies
-    with ``|xi_axis| <= fraction * xi_max`` on every axis are compared.
+    with ``|xi_axis| <= xi_max / 2`` on every axis are compared.
     """
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
     z = _require_positive(zeta)
     freq = g.fourier_axis
     phase = reduce(np.multiply.outer, (np.exp(1j * freq * g.L),) * g.n)
-    keep = reduce(np.logical_and.outer, (np.abs(freq) <= fraction * np.abs(freq).max(),) * g.n)
+    keep = reduce(np.logical_and.outer, (np.abs(freq) <= 0.5 * np.abs(freq).max(),) * g.n)
     approx = _fft.fftn(sample_kernel(z, g).values[..., 0]) * phase * g.cell_volume
     exact = reduce(np.multiply.outer, (kernel_fourier(z, freq[:, np.newaxis]),) * g.n)
     return float(np.abs(approx - exact)[keep].max())

@@ -37,7 +37,6 @@ from .kernel import as_time, default_sector_angle, kernel_tail_bound
 __all__ = [
     "Method",
     "default_method",
-    "DEFAULT_TAIL_BUDGET",
     "apply",
     "apply_many",
     "apply_dzeta",
@@ -51,7 +50,7 @@ __all__ = [
 # tail mass beyond the grid half-extent above which apply() flags the grid as
 # too small in the result metadata (never an error: callers may want the
 # degraded result anyway)
-DEFAULT_TAIL_BUDGET = 1e-10
+_TAIL_BUDGET = 1e-10
 
 
 class Method(enum.Enum):
@@ -69,12 +68,6 @@ def default_method(zeta) -> Method:
     if ct.is_zero or ct.value.imag == 0.0:
         return Method.SPECTRAL
     return Method.QUADRATURE
-
-
-def _as_method(method) -> Method:
-    if isinstance(method, Method):
-        return method
-    return Method(str(method).lower())
 
 
 def _difference_axis(g: Grid) -> np.ndarray:
@@ -131,18 +124,18 @@ def _flush_subnormals(values: np.ndarray) -> None:
     np.putmask(parts, (parts > -tiny) & (parts < tiny), 0.0)
 
 
-def _tail_meta(z: complex, g: Grid, budget: float) -> dict:
+def _tail_meta(z: complex, g: Grid) -> dict:
     alpha = default_sector_angle(z)
     bound = kernel_tail_bound(z, alpha, g.L, g.n)
     return {
         "zeta": z,
         "tail_bound": bound,
-        "tail_budget": budget,
-        "tail_warning": bound > budget,
+        "tail_budget": _TAIL_BUDGET,
+        "tail_warning": bound > _TAIL_BUDGET,
     }
 
 
-def apply(zeta, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Field:
+def apply(zeta, f: Field, method=None) -> Field:
     """Apply the evolution operator at time ``zeta`` to a field.
 
     Zero time returns a field that shares ``f``'s values array (the operator
@@ -150,15 +143,15 @@ def apply(zeta, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_BUDGET)
     ``{"zeta": 0, "method": "identity"}``.  For ``Re zeta > 0`` the selected
     method runs; ``method=None`` picks the default for the time.  The result
     carries provenance metadata including a kernel tail bound beyond the grid
-    half-extent; if that exceeds ``tail_budget`` the metadata records
-    ``tail_warning=True`` rather than raising, so suites can assert on grid
-    adequacy.
+    half-extent; if that exceeds the budget recorded as ``tail_budget``
+    (1e-10) the metadata records ``tail_warning=True`` rather than raising,
+    so suites can assert on grid adequacy.
     """
-    return next(apply_many((zeta,), f, method, tail_budget))
+    return next(apply_many((zeta,), f, method))
 
 
-def apply_many(times, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_BUDGET):
-    """Yield ``apply(t, f, method, tail_budget)`` for each time in turn.
+def apply_many(times, f: Field, method=None):
+    """Yield ``apply(t, f, method)`` for each time in turn.
 
     The spectral path transforms ``f`` once for all times.  States are
     produced one at a time, so a caller holds only the states it keeps.
@@ -172,7 +165,7 @@ def apply_many(times, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_B
             yield Field(g, f.values, meta={"zeta": ct.value, "method": "identity"})
             continue
         z = ct.value
-        m = default_method(ct) if method is None else _as_method(method)
+        m = default_method(ct) if method is None else Method(method)
         if m is Method.QUADRATURE:
             factor = _kernel.kernel_eval(z, _difference_axis(g), 1)
             values = _riemann_sum([factor] * g.n, f)
@@ -189,12 +182,12 @@ def apply_many(times, f: Field, method=None, tail_budget: float = DEFAULT_TAIL_B
             # the product is a temporary, so the inverse transform may overwrite it
             values = _fft.ifftn(product, axes=axes, overwrite_x=True)
             del symbol, multiplier, product  # not held while the caller has the state
-        meta = _tail_meta(z, g, tail_budget)
+        meta = _tail_meta(z, g)
         meta["method"] = m.value
         yield Field(g, values, meta=meta)
 
 
-def apply_dzeta(zeta, f: Field, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Field:
+def apply_dzeta(zeta, f: Field) -> Field:
     """Apply the time derivative of the evolution operator (quadrature path).
 
     This convolves ``f`` with the kernel's time derivative; it equals the
@@ -213,7 +206,7 @@ def apply_dzeta(zeta, f: Field, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Fie
     values = sum(
         _riemann_sum([dfactor if a == j else factor for a in range(g.n)], f) for j in range(g.n)
     )
-    meta = _tail_meta(z, g, tail_budget)
+    meta = _tail_meta(z, g)
     meta["method"] = "quadrature-dzeta"
     return Field(g, values, meta=meta)
 

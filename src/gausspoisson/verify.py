@@ -14,6 +14,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -67,12 +68,46 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(part) for part in text.split(",") if part.strip())
+def _list_of(parse):
+    """The parser of a comma-separated list; empty items are skipped."""
+    return lambda text: tuple(parse(part.strip()) for part in text.split(",") if part.strip())
 
 
-def _complex_list(text: str) -> tuple:
-    return tuple(parse_complex(part) for part in text.split(",") if part.strip())
+def _joined(fmt):
+    """The inverse of ``_list_of``: the items formatted, comma-separated."""
+    return lambda values: ",".join(map(fmt, values))
+
+
+def _optional_float(text: str) -> float | None:
+    return None if text.lower() in ("", "none") else float(text)
+
+
+def _g17(x: float) -> str:
+    return format(x, ".17g")
+
+
+# The flat key=value form of a SuiteConfig: key -> (field, parse, format).
+# ``space.*`` fields are the arguments of ``SpaceSpec.make``.  A key ending in
+# "." is a prefix: ``tol.<name>`` sets ``tolerances[name]``.  A field that is
+# None (``space.p`` outside Lp, ``checks`` when every group runs) has no key.
+_CONFIG_KEYS = {
+    "grid.n": ("n", int, str),
+    "grid.L": ("L", float, _g17),
+    "grid.N": ("N", int, str),
+    "space.k": ("space.k", float, _g17),
+    "space.kind": ("space.kind", str, attrgetter("value")),
+    "space.p": ("space.p", _optional_float, _g17),
+    "sector.alpha": ("alpha", float, _g17),
+    "margin": ("margin", float, _g17),
+    "seed": ("seed", int, str),
+    "rule": ("rule", str, str),
+    "continuity.rule": ("continuity_rule", str, str),
+    "zetas": ("zetas", _list_of(parse_complex), _joined(format_complex)),
+    "rays": ("rays", _list_of(float), _joined(_g17)),
+    "radii": ("radii", _list_of(float), _joined(_g17)),
+    "checks": ("checks", _list_of(str), ",".join),
+    "tol.": ("tolerances", float, _g17),
+}
 
 
 DEFAULT_ZETAS = (
@@ -141,9 +176,13 @@ class SuiteConfig:
         _continuity_geometry(self.alpha, self.rays, self.radii)
         field_rule(self.rule)
         field_rule(self.continuity_rule)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         for z in self.zetas:
             ct = as_time(z)
-            if not ct.is_zero and ct.value.imag != 0 and not ct.in_sector(self.alpha):
+            if ct.is_zero:
+                raise ValueError("zeta samples must be nonzero: the kernel is undefined at zeta = 0")
+            if ct.value.imag != 0 and not ct.in_sector(self.alpha):
                 raise ValueError(f"zeta sample {z} lies outside the sector of angle {self.alpha}")
         if self.checks is not None:
             unknown = [c for c in self.checks if c not in CHECK_GROUPS]
@@ -154,6 +193,9 @@ class SuiteConfig:
             raise ValueError(
                 f"unknown tolerance names {unknown_tols}; known: {sorted(DEFAULT_TOLERANCES)}"
             )
+        bad_tols = {key: value for key, value in self.tolerances.items() if not value >= 0}
+        if bad_tols:
+            raise ValueError(f"tolerances must be non-negative numbers, got {bad_tols}")
 
     @property
     def grid(self) -> Grid:
@@ -166,82 +208,36 @@ class SuiteConfig:
     def from_mapping(mapping: dict) -> "SuiteConfig":
         """Build a config from flat string key-value pairs.
 
-        Recognized keys: ``grid.n``, ``grid.L``, ``grid.N``, ``space.k``,
-        ``space.kind``, ``space.p``, ``sector.alpha``, ``seed``, ``margin``,
-        ``rule``, ``continuity.rule``, ``zetas``, ``rays``, ``radii``,
-        ``checks``, and ``tol.<name>``.  Keys under ``evolve.`` / ``table.`` /
-        ``out`` belong to the command-line layer and are ignored here;
-        anything else is an error.
+        The recognized keys, with the field each sets and its text format,
+        are the entries of ``_CONFIG_KEYS`` in this module.  Keys under
+        ``evolve.`` / ``table.`` / ``out`` belong to the command-line layer and
+        are ignored here; anything else is an error.
         """
         kwargs = {}
-        space_kw = {"k": 0.0, "kind": "BUC", "p": None}
-        tolerances = {}
         for key, raw in mapping.items():
-            value = raw.strip()
             if key.startswith(("evolve.", "table.")) or key == "out":
                 continue
-            if key == "grid.n":
-                kwargs["n"] = int(value)
-            elif key == "grid.L":
-                kwargs["L"] = float(value)
-            elif key == "grid.N":
-                kwargs["N"] = int(value)
-            elif key == "space.k":
-                space_kw["k"] = float(value)
-            elif key == "space.kind":
-                space_kw["kind"] = value
-            elif key == "space.p":
-                space_kw["p"] = None if value.lower() in ("", "none") else float(value)
-            elif key == "sector.alpha":
-                kwargs["alpha"] = float(value)
-            elif key == "seed":
-                kwargs["seed"] = int(value)
-            elif key == "margin":
-                kwargs["margin"] = float(value)
-            elif key == "rule":
-                kwargs["rule"] = value
-            elif key == "continuity.rule":
-                kwargs["continuity_rule"] = value
-            elif key == "zetas":
-                kwargs["zetas"] = _complex_list(value)
-            elif key == "rays":
-                kwargs["rays"] = _float_list(value)
-            elif key == "radii":
-                kwargs["radii"] = _float_list(value)
-            elif key == "checks":
-                kwargs["checks"] = tuple(c.strip() for c in value.split(",") if c.strip())
-            elif key.startswith("tol."):
-                tolerances[key[len("tol.") :]] = float(value)
+            prefix = key[: key.find(".") + 1]  # "tol." of tol.<name>; "" without a dot
+            if prefix in _CONFIG_KEYS:
+                field, parse, _ = _CONFIG_KEYS[prefix]
+                kwargs.setdefault(field, {})[key[len(prefix) :]] = parse(raw.strip())
+            elif key in _CONFIG_KEYS:
+                field, parse, _ = _CONFIG_KEYS[key]
+                kwargs[field] = parse(raw.strip())
             else:
                 raise ValueError(f"unknown configuration key {key!r}")
-        if tolerances:
-            kwargs["tolerances"] = tolerances
-        kwargs["space"] = SpaceSpec.make(space_kw["k"], space_kw["kind"], space_kw["p"])
-        return SuiteConfig(**kwargs)
+        space = {name: kwargs.pop(f"space.{name}") for name in ("k", "kind", "p") if f"space.{name}" in kwargs}
+        return SuiteConfig(**kwargs, space=SpaceSpec.make(**{"k": 0.0, **space}))
 
     def to_mapping(self) -> dict:
         """Serialize back to the flat key-value form (inverse of from_mapping)."""
-        out = {
-            "grid.n": str(self.n),
-            "grid.L": format(self.L, ".17g"),
-            "grid.N": str(self.N),
-            "space.k": format(self.space.k, ".17g"),
-            "space.kind": self.space.kind.value,
-            "sector.alpha": format(self.alpha, ".17g"),
-            "seed": str(self.seed),
-            "margin": format(self.margin, ".17g"),
-            "rule": self.rule,
-            "continuity.rule": self.continuity_rule,
-            "zetas": ",".join(format_complex(z) for z in self.zetas),
-            "rays": ",".join(format(r, ".17g") for r in self.rays),
-            "radii": ",".join(format(r, ".17g") for r in self.radii),
-        }
-        if self.space.p is not None:
-            out["space.p"] = format(self.space.p, ".17g")
-        if self.checks is not None:
-            out["checks"] = ",".join(self.checks)
-        for name, value in sorted(self.tolerances.items()):
-            out[f"tol.{name}"] = format(value, ".17g")
+        out = {}
+        for key, (field, _, fmt) in _CONFIG_KEYS.items():
+            value = attrgetter(field)(self)
+            if key.endswith("."):
+                out.update((key + name, fmt(v)) for name, v in sorted(value.items()))
+            elif value is not None:
+                out[key] = fmt(value)
         return out
 
 
@@ -303,12 +299,13 @@ class VerificationReport:
 # -- check operations ----------------------------------------------------------
 
 
-def semigroup_law_residual(zeta1, zeta2, f: Field, s: SpaceSpec, margin: float = 0.25, method=None) -> float:
+def semigroup_law_residual(zeta1, zeta2, f: Field, s: SpaceSpec, margin: float = 0.25) -> float:
     """Interior-window weighted-norm residual of the composition law:
-    evolving by ``zeta1 + zeta2`` in one step versus two."""
+    evolving by ``zeta1 + zeta2`` in one step versus two, each on the
+    default path for its time."""
     z1, z2 = as_time(zeta1), as_time(zeta2)
-    one_step = apply(z1.value + z2.value, f, method=method)
-    two_step = apply(z1, apply(z2, f, method=method), method=method)
+    one_step = apply(z1.value + z2.value, f)
+    two_step = apply(z1, apply(z2, f))
     return difference_norm(one_step, two_step, s, margin)
 
 
@@ -335,7 +332,7 @@ def _continuity_geometry(alpha: float, rays, radii) -> tuple:
     return radii
 
 
-def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: float = 0.25, method=None) -> list:
+def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: float = 0.25) -> list:
     """Residuals of ``G(r e^{i ray}) f - f`` for each ray and shrinking radius.
 
     Rows are ordered by (ray, radius in the given order); every ray must lie
@@ -347,7 +344,7 @@ def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: f
     for ray in rays:
         for r in radii:
             zeta = r * complex(math.cos(ray), math.sin(ray))
-            residual = difference_norm(apply(zeta, f, method=method), f, s, margin)
+            residual = difference_norm(apply(zeta, f), f, s, margin)
             entries.append(ContinuityEntry(float(ray), r, residual))
     return entries
 
@@ -360,30 +357,25 @@ class HolomorphyResiduals:
     of the conjugate-derivative (must vanish for a holomorphic map).
     ``derivative_match``: distance of the real-direction difference quotient
     from the closed-form derivative operator.
+
+    Every evolution is by quadrature, the path of the derivative operator.
     """
 
     cauchy_riemann: float
     derivative_match: float
 
 
-def holomorphy_residuals(
-    f: Field,
-    zeta,
-    h: float,
-    s: SpaceSpec,
-    margin: float = 0.25,
-    method=Method.QUADRATURE,
-) -> HolomorphyResiduals:
+def holomorphy_residuals(f: Field, zeta, h: float, s: SpaceSpec, margin: float = 0.25) -> HolomorphyResiduals:
     ct = as_time(zeta)
     if ct.is_zero:
         raise ValueError("holomorphy residuals need Re zeta > 0")
     if not 0 < h < ct.value.real:
         raise ValueError(f"step must satisfy 0 < h < Re zeta, got h={h}, zeta={ct.value}")
     z = ct.value
-    u_re_plus = apply(z + h, f, method=method)
-    u_re_minus = apply(z - h, f, method=method)
-    u_im_plus = apply(z + 1j * h, f, method=method)
-    u_im_minus = apply(z - 1j * h, f, method=method)
+    u_re_plus = apply(z + h, f, method=Method.QUADRATURE)
+    u_re_minus = apply(z - h, f, method=Method.QUADRATURE)
+    u_im_plus = apply(z + 1j * h, f, method=Method.QUADRATURE)
+    u_im_minus = apply(z - 1j * h, f, method=Method.QUADRATURE)
     d_re = (u_re_plus.values - u_re_minus.values) / (2.0 * h)
     d_im = (u_im_plus.values - u_im_minus.values) / (2.0 * h)
     conjugate = f.with_values(0.5 * (d_re + 1j * d_im))
@@ -395,16 +387,9 @@ def holomorphy_residuals(
     )
 
 
-def contour_residual(
-    f: Field,
-    center,
-    radius: float,
-    m: int,
-    s: SpaceSpec,
-    margin: float = 0.25,
-    method=Method.QUADRATURE,
-) -> float:
-    """Weighted norm of the trapezoid closed-contour integral of ``G(zeta)f``.
+def contour_residual(f: Field, center, radius: float, m: int, s: SpaceSpec, margin: float = 0.25) -> float:
+    """Weighted norm of the trapezoid closed-contour integral of ``G(zeta)f``,
+    evolved by quadrature at every node.
 
     The circle must stay inside the right half-plane.  Holomorphy makes the
     exact integral vanish; the trapezoid rule on an analytic periodic
@@ -420,7 +405,7 @@ def contour_residual(
     for j in range(m):
         theta = 2.0 * math.pi * j / m
         direction = complex(math.cos(theta), math.sin(theta))
-        u = apply(c + radius * direction, f, method=method)
+        u = apply(c + radius * direction, f, method=Method.QUADRATURE)
         acc = acc + u.values * (1j * radius * direction)
     acc = acc * (2.0 * math.pi / m)
     return weighted_norm(f.with_values(acc), s, margin=margin)

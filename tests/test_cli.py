@@ -167,9 +167,13 @@ def test_verify_bad_config_exits_two(tmp_path):
     cfg.write_text("bogus.key=1\n")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert main(["verify", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "r")]) == 2
-    # continuity geometry, the interior margin and the grid are rejected when
-    # the config is parsed, before any check runs
-    for bad in ("rays=1.3", "radii=0.25,0.5", "radii=", "margin=0.6", "grid.N=1", "grid.L=0"):
+    # continuity geometry, the interior margin, the grid, the seed, the time
+    # samples and the tolerances are rejected when the config is parsed,
+    # before any check runs
+    for bad in (
+        "rays=1.3", "radii=0.25,0.5", "radii=", "margin=0.6", "grid.N=1", "grid.L=0", "grid.L=inf",
+        "seed=-1", "zetas=0,1", "tol.contour=nan", "tol.contour=-1",
+    ):
         cfg.write_text(FAST + bad + "\n")
         out = tmp_path / "bad"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
@@ -263,10 +267,38 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_demos_run(tmp_path):
+    # the demos are the package's public-API callers outside the tests; all
+    # five start at once, one BLAS thread each
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert len(demos) == 5
+    env = _env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    running = [
+        subprocess.Popen([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for demo in demos
+    ]
+    try:
+        for demo, process in zip(demos, running):
+            _, stderr = process.communicate(timeout=300)
+            assert process.returncode == 0, f"{demo.name}: {stderr}"
+    finally:  # none outlives a failure
+        for process in running:
+            process.kill()
+            process.wait()
+
+
+def _env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's
+    package, with extra variables."""
+    src = str(Path(gausspoisson.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _run_python(code, *args, **env):
     """Run ``python -c code args`` in a fresh interpreter that imports this
     checkout's package, with extra environment variables."""
-    src = str(Path(gausspoisson.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **env)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=_env(**env), capture_output=True, text=True, timeout=300
+    )

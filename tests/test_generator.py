@@ -6,7 +6,6 @@ import pytest
 from gausspoisson import (
     Field,
     LaplacianMethod,
-    Method,
     SpaceSpec,
     apply_many,
     classical_residual,
@@ -16,12 +15,10 @@ from gausspoisson import (
     interior_slices,
     make_grid,
     mild_identity_residual,
-    pair,
     sample,
     time_integral,
     trajectory,
 )
-from gausspoisson import test_function as make_test_function
 
 GRID = make_grid(1, 12.0, 1025)
 GAUSSIAN = sample(GRID, lambda p: np.exp(-p[..., 0] ** 2))
@@ -96,21 +93,15 @@ def test_classical_residual_window_matches_full_grid(n, N):
     times = 0.5 + 0.01 * np.arange(5)
     states = [_random_field(g, 2, rng) for _ in times]
     dt = float(np.diff(times)[0])
-    for method in LaplacianMethod:
-        laps = [
-            _padded_stencil(s.values, n, g.h)
-            if method is LaplacianMethod.FINITE_DIFFERENCE
-            else discrete_laplacian(s, method).values
-            for s in states
-        ]
-        for margin in (0.0, 0.25, 0.45):
-            inner = interior_slices(g, margin)
-            expect = 0.0
-            for i in range(1, len(states) - 1):
-                dudt = (states[i + 1].values - states[i - 1].values) / (2.0 * dt)
-                pointwise = np.sqrt(np.sum(np.abs(dudt - laps[i]) ** 2, axis=-1))
-                expect = max(expect, float(pointwise[inner].max()))
-            assert classical_residual(times, states, margin, method) == expect
+    laps = [_padded_stencil(s.values, n, g.h) for s in states]
+    for margin in (0.0, 0.25, 0.45):
+        inner = interior_slices(g, margin)
+        expect = 0.0
+        for i in range(1, len(states) - 1):
+            dudt = (states[i + 1].values - states[i - 1].values) / (2.0 * dt)
+            pointwise = np.sqrt(np.sum(np.abs(dudt - laps[i]) ** 2, axis=-1))
+            expect = max(expect, float(pointwise[inner].max()))
+        assert classical_residual(times, states, margin) == expect
 
 
 def test_finite_difference_refines_at_second_order():
@@ -142,18 +133,28 @@ def test_laplacian_validation():
         discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
 
 
+def test_unknown_laplacian_raises():
+    # a Laplacian is a LaplacianMethod or its value; anything else never
+    # falls through to the spectral path
+    assert discrete_laplacian(GAUSSIAN, "finite_difference").meta["laplacian"] == "finite_difference"
+    with pytest.raises(ValueError):
+        discrete_laplacian(GAUSSIAN, "no_such_method")
+
+
 def test_laplacian_self_adjoint_for_pairing():
     # summation by parts: <Delta f, phi> = <f, Delta phi> for interior support
     g = make_grid(1, 6.0, 121)
     bump = lambda c: lambda p: np.where(
         np.abs(p[..., 0] - c) < 1.0, np.cos(np.pi * (p[..., 0] - c) / 2.0) ** 4, 0.0
     )
-    f = make_test_function(g, bump(-1.0))
-    phi = make_test_function(g, bump(1.5))
+    f, phi = sample(g, bump(-1.0)), sample(g, bump(1.5))
+    for field in (f, phi):  # interior support: the outer two layers are zero
+        assert not field.values[[0, 1, -2, -1]].any()
     for method in LaplacianMethod:
-        left = pair(discrete_laplacian(f, method), phi)
-        right = pair(f, discrete_laplacian(phi, method))
-        assert abs(left[0] - right[0]) < 1e-10
+        # the quadrature pairing sum_x u(x) v(x) h of two scalar fields
+        left = np.sum(discrete_laplacian(f, method).values * phi.values) * g.h
+        right = np.sum(f.values * discrete_laplacian(phi, method).values) * g.h
+        assert abs(left - right) < 1e-10
 
 
 def test_generator_residuals_small_for_gaussian():
@@ -192,7 +193,7 @@ def test_time_integral_of_constant_is_linear():
     # G(s) fixes constants, and trapezoid weights sum to the interval length
     g = make_grid(1, 4.0, 65)
     one = sample(g, lambda p: np.ones(p.shape[:-1]))
-    out = time_integral(one, 0.75, method=Method.SPECTRAL)
+    out = time_integral(one, 0.75)  # real times: the spectral path
     np.testing.assert_allclose(out.values, 0.75 * one.values, rtol=1e-12)
     assert out.meta["t"] == 0.75
     assert out.meta["nodes"] > 256

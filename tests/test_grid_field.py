@@ -1,4 +1,4 @@
-"""Grid geometry, field containers, pairing, and CSV round trips."""
+"""Grid geometry, field containers, interior windows, and CSV round trips."""
 
 from pathlib import Path
 
@@ -11,16 +11,13 @@ from hypothesis.extra import numpy as hnp
 from gausspoisson import (
     Field,
     interior_slices,
-    is_interior_supported,
     make_grid,
-    pair,
     random_gaussian_mixture,
     read_field_csv,
     sample,
     write_field_csv,
 )
 from gausspoisson import grid_field
-from gausspoisson import test_function as make_test_function
 
 FIELD_GOLDEN = Path(__file__).parent / "data" / "field_golden.csv"
 
@@ -45,6 +42,17 @@ def test_grid_validation():
         make_grid(1, 0.0, 5)
     with pytest.raises(ValueError):
         make_grid(1, 1.0, 1)
+
+
+def test_grid_requires_finite_half_extent(tmp_path):
+    for L in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="half-extent"):
+            make_grid(1, L, 5)
+    # a field CSV whose first coordinate is infinite has no grid either
+    path = tmp_path / "inf.csv"
+    path.write_text("x1,re_1,im_1\n-inf,1,0\ninf,1,0\n")
+    with pytest.raises(ValueError, match="half-extent"):
+        read_field_csv(path)
 
 
 def test_grid_arrays_are_read_only():
@@ -110,47 +118,6 @@ def test_sample_vector_rule():
     f = sample(g, lambda p: np.stack([p[..., 0], p[..., 0] ** 2], axis=-1))
     assert f.m == 2
     np.testing.assert_allclose(f.values[..., 1], f.values[..., 0] ** 2)
-
-
-def test_pair_is_quadrature_sum():
-    g = make_grid(1, 1.0, 5)
-    f = sample(g, lambda p: np.ones(p.shape[:-1]) * 2.0j)
-    phi = sample(g, lambda p: np.ones(p.shape[:-1]))
-    out = pair(f, phi)
-    assert out.shape == (1,)
-    assert np.isclose(out[0], 2.0j * 5 * g.h)
-
-
-def test_pair_validation():
-    g = make_grid(1, 1.0, 5)
-    g2 = make_grid(1, 2.0, 5)
-    f = sample(g, lambda p: np.zeros(p.shape[:-1]))
-    with pytest.raises(ValueError):
-        pair(f, sample(g2, lambda p: np.zeros(p.shape[:-1])))
-    vec = sample(g, lambda p: np.zeros(p.shape[:-1] + (2,)))
-    with pytest.raises(ValueError):
-        pair(f, vec)
-
-
-def test_interior_support_detection():
-    g = make_grid(1, 4.0, 9)
-    vals = np.zeros(9)
-    vals[4] = 1.0
-    f = Field(g, vals)
-    assert is_interior_supported(f, layers=2)
-    vals2 = vals.copy()
-    vals2[1] = 1e-300
-    assert not is_interior_supported(Field(g, vals2), layers=2)
-    with pytest.raises(ValueError):
-        is_interior_supported(f, layers=5)
-
-
-def test_test_function_certifies_support():
-    g = make_grid(1, 4.0, 17)
-    bump = make_test_function(g, lambda p: np.where(np.abs(p[..., 0]) < 1.0, 1.0, 0.0))
-    assert bump.m == 1
-    with pytest.raises(ValueError):
-        make_test_function(g, lambda p: np.ones(p.shape[:-1]))
 
 
 def test_interior_slices():

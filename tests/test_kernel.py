@@ -29,7 +29,6 @@ def test_complex_time_accessors():
     assert not z.is_zero
     assert np.isclose(z.modulus, np.sqrt(2.0))
     assert np.isclose(z.argument, np.pi / 4)
-    assert np.isclose(abs(z.direction), 1.0)
     zero = ComplexTime(0.0)
     assert zero.is_zero
 

@@ -51,6 +51,14 @@ def test_method_selection():
     assert Method("quadrature") is Method.QUADRATURE
 
 
+def test_unknown_method_raises():
+    # a method is a Method or its value; anything else never falls through
+    # to the spectral path
+    assert apply(1.0, GAUSSIAN, method="quadrature").meta["method"] == "quadrature"
+    with pytest.raises(ValueError):
+        apply(1.0, GAUSSIAN, method="no_such_method")
+
+
 def test_quadrature_matches_gaussian_closed_form():
     for zeta in (0.1, 1.0, 0.5 + 0.5j, np.exp(-1j * np.pi / 4)):
         got = apply(zeta, GAUSSIAN, method=Method.QUADRATURE)

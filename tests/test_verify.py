@@ -1,7 +1,9 @@
 """Suite configuration, individual checks, and report serialization."""
 
+import dataclasses
 import math
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -15,6 +17,7 @@ from gausspoisson import (
     SpaceSpec,
     SuiteConfig,
     VerificationReport,
+    apply,
     continuity_scan,
     contour_residual,
     format_complex,
@@ -28,6 +31,7 @@ from gausspoisson import (
 from gausspoisson import verify
 from gausspoisson.fields import field_rule
 from gausspoisson.verify import CheckResult
+from gausspoisson.weights import difference_norm
 
 # report.csv of run_suite(SuiteConfig()), byte for byte: a refactor of the suite
 # must reproduce it
@@ -89,8 +93,18 @@ def test_suite_config_validation():
         SuiteConfig(N=1)
     with pytest.raises(ValueError, match="half-extent"):
         SuiteConfig(L=0.0)
+    with pytest.raises(ValueError, match="half-extent"):
+        SuiteConfig(L=math.inf)
     with pytest.raises(ValueError, match="dimension"):
         SuiteConfig(n=0)
+    # and the seed, the time samples and the tolerance values
+    with pytest.raises(ValueError, match="seed"):
+        SuiteConfig(seed=-1)
+    with pytest.raises(ValueError, match="nonzero"):
+        SuiteConfig(zetas=(0.0, 1.0))
+    for bad in (math.nan, -1e-6):
+        with pytest.raises(ValueError, match="non-negative"):
+            SuiteConfig(tolerances={"contour": bad})
 
 
 def test_suite_config_tolerance_override():
@@ -99,15 +113,72 @@ def test_suite_config_tolerance_override():
     assert cfg.tol("mild") == 1e-4  # untouched defaults remain
 
 
+# every key of the flat form, each away from its default (tol.<name> twice)
+CANONICAL_MAPPING = {
+    "grid.n": "2",
+    "grid.L": "10",
+    "grid.N": "65",
+    "space.k": "2",
+    "space.kind": "Lp",
+    "space.p": "1.5",
+    "sector.alpha": "1.25",
+    "margin": "0.125",
+    "seed": "3",
+    "rule": "modulated_gaussian",
+    "continuity.rule": "gaussian",
+    "zetas": "0.5,1+0.5i",
+    "rays": "0,0.5",
+    "radii": "0.5,0.125",
+    "checks": "weights,kernel-mass",
+    "tol.contour": "0.5",
+    "tol.weights": "0.25",
+}
+
+
 def test_suite_config_mapping_round_trip():
+    assert {"tol." if k.startswith("tol.") else k for k in CANONICAL_MAPPING} == set(verify._CONFIG_KEYS)
     cfg = SuiteConfig(
-        N=257,
-        space=SpaceSpec.make(2, "Lp", 2),
+        n=2,
+        L=10.0,
+        N=65,
+        space=SpaceSpec.make(2, "Lp", 1.5),
+        alpha=1.25,
+        margin=0.125,
+        seed=3,
+        zetas=(0.5, 1 + 0.5j),
+        rays=(0.0, 0.5),
+        radii=(0.5, 0.125),
+        rule="modulated_gaussian",
+        continuity_rule="gaussian",
+        tolerances={"weights": 0.25, "contour": 0.5},
         checks=("weights", "kernel-mass"),
-        tolerances={"weights": 1e-10},
     )
-    back = SuiteConfig.from_mapping(cfg.to_mapping())
-    assert back == cfg
+    default = SuiteConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in dataclasses.fields(SuiteConfig))
+    assert SuiteConfig.from_mapping(CANONICAL_MAPPING) == cfg
+    assert cfg.to_mapping() == CANONICAL_MAPPING
+    for checks in ((), ("weights", "kernel-mass")):
+        c = dataclasses.replace(cfg, checks=checks)
+        assert SuiteConfig.from_mapping(c.to_mapping()) == c
+    for m in (CANONICAL_MAPPING, {**CANONICAL_MAPPING, "checks": ""}, SuiteConfig().to_mapping()):
+        assert SuiteConfig.from_mapping(m).to_mapping() == m
+
+
+def _key_names():
+    """The keys of the flat config form as documented: ``tol.<name>`` for the prefix."""
+    return {key + "<name>" if key.endswith(".") else key for key in verify._CONFIG_KEYS}
+
+
+def test_config_keys_documented_in_readme_and_reference_config():
+    root = Path(__file__).resolve().parents[1]
+    readme = " ".join((root / "README.md").read_text().split())
+    sentence = readme[readme.index("recognized keys are") :].split(" plus ")[0]
+    assert set(re.findall(r"`([^`]+)`", sentence)) == _key_names()
+    cfg = (root / "configs" / "reference.cfg").read_text()
+    block = cfg[cfg.index("# Recognized keys") :].splitlines()[1:]
+    block = block[: next(i for i, line in enumerate(block) if not line.startswith("#   "))]
+    documented = {key for line in block for key in re.split(r"\s{2,}", line[1:].strip())[0].split(", ")}
+    assert documented == _key_names()
 
 
 def test_from_mapping_ignores_cli_keys_and_rejects_unknown():
@@ -115,8 +186,9 @@ def test_from_mapping_ignores_cli_keys_and_rejects_unknown():
         {"grid.N": "257", "evolve.zeta": "1", "table.check": "mild", "out": "x"}
     )
     assert cfg.N == 257
-    with pytest.raises(ValueError, match="unknown configuration key"):
-        SuiteConfig.from_mapping({"grid.sz": "10"})
+    for key in ("grid.sz", "tol", "margin.x", "space"):
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            SuiteConfig.from_mapping({key: "10"})
 
 
 def test_report_formats():
@@ -154,9 +226,11 @@ def test_law_residual_zero_time_is_exact():
 
 
 def test_law_residual_conjugate_pair():
+    # the composition law with every evolution by quadrature
     z = 0.5 * np.exp(1j * np.pi / 4)
-    res = semigroup_law_residual(z, np.conj(z), GAUSSIAN, SPACE, method=Method.QUADRATURE)
-    assert res < 1e-10
+    one_step = apply(z + np.conj(z), GAUSSIAN, method=Method.QUADRATURE)
+    two_step = apply(z, apply(np.conj(z), GAUSSIAN, method=Method.QUADRATURE), method=Method.QUADRATURE)
+    assert difference_norm(one_step, two_step, SPACE, 0.25) < 1e-10
 
 
 def test_continuity_scan_shrinks_along_each_ray():
