@@ -5,8 +5,7 @@ field is its spatial Laplacian.  Three layers of it are covered:
 
 * generator identities: ``dG(t)f/dt = Delta G(t)f = G(t) Delta f``, measured
   as residuals ``r1``/``r2``/``r3`` against a central time difference;
-* the mild-solution identity ``Delta ∫_0^t G(s)f ds = G(t)f - f`` (and its
-  eps-truncated variant ``Delta ∫_eps^t = G(t)f - G(eps)f``);
+* the mild-solution identity ``Delta ∫_0^t G(s)f ds = G(t)f - f``;
 * the classical pointwise equation ``du/dt = Delta u`` along a trajectory.
 
 All residual norms exclude a boundary margin so zero-fill and wrap artifacts
@@ -21,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel as _kernel
 from .grid_field import Field, interior_slices
-from .semigroup import apply, apply_dzeta, apply_many
+from .semigroup import _spectral_values, apply, apply_dzeta
 from .weights import SpaceSpec, difference_norm
 
 __all__ = [
@@ -66,10 +66,8 @@ def discrete_laplacian(f: Field, method=LaplacianMethod.SPECTRAL) -> Field:
             raise ValueError(f"central stencil needs N >= 3 points, got {g.N}")
         return Field(g, _stencil(f.values, g.n, 1.0 / (g.h * g.h)), meta={"laplacian": method.value})
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-    axes = tuple(range(g.n))
-    spect = _fft.fftn(f.values, axes=axes)
-    spect = spect * (-g.fourier_squared_norms)[..., np.newaxis]
-    return Field(g, _fft.ifftn(spect, axes=axes, overwrite_x=True), meta={"laplacian": method.value})
+    spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
+    return Field(g, _spectral_values(spectrum, -g.fourier_squared_norms), meta={"laplacian": method.value})
 
 
 def _window_laplacian(f: Field, inner) -> np.ndarray:
@@ -187,72 +185,68 @@ def difference_quotient_residual(
     return difference_norm(quotient, discrete_laplacian(f), s, margin)
 
 
-def _graded_nodes(t: float, eps: float, steps: int) -> np.ndarray:
-    """Trapezoid nodes on [eps, t]; geometrically graded toward 0 when eps=0.
+def _graded_nodes(t: float, steps: int) -> np.ndarray:
+    """Trapezoid nodes on [0, t], geometrically graded toward 0.
 
-    For eps = 0 the interval splits into dyadic panels
-    ``[t 2^{-j-1}, t 2^{-j}]`` each subdivided uniformly, plus one closing
-    panel ``[0, t 2^{-levels}]``; the integrand is continuous at 0 so the node
-    at 0 itself is usable (the evolution there is the identity).
+    The interval splits into dyadic panels ``[t 2^{-j-1}, t 2^{-j}]`` each
+    subdivided uniformly, plus one closing panel ``[0, t 2^{-levels}]``; the
+    integrand is continuous at 0 so the node at 0 itself is usable (the
+    evolution there is the identity).
     """
-    if eps > 0:
-        return np.linspace(eps, t, steps + 1)
     levels = max(1, int(round(math.log2(steps))))
     per_level = max(1, steps // levels)
     nodes = [np.array([0.0])]
     for j in range(levels, 0, -1):
         lo, hi = t * 2.0 ** -(j), t * 2.0 ** -(j - 1)
         nodes.append(np.linspace(lo, hi, per_level + 1)[(1 if j < levels else 0) :])
-    out = np.concatenate(nodes)
-    return out
+    return np.concatenate(nodes)
 
 
-def time_integral(f: Field, t: float, eps: float = 0.0, steps: int = 256) -> Field:
-    """Composite-trapezoid quadrature of ``s -> G(s)f`` over ``[eps, t]``.
+def _node_sum(weights: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
+    """``sum_i weights[i] * table[i] (x) ... (x) table[i]`` with ``n`` factors:
+    a weighted sum of per-axis outer products, contracted axis by axis."""
+    if n == 1:
+        return weights @ table
+    return np.stack([_node_sum(weights * column, table, n - 1) for column in table.T])
 
-    With ``eps = 0`` the nodes are geometrically refined toward 0 (ratio-2
-    panels), which keeps the trapezoid error controlled even when the
-    integrand is merely continuous at 0.  Node states are accumulated in a
-    fixed order, so results are deterministic.
+
+def time_integral(f: Field, t: float, steps: int = 256) -> Field:
+    """Composite-trapezoid quadrature of ``s -> G(s)f`` over ``[0, t]``.
+
+    The nodes are geometrically refined toward 0 (ratio-2 panels), which
+    keeps the trapezoid error controlled even when the integrand is merely
+    continuous at 0.  Every node is a real time, so on the spectral path, and
+    the propagator is linear: the weighted sum of the node states is one
+    inverse DFT of ``f``'s spectrum times the weighted sum of the node symbols
+    from :func:`kernel.kernel_fourier` (1 at the node 0, the identity).
     """
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
-    if not 0 <= eps < t:
-        raise ValueError(f"need 0 <= eps < t, got eps={eps}, t={t}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    nodes = _graded_nodes(t, eps, steps)
-    states = apply_many(nodes, f)
-    prev_vals = next(states).values
-    acc = np.zeros_like(f.values)
-    for prev_t, s_node, state in zip(nodes, nodes[1:], states):
-        acc = acc + 0.5 * (s_node - prev_t) * (state.values + prev_vals)
-        prev_vals = state.values
-    return Field(f.grid, acc, meta={"t": t, "eps": eps, "nodes": len(nodes)})
+    from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
+    nodes = _graded_nodes(t, steps)
+    weights = np.convolve(np.diff(nodes), [0.5, 0.5])  # the trapezoid weights
+    table = np.array([_kernel.kernel_fourier(s, f.grid.fourier_axis[:, np.newaxis]) for s in nodes])
+    spectrum = _fft.fftn(f.values, axes=tuple(range(f.grid.n)))
+    values = _spectral_values(spectrum, _node_sum(weights, table, f.grid.n))
+    return Field(f.grid, values, meta={"t": t, "nodes": len(nodes), "method": "spectral"})
 
 
 def mild_identity_residual(
     f: Field,
     t: float,
     steps: int = 256,
-    eps: float = 0.0,
     space: SpaceSpec | None = None,
     margin: float = DEFAULT_MARGIN,
 ) -> float:
-    """Residual of the mild-solution identity in the weighted norm.
-
-    For ``eps = 0`` this is
-    ``|| Delta ∫_0^t G(s)f ds - (G(t)f - f) ||`` over the interior window;
-    for ``eps > 0`` the right-hand side becomes ``G(t)f - G(eps)f``.  The
-    Laplacian is the spectral one.
+    """Residual ``|| Delta ∫_0^t G(s)f ds - (G(t)f - f) ||`` of the
+    mild-solution identity in the weighted norm over the interior window.
+    The Laplacian is the spectral one.
     """
-    s = _space(space)
-    integral = time_integral(f, t, eps=eps, steps=steps)
-    lhs = discrete_laplacian(integral)
-    upper = apply(t, f)
-    lower = f if eps == 0 else apply(eps, f)
-    rhs = upper.with_values(upper.values - lower.values)
-    return difference_norm(lhs, rhs, s, margin)
+    lhs = discrete_laplacian(time_integral(f, t, steps=steps))
+    rhs = f.with_values(apply(t, f).values - f.values)
+    return difference_norm(lhs, rhs, _space(space), margin)
 
 
 def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:

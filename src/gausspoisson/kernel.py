@@ -40,14 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComplexTime:
-    """A complex evolution time: zero (identity) or ``Re zeta > 0``."""
+    """A finite complex evolution time: zero (identity) or ``Re zeta > 0``."""
 
     value: complex
 
     def __post_init__(self):
         z = complex(self.value)
-        if z != 0 and not z.real > 0:
-            raise ValueError(f"complex time must satisfy Re zeta > 0 (or be 0), got {z}")
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or (z != 0 and not z.real > 0):
+            raise ValueError(f"complex time must be finite with Re zeta > 0 (or be 0), got {z}")
         object.__setattr__(self, "value", z)
 
     @property

@@ -124,6 +124,16 @@ def _flush_subnormals(values: np.ndarray) -> None:
     np.putmask(parts, (parts > -tiny) & (parts < tiny), 0.0)
 
 
+def _spectral_values(spectrum: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """The spectral propagator's last step: the inverse DFT over the grid axes
+    of ``spectrum * multiplier``, after :func:`_flush_subnormals` on it."""
+    from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
+    product = spectrum * multiplier[..., np.newaxis]
+    _flush_subnormals(product)
+    # the product is a temporary, so the inverse transform may overwrite it
+    return _fft.ifftn(product, axes=tuple(range(multiplier.ndim)), overwrite_x=True)
+
+
 def _tail_meta(z: complex, g: Grid) -> dict:
     alpha = default_sector_angle(z)
     bound = kernel_tail_bound(z, alpha, g.L, g.n)
@@ -157,7 +167,6 @@ def apply_many(times, f: Field, method=None):
     produced one at a time, so a caller holds only the states it keeps.
     """
     g = f.grid
-    axes = tuple(range(g.n))
     spectrum = None
     for zeta in times:
         ct = as_time(zeta)
@@ -172,16 +181,11 @@ def apply_many(times, f: Field, method=None):
         else:
             from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
             if spectrum is None:
-                spectrum = _fft.fftn(f.values, axes=axes)
+                spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
             # the symbol goes through kernel.kernel_fourier (module attribute,
             # not a local alias) so the spectral path provably follows it
             symbol = _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
-            multiplier = reduce(np.multiply.outer, (symbol,) * g.n)
-            product = spectrum * multiplier[..., np.newaxis]
-            _flush_subnormals(product)
-            # the product is a temporary, so the inverse transform may overwrite it
-            values = _fft.ifftn(product, axes=axes, overwrite_x=True)
-            del symbol, multiplier, product  # not held while the caller has the state
+            values = _spectral_values(spectrum, reduce(np.multiply.outer, (symbol,) * g.n))
         meta = _tail_meta(z, g)
         meta["method"] = m.value
         yield Field(g, values, meta=meta)

@@ -322,8 +322,8 @@ def _continuity_geometry(alpha: float, rays, radii) -> tuple:
     if not 0 < alpha < math.pi / 2:
         raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
     radii = tuple(float(r) for r in radii)
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     for ray in rays:

@@ -287,6 +287,14 @@ def test_mutation_sensitivity(monkeypatch):
         f"doubled-decay multiplier trips {len(failing)} checks "
         f"(need >= 2): {', '.join(failing[:4])}{'...' if len(failing) > 4 else ''}",
     )
+    # both mild rows trip too (that the Fourier-space time integral itself
+    # follows kernel.kernel_fourier is test_time_integral_follows_kernel_fourier)
+    mild = [name for name in failing if name.startswith("mild")]
+    _report(
+        "mutation sensitivity",
+        mild == ["mild[t=1;steps=256]", "mild-refinement[steps=256->512]"],
+        f"doubled-decay multiplier trips the mild rows {mild} (need both)",
+    )
 
     # a kernel formula that drops the power of its prefactor (4 pi zeta)^(-n/2)
     # must trip a quadrature check, since the propagator samples

@@ -103,7 +103,7 @@ def test_evolve_header_only_input_exits_two(tmp_path):
     assert main(["evolve", "--input", str(src), "--zeta", "0.1", "--out", str(tmp_path / "run")]) == 2
 
 
-def test_evolve_input_validation(tmp_path):
+def test_evolve_input_validation(tmp_path, capsys):
     out = str(tmp_path / "x")
     # no input source
     assert main(["evolve", "--zeta", "1", "--out", out]) == 2
@@ -119,6 +119,11 @@ def test_evolve_input_validation(tmp_path):
     assert main(["evolve", "--rule", "gaussian", "--zeta", "1 2", "--out", out]) == 2
     # negative time in a trajectory
     assert main(["evolve", "--rule", "gaussian", "--times", "-1,0", "--out", out]) == 2
+    # an infinite time is blamed as such, not as a non-finite field value
+    for flag, value in (("--zeta", "inf"), ("--times", "0,inf")):
+        capsys.readouterr()
+        assert main(["evolve", "--rule", "gaussian", flag, value, "--out", out]) == 2
+        assert "complex time must be finite" in capsys.readouterr().err
 
 
 def test_flag_overrides_config_value(tmp_path):
@@ -172,7 +177,7 @@ def test_verify_bad_config_exits_two(tmp_path):
     # before any check runs
     for bad in (
         "rays=1.3", "radii=0.25,0.5", "radii=", "margin=0.6", "grid.N=1", "grid.L=0", "grid.L=inf",
-        "seed=-1", "zetas=0,1", "tol.contour=nan", "tol.contour=-1",
+        "seed=-1", "zetas=0,1", "zetas=1,inf", "radii=inf,0.5", "tol.contour=nan", "tol.contour=-1",
     ):
         cfg.write_text(FAST + bad + "\n")
         out = tmp_path / "bad"

@@ -1,5 +1,7 @@
 """Kernel closed forms: mass, symbol, derivative, tail bounds, grid sizing."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -40,6 +42,16 @@ def test_complex_time_rejects_nonpositive_real_part():
         ComplexTime(1.0j)  # purely imaginary, Re = 0 but not zero
     with pytest.raises(ValueError):
         ComplexTime(complex("nan"))
+
+
+def test_complex_time_rejects_infinite_parts():
+    # an infinite time is no time: rejected where it is made, not later as a
+    # non-finite field value or a division by zero
+    for z in (math.inf, complex(1.0, math.inf), complex(1.0, -math.inf), complex(math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ComplexTime(z)
+        with pytest.raises(ValueError, match="finite"):
+            as_time(z)
 
 
 def test_in_sector_is_strict():

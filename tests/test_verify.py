@@ -77,6 +77,8 @@ def test_suite_config_validation():
         SuiteConfig(radii=(0.25, 0.5))
     with pytest.raises(ValueError, match="positive"):
         SuiteConfig(radii=())
+    with pytest.raises(ValueError, match="finite"):
+        SuiteConfig(radii=(math.inf, 0.5))
     with pytest.raises(ValueError, match="unknown field rule"):
         SuiteConfig(rule="no-such-rule")
     with pytest.raises(ValueError, match="unknown field rule"):
@@ -102,6 +104,8 @@ def test_suite_config_validation():
         SuiteConfig(seed=-1)
     with pytest.raises(ValueError, match="nonzero"):
         SuiteConfig(zetas=(0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        SuiteConfig(zetas=(1.0, math.inf))
     for bad in (math.nan, -1e-6):
         with pytest.raises(ValueError, match="non-negative"):
             SuiteConfig(tolerances={"contour": bad})
