@@ -164,25 +164,27 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int) -> float:
 def weighted_kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
     """Upper bound for the weighted tail ``∫_{|x|>R} (1+|x|)^k |chi| dx``.
 
-    Majorizes ``(1+rho)^k <= 2^k (1 + rho^k)``, so this is a valid but not
-    tight bound; for ``k = 0`` it falls back to the exact majorant integral.
+    The weighted integral of the sector majorant of :func:`kernel_tail_bound`.
+    Its radial moments ``∫_{|x|>R} |x|^j`` are upper incomplete gammas, so
+    for integer ``k`` the binomial expansion of ``(1+|x|)^k`` gives the
+    integral exactly; other ``k`` use ``(1+|x|)^k <= 2^k (1 + |x|^k)``.
     """
     if k < 0:
         raise ValueError(f"weight exponent must be >= 0, got {k}")
+    tail = kernel_tail_bound(zeta, alpha, R, n)
     if k == 0:
-        return kernel_tail_bound(zeta, alpha, R, n)
+        return tail
     from scipy.special import gammaincc
-    ct = as_time(zeta)
-    base = kernel_tail_bound(zeta, alpha, R, n)
-    a = math.cos(alpha) / (4.0 * ct.modulus)
-    moment = (
-        math.cos(alpha) ** (-n / 2.0)
-        * math.gamma((n + k) / 2.0)
-        / math.gamma(n / 2.0)
-        * a ** (-k / 2.0)
-        * float(gammaincc((n + k) / 2.0, a * R * R))
-    )
-    return 2.0**k * (base + moment)
+    a = math.cos(alpha) / (4.0 * as_time(zeta).modulus)
+
+    def moment(j):  # the majorant's tail integral of |x|^j
+        s = (n + j) / 2.0
+        ratio = math.gamma(s) / math.gamma(n / 2.0)
+        return math.cos(alpha) ** (-n / 2.0) * ratio * a ** (-j / 2.0) * float(gammaincc(s, a * R * R))
+
+    if float(k).is_integer():
+        return tail + sum(math.comb(int(k), j) * moment(j) for j in range(1, int(k) + 1))
+    return 2.0**k * (tail + moment(k))
 
 
 def sample_kernel(zeta, g: Grid) -> Field:

@@ -126,9 +126,18 @@ def _flush_subnormals(values: np.ndarray) -> None:
 
 def _spectral_values(spectrum: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     """The spectral propagator's last step: the inverse DFT over the grid axes
-    of ``spectrum * multiplier``, after :func:`_flush_subnormals` on it."""
+    of ``spectrum * multiplier``, after :func:`_flush_subnormals` on it.
+
+    ``multiplier`` is the caller's temporary: when it has the product's shape
+    and dtype (one component, a complex multiplier) the product is written
+    over it, the same ufunc on the same operands, so a state costs one
+    grid-sized array less.  That matters where threads evolve on large grids
+    at once, since each thread's allocator keeps its own peak.
+    """
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-    product = spectrum * multiplier[..., np.newaxis]
+    factor = multiplier[..., np.newaxis]
+    in_place = spectrum.shape[-1] == 1 and multiplier.dtype == spectrum.dtype
+    product = np.multiply(spectrum, factor, out=factor if in_place else None)
     _flush_subnormals(product)
     # the product is a temporary, so the inverse transform may overwrite it
     return _fft.ifftn(product, axes=tuple(range(multiplier.ndim)), overwrite_x=True)

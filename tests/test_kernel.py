@@ -242,6 +242,28 @@ def test_weighted_tail_bound_monotone_in_radius_and_exponent():
     assert all(a <= b for a, b in zip(bounds_k, bounds_k[1:]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 1.5])
+def test_weighted_tail_bound_against_mpmath(n, k):
+    # the weighted tail integral of the sector majorant, in 30 digits:
+    # |S^(n-1)| (4 pi r)^(-n/2) ∫_R^inf (1+rho)^k rho^(n-1) e^(-a rho^2) d rho;
+    # exact for integer k, above it for others
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for zeta, alpha, R in ((1.0, 0.1, 6.0), (np.exp(1j * np.pi / 4), 0.9, 12.0), (0.25, 0.3, 1.0)):
+        r = mpmath.mpf(abs(zeta))
+        a = mpmath.cos(alpha) / (4 * r)
+        sphere = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        density = lambda rho: (1 + rho) ** k * rho ** (n - 1) * mpmath.exp(-a * rho**2)
+        radial = mpmath.quad(density, [R, R + 10, mpmath.inf])
+        exact = float(sphere * (4 * mpmath.pi * r) ** (-mpmath.mpf(n) / 2) * radial)
+        bound = weighted_kernel_tail_bound(zeta, alpha, R, n, k)
+        if float(k).is_integer():
+            assert bound == pytest.approx(exact, rel=1e-12)
+        else:
+            assert bound >= exact
+
+
 def test_grid_for_time_controls_tail_and_resolution():
     for zeta in (0.25, 4.0, np.exp(1j * np.pi / 4), 0.5 * np.exp(1j * np.pi / 3)):
         g = grid_for_time(zeta, 1, tol=1e-10)
