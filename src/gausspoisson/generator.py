@@ -70,6 +70,21 @@ def discrete_laplacian(f: Field, method=LaplacianMethod.SPECTRAL) -> Field:
     return Field(g, _spectral_values(spectrum, -g.fourier_squared_norms), meta={"laplacian": method.value})
 
 
+def _window_laplacian(f: Field, inner) -> np.ndarray:
+    """``discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE).values[inner]``.
+
+    The stencil is formed only on the window plus a one-point halo, clipped at
+    the grid edge, where the zero-fill is the grid's own.  A grid too small
+    for the stencil goes to ``discrete_laplacian``, which rejects it.
+    """
+    g = f.grid
+    if g.N < 3:
+        return discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE).values[inner]
+    halo = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, g.N)) for s in inner)
+    lap = _stencil(f.values[halo], g.n, 1.0 / (g.h * g.h))
+    return lap[tuple(slice(s.start - h.start, s.stop - h.start) for s, h in zip(inner, halo))]
+
+
 def _stencil(values: np.ndarray, n: int, inv_h2: float) -> np.ndarray:
     """The central-difference Laplacian of a plain array over its first ``n``
     axes, zero-filled beyond its edges.
@@ -239,19 +254,13 @@ def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:
 
     ``states`` holds the field at each of ``times``: any iterable, such as
     ``apply_many(times, f)`` or a trajectory's states.  It is read once, in
-    order, and of each state only a copy of the interior window plus a
-    one-point halo is kept, three at a time, so a streamed evolution is
-    never held whole.  States at non-positive times are skipped.
+    order, through a window of three consecutive states, so a streamed
+    evolution is never held whole.  States at non-positive times are skipped.
 
     Returns the max over interior times and interior grid points of the
     Euclidean component norm of ``central time difference - Delta u``, with
-    the finite-difference Laplacian, formed on the interior window only: the
-    stencil runs on the window plus its halo, clipped at the grid edge,
-    where the zero-fill is the grid's own, and equals
-    ``discrete_laplacian(u, LaplacianMethod.FINITE_DIFFERENCE)`` there.
-    Needs at least 3 positive, uniformly spaced times.  Each central
-    difference divides by the span of its own two times, so every window
-    gives the same float in any run of consecutive times that holds it.
+    the finite-difference Laplacian, formed on the interior window only.
+    Needs at least 3 positive, uniformly spaced times.
     """
     times = np.asarray(times, dtype=float)
     positive = times[times > 0]
@@ -260,23 +269,20 @@ def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:
     dts = np.diff(positive)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ValueError("positive times must be uniformly spaced")
+    dt = float(dts[0])
     window = []
     worst = 0.0
     for t, state in zip(times, states, strict=True):
         if not t > 0:
             continue
-        g = state.grid
-        if g.N < 3:
-            raise ValueError(f"central stencil needs N >= 3 points, got {g.N}")
-        inner = interior_slices(g, margin)
-        halo = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, g.N)) for s in inner)
-        window.append((t, state.values[halo].copy()))  # a copy: the state itself may go
+        window.append(state)
         if len(window) == 3:
-            (ta, a), (_, b), (tc, c) = window
-            rel = tuple(slice(s.start - h.start, s.stop - h.start) for s, h in zip(inner, halo))
-            dudt = (c[rel] - a[rel]) / (tc - ta)
-            lap = _stencil(b, g.n, 1.0 / (g.h * g.h))[rel]
+            a, b, c = window
+            inner = interior_slices(b.grid, margin)
+            dudt = (c.values[inner] - a.values[inner]) / (2.0 * dt)
+            lap = _window_laplacian(b, inner)
             pointwise = np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1))
             worst = max(worst, float(pointwise.max()))
+            # release the oldest state before the next one is computed
             del window[0], a, dudt, lap, pointwise
     return worst

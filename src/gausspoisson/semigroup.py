@@ -126,18 +126,9 @@ def _flush_subnormals(values: np.ndarray) -> None:
 
 def _spectral_values(spectrum: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     """The spectral propagator's last step: the inverse DFT over the grid axes
-    of ``spectrum * multiplier``, after :func:`_flush_subnormals` on it.
-
-    ``multiplier`` is the caller's temporary: when it has the product's shape
-    and dtype (one component, a complex multiplier) the product is written
-    over it, the same ufunc on the same operands, so a state costs one
-    grid-sized array less.  That matters where threads evolve on large grids
-    at once, since each thread's allocator keeps its own peak.
-    """
+    of ``spectrum * multiplier``, after :func:`_flush_subnormals` on it."""
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-    factor = multiplier[..., np.newaxis]
-    in_place = spectrum.shape[-1] == 1 and multiplier.dtype == spectrum.dtype
-    product = np.multiply(spectrum, factor, out=factor if in_place else None)
+    product = spectrum * multiplier[..., np.newaxis]
     _flush_subnormals(product)
     # the product is a temporary, so the inverse transform may overwrite it
     return _fft.ifftn(product, axes=tuple(range(multiplier.ndim)), overwrite_x=True)
@@ -246,6 +237,33 @@ def operator_bound(zeta, k: float, g: Grid) -> float:
     absker = reduce(np.multiply.outer, (np.abs(_kernel.kernel_eval(ct.value, d, 1)),) * g.n)
     w = (1.0 + np.sqrt(reduce(np.add.outer, (d[:, 0] ** 2,) * g.n))) ** k
     return float(np.sum(w * absker) * g.cell_volume)
+
+
+def _operator_norms(zeta, k: float, g: Grid):
+    """The exact weighted norms of the quadrature path as an operator.
+
+    Returns ``(T, extremal, C)``.  ``T = max_x sum_y |chi(x-y)| w(y)/w(x) h^n``
+    with ``w = (1+|x|)^k`` is its norm on the weighted sup space: the largest
+    weighted row sum, one separable convolution of ``|chi|`` with ``w``.
+    ``extremal`` is the field ``w(y) conj(chi(x*-y)) / |chi(x*-y)|`` at the
+    maximiser ``x*`` (phase 1 where a factor is 0), whose image under the
+    path has weighted sup norm ``T`` times its own.  ``C``, the largest
+    weighted column sum, is its norm on the weighted L1 space.  Both are at
+    most :func:`operator_bound`, which sums ``w |chi|`` over the whole
+    difference lattice.
+    """
+    factor = _kernel.kernel_eval(as_time(zeta).value, _difference_axis(g), 1)
+    w = (1.0 + np.sqrt(g.squared_norms)) ** k
+
+    def modulus_sums(v):  # sum_y |chi(x-y)| v(y) h^n at every grid point x
+        return _riemann_sum([np.abs(factor)] * g.n, Field(g, v)).real[..., 0]
+
+    rows = modulus_sums(w) / w
+    peak = np.unravel_index(np.argmax(rows), rows.shape)
+    lags = [factor[i : i + g.N][::-1] for i in peak]  # chi(x*_j - y_j) over y_j
+    phases = [np.divide(np.conj(c), np.abs(c), out=np.ones_like(c), where=c != 0) for c in lags]
+    extremal = Field(g, w * reduce(np.multiply.outer, phases))
+    return float(rows[peak]), extremal, float(np.max(w * modulus_sums(1.0 / w)))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial, reduce
-from operator import attrgetter, itemgetter
+from functools import cached_property, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .generator import (
 )
 from .grid_field import Field, Grid, interior_slices, make_grid, sample
 from .kernel import as_time
-from .semigroup import Method, _difference_axis, _riemann_sum, apply, apply_dzeta, apply_many, operator_bound
+from .semigroup import Method, _operator_norms, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceKind, SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
 
 __all__ = [
@@ -417,17 +417,7 @@ def contour_residual(f: Field, center, radius: float, m: int, s: SpaceSpec, marg
 # rows function yields units ``(compute, (name, tol_key), ...)``: the names
 # and tolerance keys of a unit's rows are known before anything runs, and
 # ``compute()`` does the unit's shared work once and returns one
-# ``(residual, meta)`` per row, in row order.  A unit whose work splits into
-# independent parts gives a ``_Parts`` as its ``compute``.
-
-
-@dataclass(frozen=True)
-class _Parts:
-    """A unit's work as independent callables, one queue item each;
-    ``combine`` takes their results, in order, to the unit's rows."""
-
-    parts: tuple
-    combine: object
+# ``(residual, meta)`` per row, in row order.
 
 
 def _relative(residual: float, scale: float) -> float:
@@ -630,21 +620,7 @@ def _operator_bound(inp: _Inputs):
     def norm_check(k, z):
         g = inp.grid
         bound = operator_bound(z, k, g)
-        factor = kernelmod.kernel_eval(z, _difference_axis(g), 1)
-        w = (1.0 + np.sqrt(g.squared_norms)) ** k
-
-        def modulus_sums(v):  # sum_y |chi(x-y)| v(y) h^n at every grid point x
-            return _riemann_sum([np.abs(factor)] * g.n, Field(g, v)).real[..., 0]
-
-        # the sup-norm operator norm T: the largest weighted row sum, at x*
-        rows = modulus_sums(w) / w
-        peak = np.unravel_index(np.argmax(rows), rows.shape)
-        norm = float(rows[peak])
-        # T is attained at x* by f*(y) = w(y) conj(chi(x*-y)) / |chi(x*-y)|,
-        # its phase the product of per-axis phases (1 where a factor is 0)
-        lags = [factor[i : i + g.N][::-1] for i in peak]  # chi(x*_j - y_j) over y_j
-        phases = [np.divide(np.conj(c), np.abs(c), out=np.ones_like(c), where=c != 0) for c in lags]
-        extremal = Field(g, w * reduce(np.multiply.outer, phases))
+        norm, extremal, column = _operator_norms(z, k, g)
         sup = SpaceSpec.make(k)
         evolved = apply(z, extremal, method=Method.QUADRATURE)
         attained = weighted_norm(evolved, sup) / weighted_norm(extremal, sup)
@@ -658,9 +634,7 @@ def _operator_bound(inp: _Inputs):
             terms.append(1.0 - norm / bound - tail / bound)
         meta = {"bound": bound, "norm": norm, "attained": attained, "tail_estimate": tail, "sharp": sharp}
         if inp.s.kind is SpaceKind.LP:
-            # the largest weighted column sum is the L1 norm; Riesz-Thorin
-            # bounds the Lp norm by T^(1-1/p) C^(1/p)
-            column = float(np.max(w * modulus_sums(1.0 / w)))
+            # Riesz-Thorin bounds the Lp norm by T^(1-1/p) C^(1/p)
             terms.append(norm ** (1.0 - 1.0 / inp.s.p) * column ** (1.0 / inp.s.p) / bound - 1.0)
             meta["column_norm"] = column
         return [(max(0.0, *terms), meta)]
@@ -671,40 +645,25 @@ def _operator_bound(inp: _Inputs):
             yield partial(norm_check, k, z), (name, "operator_bound")
 
 
-def _time_chunks(times, chunks: int) -> list:
-    """``times`` cut into ``chunks`` runs of consecutive entries, each two
-    entries into the next, so that every three consecutive times lie
-    together in one run."""
-    cuts = np.linspace(0, len(times) - 2, chunks + 1).round().astype(int)
-    return [times[lo : hi + 2] for lo, hi in zip(cuts, cuts[1:])]
-
-
 def _classical(inp: _Inputs):
     # pointwise heat equation along streamed trajectories, refinement gain.
-    # The fine grid about halves h on a fast FFT length (the grids need not nest:
-    # each residual is a max over its own grid's points).  Each trajectory
-    # runs in time chunks, one queue item each; the max of the chunk maxima
-    # is the residual of the whole trajectory, bit for bit.
-    from scipy.fft import next_fast_len  # imported on use: it loads scipy.special (slow to import)
+    # The fine grid about halves h on a fast FFT length; the grids need not
+    # nest, since each residual is a max over its own grid's points.
+    def refinement():
+        from scipy.fft import next_fast_len  # imported on use: it loads scipy.special (slow to import)
 
-    N, fine_N = inp.cfg.N, next_fast_len(2 * inp.cfg.N - 2)
-    coarse_chunks, fine_chunks = _CLASSICAL_CHUNKS
+        def residual(n_points, dt):
+            f = inp.unit_gaussian.sampled(make_grid(inp.cfg.n, inp.cfg.L, n_points))
+            times = np.arange(0.5, 1.5 + dt / 2, dt)
+            return classical_residual(times, apply_many(times, f), margin=inp.margin)
 
-    def chunk_residual(f, times):
-        return classical_residual(times, apply_many(times, f), margin=inp.margin)
-
-    parts = []
-    for n_points, dt, chunks in ((N, 1e-2, coarse_chunks), (fine_N, 5e-3, fine_chunks)):
-        f = inp.unit_gaussian.sampled(make_grid(inp.cfg.n, inp.cfg.L, n_points))  # shared by the chunks
-        times = np.arange(0.5, 1.5 + dt / 2, dt)
-        parts += [partial(chunk_residual, f, run) for run in _time_chunks(times, chunks)]
-
-    def refinement(residuals):
-        coarse, fine = max(residuals[:coarse_chunks]), max(residuals[coarse_chunks:])
+        N, fine_N = inp.cfg.N, next_fast_len(2 * inp.cfg.N - 2)
+        coarse = residual(N, 1e-2)
+        fine = residual(fine_N, 5e-3)
         meta = {"coarse": coarse, "fine": fine, "N": N, "fine_N": fine_N, "dt": 1e-2, "fine_dt": 5e-3}
         return [(max(0.0, 3.0 - _ratio(coarse, fine, 3.0)), meta)]
 
-    yield _Parts(tuple(parts), refinement), ("classical[gaussian;dt=1e-2]", "classical_refinement")
+    yield refinement, ("classical[gaussian;dt=1e-2]", "classical_refinement")
 
 
 # (group, anchor, rows) in report order
@@ -732,20 +691,10 @@ CHECK_GROUPS = tuple(group for group, _, _ in _GROUPS)
 # Helper threads start only on grids with at least this many points: below,
 # Python-level work dominates and threads contend for the interpreter lock.
 # Threaded/serial suite time on a 2-vCPU VM (1 BLAS thread, medians of 7,
-# classical in time chunks): 1.29-1.34 at n=2, N=33 and 45; 0.83-1.07 from
-# 1025 to 3969 points, where 1-D N=2049 read 1.05 in one sweep and 0.84 in
-# the next; 0.96-0.98 at n=2, N=64 and 65, and 0.57 at n=2, N=129.
+# two sweeps): 0.73-1.12 from 1025 to 3969 points, where no grid gained in
+# both sweeps (1-D N=2049 0.73 then 1.04, 2-D N=63 1.12 then 0.82); 0.83 and
+# 0.88 at n=2, N=64, 0.99-1.01 at N=65, and 0.66 at n=2, N=129.
 _THREADED_MIN_POINTS = 4096
-
-# Time chunks of the classical check's coarse and fine trajectory.  The fine
-# one is most of the group (serial at n=2, N=129 on a 2-vCPU VM: 0.57 s of a
-# 1.0 s suite, coarse 0.12 s).  Cut in three, its chunks go to whichever
-# thread is free, so the two ends of the queue meet within a third of it;
-# each cut costs one more forward transform and two more states (0.013 s
-# there).  The classical group alone on 2 CPUs took 2.05 -> 1.68 s at n=3,
-# N=33 and 7.6 -> 5.4 s at N=49; at n=2, N=129 one to four fine chunks
-# were within the run-to-run noise of the whole suite.
-_CLASSICAL_CHUNKS = (1, 3)
 
 
 def _cpu_count() -> int:
@@ -758,26 +707,24 @@ def _cpu_count() -> int:
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the configured check groups and assemble the deterministic report.
 
-    Units, and the parts of a unit that splits, share no mutable state, so
-    on a large enough grid with more than one CPU they run concurrently: the
-    calling thread takes queue items from the front of the table, helper
-    threads from the back, where the costliest groups sit.  Rows are always
-    reported in table order and randomness is seeded, so two runs from
-    identical configurations produce byte-identical reports whatever the
-    thread count.  A crashing unit or part is recorded as failed (every row
-    of the unit gets residual ``inf`` and the error message of its first
-    failed part in its metadata) and the suite continues.
+    Units share no mutable state, so on a large enough grid with more than
+    one CPU they run concurrently: the calling thread takes units from the
+    front of the table, helper threads from the back, where the costliest
+    groups sit.  Rows are always reported in table order and randomness is
+    seeded, so two runs from identical configurations produce byte-identical
+    reports whatever the thread count.  A crashing unit is recorded as failed
+    (every row it computes gets residual ``inf`` and the error message in its
+    metadata) and the suite continues.
     """
     inputs = _Inputs(cfg)
     units = [
-        (anchor, compute if isinstance(compute, _Parts) else _Parts((compute,), itemgetter(0)), specs)
+        (anchor, compute, specs)
         for group, anchor, rows in _GROUPS
         if cfg.checks is None or group in cfg.checks
         for compute, *specs in rows(inputs)
     ]
-    items = [(u, part) for u, (_, compute, _) in enumerate(units) for part in compute.parts]
-    pending = deque(range(len(items)))
-    outcomes = [None] * len(items)  # (result, None) or (None, exception) per item
+    pending = deque(range(len(units)))
+    outcomes = [None] * len(units)
 
     def work(take):
         while True:
@@ -785,38 +732,28 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
                 i = take()
             except IndexError:  # the queue is empty
                 return
+            _, compute, specs = units[i]
             try:
-                outcomes[i] = (items[i][1](), None)
-            except Exception as exc:  # a crashing part fails its unit's rows, not the suite
-                outcomes[i] = (None, exc)
+                outcomes[i] = [(float(residual), meta) for residual, meta in compute()]
+            except Exception as exc:  # a crashing unit fails its rows, not the suite
+                outcomes[i] = [(math.inf, {"error": repr(exc)}) for _ in specs]
 
-    helpers = min(_cpu_count(), len(items)) - 1 if cfg.grid.size >= _THREADED_MIN_POINTS else 0
+    helpers = min(_cpu_count(), len(units)) - 1 if cfg.grid.size >= _THREADED_MIN_POINTS else 0
     threads = [threading.Thread(target=work, args=(pending.pop,), daemon=True) for _ in range(helpers)]
     for thread in threads:
         thread.start()
     try:
         work(pending.popleft)
-    finally:  # on an interrupt, let the helpers finish their current item
+    finally:  # on an interrupt, let the helpers finish their current unit
         pending.clear()
         for thread in threads:
             thread.join()
-    missing = dict.fromkeys(units[u][2][0][0] for (u, _), outcome in zip(items, outcomes) if outcome is None)
+    missing = [specs[0][0] for (_, _, specs), unit in zip(units, outcomes) if unit is None]
     if missing:
-        raise RuntimeError(f"a suite thread died without computing the units of rows {list(missing)}")
+        raise RuntimeError(f"a suite thread died without computing the units of rows {missing}")
     results = []
-    first = 0
-    for anchor, compute, specs in units:
-        done = outcomes[first : first + len(compute.parts)]
-        first += len(compute.parts)
-        error = next((exc for _, exc in done if exc is not None), None)
-        if error is None:
-            try:
-                rows = [(float(residual), meta) for residual, meta in compute.combine([r for r, _ in done])]
-            except Exception as exc:
-                error = exc
-        if error is not None:
-            rows = [(math.inf, {"error": repr(error)}) for _ in specs]
-        for (name, tol_key), (residual, meta) in zip(specs, rows, strict=True):
+    for (anchor, _, specs), unit in zip(units, outcomes):
+        for (name, tol_key), (residual, meta) in zip(specs, unit, strict=True):
             tol = cfg.tol(tol_key)
             passed = math.isfinite(residual) and residual <= tol
             results.append(CheckResult(name, anchor, residual, tol, passed, meta))

@@ -25,6 +25,7 @@ from gausspoisson import (
     weighted_norm,
     write_trajectory,
 )
+from gausspoisson import semigroup
 from gausspoisson.fields import random_gaussian_mixture
 
 GRID = make_grid(1, 12.0, 1025)
@@ -149,6 +150,25 @@ def test_operator_bound_near_one_for_unweighted_real_time():
     assert operator_bound(1.0, 0.0, GRID) == pytest.approx(1.0, abs=1e-10)
     # complex time: modulus mass exceeds 1 by the sector factor
     assert operator_bound(np.exp(1j * np.pi / 4), 0.0, GRID) > 1.0
+
+
+@pytest.mark.parametrize("n, N", [(1, 9), (1, 8), (2, 7), (2, 6)])
+def test_operator_norms_match_the_dense_matrix(n, N):
+    # the quadrature path as a dense matrix K[x, y] = chi(x-y) h^n, weighted:
+    # T is its largest weighted row sum, C its largest weighted column sum
+    g = make_grid(n, 3.0, N)
+    points = g.points.reshape(-1, n)
+    w = (1.0 + np.sqrt(np.sum(points**2, axis=-1))) ** 2.0
+    for zeta in (1.0, np.exp(1j * np.pi / 4)):
+        chi = kernel_eval(zeta, points[:, None, :] - points[None, :, :], n)
+        dense = np.abs(chi) * g.cell_volume * w[None, :] / w[:, None]
+        T, extremal, C = semigroup._operator_norms(zeta, 2.0, g)
+        assert T == pytest.approx(dense.sum(axis=1).max(), rel=1e-13)
+        assert C == pytest.approx(dense.sum(axis=0).max(), rel=1e-13)
+        assert max(T, C) <= operator_bound(zeta, 2.0, g) * (1 + 1e-14)
+        s = SpaceSpec.make(2.0)
+        attained = weighted_norm(apply(zeta, extremal, method=Method.QUADRATURE), s)
+        assert attained == pytest.approx(T * weighted_norm(extremal, s), rel=1e-13)
 
 
 def test_trajectory_states_match_apply():

@@ -342,16 +342,8 @@ def test_crashing_unit_fails_all_its_rows(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("holomorphy broke")
 
-    original = verify.classical_residual
-
-    def breaks_late(times, states, margin):  # only the last fine time chunk
-        if times[0] > 1.0:
-            raise RuntimeError(f"chunk from t={times[0]:.3f} broke")
-        return original(times, states, margin)
-
     monkeypatch.setattr(verify, "holomorphy_residuals", broken)
-    monkeypatch.setattr(verify, "classical_residual", breaks_late)
-    report = run_suite(SuiteConfig(checks=("holomorphy", "contour", "classical")))
+    report = run_suite(SuiteConfig(checks=("holomorphy", "contour")))
     holomorphy = [r for r in report.results if r.name.startswith("holomorphy")]
     assert len(holomorphy) == 2
     for r in holomorphy:
@@ -359,10 +351,6 @@ def test_crashing_unit_fails_all_its_rows(monkeypatch):
         assert "holomorphy broke" in r.meta["error"]
     (contour,) = [r for r in report.results if r.name.startswith("contour")]
     assert contour.passed
-    # a unit in time chunks fails when one chunk raises, with that chunk's error
-    (classical,) = [r for r in report.results if r.name.startswith("classical")]
-    assert classical.residual == math.inf and not classical.passed
-    assert re.fullmatch(r"RuntimeError\('chunk from t=1\.\d+ broke'\)", classical.meta["error"])
     # the text report says why a row crashed; the CSV keeps its documented columns
     lines = report.to_text().splitlines()
     assert [line for line in lines if "holomorphy broke" in line] == [
@@ -510,18 +498,6 @@ def test_a_helper_that_dies_leaves_no_silent_gap(monkeypatch):
     with pytest.raises(RuntimeError, match=r"fourier-symbol\[zeta=1\+1i\]"):
         run_suite(cfg)
 
-    # the same for one time chunk of a unit: the helper takes the last one
-    helper_took_its_unit.clear()
-    original = verify.classical_residual
-
-    def chunk_dies_off_the_main_thread(times, states, margin):
-        dies_off_the_main_thread(None, None)
-        return original(times, states, margin)
-
-    monkeypatch.setattr(verify, "classical_residual", chunk_dies_off_the_main_thread)
-    with pytest.raises(RuntimeError, match=r"classical\[gaussian;dt=1e-2\]"):
-        run_suite(SuiteConfig(n=2, N=65, checks=("classical",)))
-
 
 def _operator_rows(cfg):
     return run_suite(dataclasses.replace(cfg, checks=("operator-bound",))).results
@@ -559,35 +535,6 @@ def test_operator_bound_rows_state_the_norm_they_check(cfg, sharp):
         if sharp:
             assert meta["bound"] - meta["norm"] <= meta["tail_estimate"] + 1e-15 * meta["bound"]
         assert ("column_norm" in meta) is (cfg.space.kind.value == "Lp")
-
-
-@pytest.mark.parametrize("n, N", [(1, 65), (2, 17), (3, 9)])
-def test_time_chunks_reduce_to_the_whole_trajectory(n, N):
-    # every state of a chunk is the whole trajectory's state at that time, bit
-    # for bit, and the max of the chunk residuals is the whole residual
-    f = sample(make_grid(n, 4.0, N), field_rule("gaussian"))
-    times = np.arange(0.5, 1.5 + 5e-3 / 2, 5e-3)  # diffs differ by an ulp across t=1
-    states = list(verify.apply_many(times, f))
-    whole = verify.classical_residual(times, states)
-    for chunks in (1, 2, 3, 4, 7):
-        runs = verify._time_chunks(times, chunks)
-        assert len(runs) == chunks and all(len(t) >= 3 for t in runs)
-        assert [t[0] for t in runs[1:]] == [t[-2] for t in runs[:-1]]  # two shared times
-        chunked = max(verify.classical_residual(t, verify.apply_many(t, f)) for t in runs)
-        assert chunked == whole
-    lo = int(np.searchsorted(times, runs[-1][0]))
-    for i, state in enumerate(verify.apply_many(runs[-1], f)):
-        assert np.array_equal(state.values, states[lo + i].values)
-    # what makes it exact: a window's residual does not depend on the run
-    # around it, also where the time step differs in its last bit (random
-    # states, so that a run's largest window is not always its first)
-    rng = np.random.default_rng(n)
-    noise = [f.with_values(rng.standard_normal(f.values.shape)) for _ in times]
-    windows = [verify.classical_residual(times[i : i + 3], noise[i : i + 3]) for i in range(len(times) - 2)]
-    for run in verify._time_chunks(times, 3):
-        lo = int(np.searchsorted(times, run[0]))
-        residual = verify.classical_residual(run, noise[lo : lo + len(run)])
-        assert residual == max(windows[lo : lo + len(run) - 2])
 
 
 def test_classical_row_meta_names_both_runs():
