@@ -14,7 +14,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 import numpy as np
 
@@ -178,6 +179,8 @@ class SuiteConfig:
         field_rule(self.continuity_rule)
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not self.zetas:
+            raise ValueError("need at least one zeta sample")
         for z in self.zetas:
             ct = as_time(z)
             if ct.is_zero:
@@ -321,6 +324,8 @@ def _continuity_geometry(alpha: float, rays, radii) -> tuple:
     radii as floats."""
     if not 0 < alpha < math.pi / 2:
         raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
+    if not rays:
+        raise ValueError("need at least one ray")
     radii = tuple(float(r) for r in radii)
     if not radii or not all(0 < r < math.inf for r in radii):
         raise ValueError("radii must be positive and finite")
@@ -417,7 +422,17 @@ def contour_residual(f: Field, center, radius: float, m: int, s: SpaceSpec, marg
 # rows function yields units ``(compute, (name, tol_key), ...)``: the names
 # and tolerance keys of a unit's rows are known before anything runs, and
 # ``compute()`` does the unit's shared work once and returns one
-# ``(residual, meta)`` per row, in row order.
+# ``(residual, meta)`` per row, in row order.  A unit whose work splits into
+# independent parts gives a ``_Split`` as its ``compute``.
+
+
+@dataclass(frozen=True)
+class _Split:
+    """A unit's work as independent parts, one queue item each; ``combine``
+    takes their results, in part order, to the unit's rows."""
+
+    parts: tuple
+    combine: Callable
 
 
 def _relative(residual: float, scale: float) -> float:
@@ -648,22 +663,26 @@ def _operator_bound(inp: _Inputs):
 def _classical(inp: _Inputs):
     # pointwise heat equation along streamed trajectories, refinement gain.
     # The fine grid about halves h on a fast FFT length; the grids need not
-    # nest, since each residual is a max over its own grid's points.
-    def refinement():
+    # nest, since each residual is a max over its own grid's points.  The two
+    # trajectories share nothing, so each is a part of its own.
+    def residual(n_points, dt):
+        f = inp.unit_gaussian.sampled(make_grid(inp.cfg.n, inp.cfg.L, n_points))
+        times = np.arange(0.5, 1.5 + dt / 2, dt)
+        return classical_residual(times, apply_many(times, f), margin=inp.margin)
+
+    def fine_run():
         from scipy.fft import next_fast_len  # imported on use: it loads scipy.special (slow to import)
 
-        def residual(n_points, dt):
-            f = inp.unit_gaussian.sampled(make_grid(inp.cfg.n, inp.cfg.L, n_points))
-            times = np.arange(0.5, 1.5 + dt / 2, dt)
-            return classical_residual(times, apply_many(times, f), margin=inp.margin)
+        fine_N = next_fast_len(2 * inp.cfg.N - 2)
+        return residual(fine_N, 5e-3), fine_N
 
-        N, fine_N = inp.cfg.N, next_fast_len(2 * inp.cfg.N - 2)
-        coarse = residual(N, 1e-2)
-        fine = residual(fine_N, 5e-3)
-        meta = {"coarse": coarse, "fine": fine, "N": N, "fine_N": fine_N, "dt": 1e-2, "fine_dt": 5e-3}
+    def refinement(results):
+        coarse, (fine, fine_N) = results
+        meta = {"coarse": coarse, "fine": fine, "N": inp.cfg.N, "fine_N": fine_N, "dt": 1e-2, "fine_dt": 5e-3}
         return [(max(0.0, 3.0 - _ratio(coarse, fine, 3.0)), meta)]
 
-    yield refinement, ("classical[gaussian;dt=1e-2]", "classical_refinement")
+    parts = (partial(residual, inp.cfg.N, 1e-2), fine_run)  # the fine run last: a helper takes it first
+    yield _Split(parts, refinement), ("classical[gaussian;dt=1e-2]", "classical_refinement")
 
 
 # (group, anchor, rows) in report order
@@ -691,9 +710,10 @@ CHECK_GROUPS = tuple(group for group, _, _ in _GROUPS)
 # Helper threads start only on grids with at least this many points: below,
 # Python-level work dominates and threads contend for the interpreter lock.
 # Threaded/serial suite time on a 2-vCPU VM (1 BLAS thread, medians of 7,
-# two sweeps): 0.73-1.12 from 1025 to 3969 points, where no grid gained in
-# both sweeps (1-D N=2049 0.73 then 1.04, 2-D N=63 1.12 then 0.82); 0.83 and
-# 0.88 at n=2, N=64, 0.99-1.01 at N=65, and 0.66 at n=2, N=129.
+# two sweeps, classical in two parts): 1.06-1.56 on 2-D grids of 1089 to
+# 3969 points and at 1-D N=1025; 1-D N=2049 1.09 then 0.88, N=3073 0.86 then
+# 0.79 (the crossover depends on FFT lengths too); 0.99 and 1.23 at n=2,
+# N=64, 0.99-1.00 at N=65, and 0.69-0.71 at n=2, N=129.
 _THREADED_MIN_POINTS = 4096
 
 
@@ -707,24 +727,26 @@ def _cpu_count() -> int:
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the configured check groups and assemble the deterministic report.
 
-    Units share no mutable state, so on a large enough grid with more than
-    one CPU they run concurrently: the calling thread takes units from the
-    front of the table, helper threads from the back, where the costliest
-    groups sit.  Rows are always reported in table order and randomness is
-    seeded, so two runs from identical configurations produce byte-identical
-    reports whatever the thread count.  A crashing unit is recorded as failed
-    (every row it computes gets residual ``inf`` and the error message in its
-    metadata) and the suite continues.
+    Units, and the parts of a unit that splits, share no mutable state, so
+    on a large enough grid with more than one CPU they run concurrently: the
+    calling thread takes queue items from the front of the table, helper
+    threads from the back, where the costliest groups sit.  Rows are always
+    reported in table order and randomness is seeded, so two runs from
+    identical configurations produce byte-identical reports whatever the
+    thread count.  A crashing unit or part is recorded as failed (every row
+    of the unit gets residual ``inf`` and the error message of its first
+    failed part in its metadata) and the suite continues.
     """
     inputs = _Inputs(cfg)
     units = [
-        (anchor, compute, specs)
+        (anchor, compute if isinstance(compute, _Split) else _Split((compute,), itemgetter(0)), specs)
         for group, anchor, rows in _GROUPS
         if cfg.checks is None or group in cfg.checks
         for compute, *specs in rows(inputs)
     ]
-    pending = deque(range(len(units)))
-    outcomes = [None] * len(units)
+    items = [(specs[0][0], part) for _, split, specs in units for part in split.parts]
+    pending = deque(range(len(items)))
+    outcomes = [None] * len(items)  # (result, None) or (None, exception) per item
 
     def work(take):
         while True:
@@ -732,28 +754,37 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
                 i = take()
             except IndexError:  # the queue is empty
                 return
-            _, compute, specs = units[i]
             try:
-                outcomes[i] = [(float(residual), meta) for residual, meta in compute()]
-            except Exception as exc:  # a crashing unit fails its rows, not the suite
-                outcomes[i] = [(math.inf, {"error": repr(exc)}) for _ in specs]
+                outcomes[i] = (items[i][1](), None)
+            except Exception as exc:  # a crashing part fails its unit's rows, not the suite
+                outcomes[i] = (None, exc)
 
-    helpers = min(_cpu_count(), len(units)) - 1 if cfg.grid.size >= _THREADED_MIN_POINTS else 0
+    helpers = min(_cpu_count(), len(items)) - 1 if cfg.grid.size >= _THREADED_MIN_POINTS else 0
     threads = [threading.Thread(target=work, args=(pending.pop,), daemon=True) for _ in range(helpers)]
     for thread in threads:
         thread.start()
     try:
         work(pending.popleft)
-    finally:  # on an interrupt, let the helpers finish their current unit
+    finally:  # on an interrupt, let the helpers finish their current item
         pending.clear()
         for thread in threads:
             thread.join()
-    missing = [specs[0][0] for (_, _, specs), unit in zip(units, outcomes) if unit is None]
+    missing = list(dict.fromkeys(name for (name, _), outcome in zip(items, outcomes) if outcome is None))
     if missing:
         raise RuntimeError(f"a suite thread died without computing the units of rows {missing}")
     results = []
-    for (anchor, _, specs), unit in zip(units, outcomes):
-        for (name, tol_key), (residual, meta) in zip(specs, unit, strict=True):
+    done = iter(outcomes)
+    for anchor, split, specs in units:
+        parts = [next(done) for _ in split.parts]
+        error = next((exc for _, exc in parts if exc is not None), None)
+        if error is None:
+            try:
+                rows = [(float(residual), meta) for residual, meta in split.combine([r for r, _ in parts])]
+            except Exception as exc:
+                error = exc
+        if error is not None:
+            rows = [(math.inf, {"error": repr(error)}) for _ in specs]
+        for (name, tol_key), (residual, meta) in zip(specs, rows, strict=True):
             tol = cfg.tol(tol_key)
             passed = math.isfinite(residual) and residual <= tol
             results.append(CheckResult(name, anchor, residual, tol, passed, meta))

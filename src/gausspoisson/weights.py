@@ -29,13 +29,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Weight:
-    """The radial polynomial weight ``w(x) = (1 + |x|)^k``, ``k >= 0``."""
+    """The radial polynomial weight ``w(x) = (1 + |x|)^k``, finite ``k >= 0``."""
 
     k: float
 
     def __post_init__(self):
-        if not self.k >= 0:
-            raise ValueError(f"weight exponent must be >= 0, got {self.k}")
+        if not 0 <= self.k < np.inf:
+            raise ValueError(f"weight exponent must be finite and >= 0, got {self.k}")
 
     def __call__(self, x) -> np.ndarray:
         return weight_eval(self.k, x)

@@ -109,6 +109,14 @@ def test_suite_config_validation():
     for bad in (math.nan, -1e-6):
         with pytest.raises(ValueError, match="non-negative"):
             SuiteConfig(tolerances={"contour": bad})
+    # an empty list of time samples or rays would drop their rows silently
+    with pytest.raises(ValueError, match="at least one zeta"):
+        SuiteConfig.from_mapping({"zetas": ""})
+    with pytest.raises(ValueError, match="at least one ray"):
+        SuiteConfig.from_mapping({"rays": ""})
+    # an infinite weight exponent makes every weighted norm vanish
+    with pytest.raises(ValueError, match="finite"):
+        SuiteConfig.from_mapping({"space.k": "inf"})
 
 
 def test_suite_config_tolerance_override():
@@ -392,6 +400,11 @@ def test_report_identical_whatever_the_thread_count(threaded_reports):
     texts = {cpus: report.to_csv_text() for cpus, report in threaded_reports.items()}
     assert texts[2] == texts[1]
     assert texts[4] == texts[1]
+    # the classical row, reduced from a coarse and a fine part, also in its meta
+    classical = {cpus: report.results[-1] for cpus, report in threaded_reports.items()}
+    assert classical[1].name == "classical[gaussian;dt=1e-2]"
+    assert classical[2].meta == classical[1].meta
+    assert classical[4].meta == classical[1].meta
 
 
 def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_reports):
@@ -412,6 +425,28 @@ def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_repo
     assert classical.name == expected[-1].name
     assert [(r.name, r.residual, r.passed, r.meta) for r in rest] == [
         (r.name, r.residual, r.passed, r.meta) for r in expected[:-1]
+    ]
+
+
+@pytest.mark.parametrize("part, steps", [("coarse", 101), ("fine", 201)])
+def test_a_crashing_classical_part_fails_only_its_row(monkeypatch, threaded_reports, part, steps):
+    # the coarse trajectory has 101 times, the fine one 201
+    original = verify.classical_residual
+
+    def breaks_one_part(times, states, margin):
+        if len(times) == steps:
+            raise RuntimeError(f"{part} trajectory broke")
+        return original(times, states, margin)
+
+    monkeypatch.setattr(verify, "classical_residual", breaks_one_part)
+    _set_cpus(monkeypatch, 2)
+    *rest, classical = run_suite(THREADED).results
+    assert classical.name == "classical[gaussian;dt=1e-2]"
+    assert classical.residual == math.inf and not classical.passed
+    assert classical.meta == {"error": f"RuntimeError('{part} trajectory broke')"}
+    expected = threaded_reports[1].results[:-1]
+    assert [(r.name, r.residual, r.passed, r.meta) for r in rest] == [
+        (r.name, r.residual, r.passed, r.meta) for r in expected
     ]
 
 
@@ -436,6 +471,7 @@ def spy_threads(monkeypatch):
         (0, 1, ("fourier-symbol",), 0),  # one CPU
         (0, 8, ("fourier-symbol",), 1),  # two units
         (0, 4, ("kernel-mass",), 3),  # six units
+        (0, 2, ("classical",), 1),  # one unit in two parts
     ],
 )
 def test_helper_count_follows_grid_size_cpus_and_units(monkeypatch, spy_threads, offset, cpus, checks, helpers):

@@ -29,6 +29,8 @@ def test_weight_eval_matches_definition():
 def test_weight_rejects_negative_exponent():
     with pytest.raises(ValueError):
         Weight(-0.5)
+    with pytest.raises(ValueError, match="finite"):
+        Weight(np.inf)
     with pytest.raises(ValueError):
         weight_eval(-1.0, 0.0)
 
