@@ -73,8 +73,6 @@ from .verify import (
 from .weights import (
     SpaceKind,
     SpaceSpec,
-    Weight,
-    WeightSlacks,
     weight_eval,
     weight_inequality_check,
     weighted_norm,

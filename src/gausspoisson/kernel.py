@@ -21,6 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .grid_field import Field, Grid, make_grid, sample, squared_norm
+from .weights import _checked_exponent
 
 __all__ = [
     "ComplexTime",
@@ -78,6 +79,15 @@ def as_time(zeta) -> ComplexTime:
     return ComplexTime(complex(zeta))
 
 
+def _require_positive(zeta) -> ComplexTime:
+    """The time as a ComplexTime, which must be nonzero: the kernel, its
+    derivative and everything sized or bounded from them need ``Re zeta > 0``."""
+    ct = as_time(zeta)
+    if ct.is_zero:
+        raise ValueError("kernel undefined at zeta = 0")
+    return ct
+
+
 def default_sector_angle(zeta) -> float:
     """A sector angle strictly between ``|arg zeta|`` and ``pi/2``.
 
@@ -85,18 +95,8 @@ def default_sector_angle(zeta) -> float:
     sector was declared by the caller this picks one with a little slack
     around the given time.
     """
-    ct = as_time(zeta)
-    if ct.is_zero:
-        raise ValueError("no sector contains zeta = 0")
-    phi = abs(ct.argument)
+    phi = abs(_require_positive(zeta).argument)
     return min(max(1.05 * phi + 0.05, 0.1), phi / 2 + math.pi / 4)
-
-
-def _require_positive(zeta) -> complex:
-    ct = as_time(zeta)
-    if ct.is_zero:
-        raise ValueError("kernel undefined at zeta = 0")
-    return ct.value
 
 
 def kernel_eval(zeta, x, n: int):
@@ -105,7 +105,7 @@ def kernel_eval(zeta, x, n: int):
     ``x`` is one point (scalar for n=1, or a length-n vector) or an array of
     points with coordinates along the last axis; the result drops that axis.
     """
-    z = _require_positive(zeta)
+    z = _require_positive(zeta).value
     sq = squared_norm(x)
     pref = (4.0 * np.pi * z) ** (-n / 2.0)
     return pref * np.exp(-sq / (4.0 * z))
@@ -116,7 +116,7 @@ def kernel_dzeta(zeta, x, n: int):
 
     The shared closed form is ``chi_zeta(x) (|x|^2/(4 zeta^2) - n/(2 zeta))``.
     """
-    z = _require_positive(zeta)
+    z = _require_positive(zeta).value
     sq = squared_norm(x)
     return kernel_eval(z, x, n) * (sq / (4.0 * z * z) - n / (2.0 * z))
 
@@ -147,9 +147,7 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int) -> float:
     regularized upper incomplete gamma.  Monotone decreasing in ``R`` and at
     least the full absolute mass at ``R = 0``.
     """
-    ct = as_time(zeta)
-    if ct.is_zero:
-        raise ValueError("tail bound undefined at zeta = 0")
+    ct = _require_positive(zeta)
     if not 0.0 < alpha < math.pi / 2:
         raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
     if not abs(ct.argument) < alpha:
@@ -169,8 +167,7 @@ def weighted_kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -
     for integer ``k`` the binomial expansion of ``(1+|x|)^k`` gives the
     integral exactly; other ``k`` use ``(1+|x|)^k <= 2^k (1 + |x|^k)``.
     """
-    if k < 0:
-        raise ValueError(f"weight exponent must be >= 0, got {k}")
+    _checked_exponent(k)
     tail = kernel_tail_bound(zeta, alpha, R, n)
     if k == 0:
         return tail
@@ -189,7 +186,7 @@ def weighted_kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -
 
 def sample_kernel(zeta, g: Grid) -> Field:
     """The kernel sampled on a grid as a scalar field."""
-    z = _require_positive(zeta)
+    z = _require_positive(zeta).value
     return sample(g, lambda X: kernel_eval(z, X, g.n))
 
 
@@ -201,9 +198,7 @@ def grid_for_time(zeta, n: int, tol: float = 1e-10) -> Grid:
     resolves both the modulus width ``sqrt(2 r / cos(alpha))`` and, for
     nonreal times, the local oscillation wavelength at the truncation radius.
     """
-    ct = as_time(zeta)
-    if ct.is_zero:
-        raise ValueError("cannot size a grid for zeta = 0")
+    ct = _require_positive(zeta)
     from scipy.special import gammainccinv
     alpha = default_sector_angle(ct)
     r = ct.modulus
@@ -228,7 +223,7 @@ def fourier_symbol_residual(zeta, g: Grid) -> float:
     with ``|xi_axis| <= xi_max / 2`` on every axis are compared.
     """
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-    z = _require_positive(zeta)
+    z = _require_positive(zeta).value
     freq = g.fourier_axis
     phase = reduce(np.multiply.outer, (np.exp(1j * freq * g.L),) * g.n)
     keep = reduce(np.logical_and.outer, (np.abs(freq) <= 0.5 * np.abs(freq).max(),) * g.n)

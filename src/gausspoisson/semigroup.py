@@ -32,7 +32,8 @@ import numpy as np
 
 from . import kernel as _kernel
 from .grid_field import Field, Grid, read_field_csv, write_field_csv
-from .kernel import as_time, default_sector_angle, kernel_tail_bound
+from .kernel import _require_positive, as_time, default_sector_angle, kernel_tail_bound
+from .weights import _weight
 
 __all__ = [
     "Method",
@@ -199,10 +200,7 @@ def apply_dzeta(zeta, f: Field) -> Field:
     spatial Laplacian of ``apply(zeta, f)``.  By the product rule it is the
     sum over axes ``j`` of the kernel with axis ``j``'s factor differentiated.
     """
-    ct = as_time(zeta)
-    if ct.is_zero:
-        raise ValueError("derivative kernel undefined at zeta = 0")
-    z = ct.value
+    z = _require_positive(zeta).value
     g = f.grid
     d = _difference_axis(g)
     factor = _kernel.kernel_eval(z, d, 1)
@@ -228,14 +226,10 @@ def operator_bound(zeta, k: float, g: Grid) -> float:
     for any space ``s`` with weight exponent ``k`` (sup or Lp kind).  The
     weight does not factor by axis, so this stays an n-D sum.
     """
-    ct = as_time(zeta)
-    if ct.is_zero:
-        raise ValueError("operator bound undefined at zeta = 0")
-    if k < 0:
-        raise ValueError(f"weight exponent must be >= 0, got {k}")
+    z = _require_positive(zeta).value
     d = _difference_axis(g)
-    absker = reduce(np.multiply.outer, (np.abs(_kernel.kernel_eval(ct.value, d, 1)),) * g.n)
-    w = (1.0 + np.sqrt(reduce(np.add.outer, (d[:, 0] ** 2,) * g.n))) ** k
+    w = _weight(k, reduce(np.add.outer, (d[:, 0] ** 2,) * g.n))
+    absker = reduce(np.multiply.outer, (np.abs(_kernel.kernel_eval(z, d, 1)),) * g.n)
     return float(np.sum(w * absker) * g.cell_volume)
 
 
@@ -252,8 +246,8 @@ def _operator_norms(zeta, k: float, g: Grid):
     most :func:`operator_bound`, which sums ``w |chi|`` over the whole
     difference lattice.
     """
-    factor = _kernel.kernel_eval(as_time(zeta).value, _difference_axis(g), 1)
-    w = (1.0 + np.sqrt(g.squared_norms)) ** k
+    w = _weight(k, g.squared_norms)
+    factor = _kernel.kernel_eval(zeta, _difference_axis(g), 1)
 
     def modulus_sums(v):  # sum_y |chi(x-y)| v(y) h^n at every grid point x
         return _riemann_sum([np.abs(factor)] * g.n, Field(g, v)).real[..., 0]

@@ -28,7 +28,7 @@ from .generator import (
     mild_identity_residual,
 )
 from .grid_field import Field, Grid, interior_slices, make_grid, sample
-from .kernel import as_time
+from .kernel import _require_positive, as_time
 from .semigroup import Method, _operator_norms, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceKind, SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
 
@@ -371,12 +371,9 @@ class HolomorphyResiduals:
 
 
 def holomorphy_residuals(f: Field, zeta, h: float, s: SpaceSpec, margin: float = 0.25) -> HolomorphyResiduals:
-    ct = as_time(zeta)
-    if ct.is_zero:
-        raise ValueError("holomorphy residuals need Re zeta > 0")
-    if not 0 < h < ct.value.real:
-        raise ValueError(f"step must satisfy 0 < h < Re zeta, got h={h}, zeta={ct.value}")
-    z = ct.value
+    z = _require_positive(zeta).value
+    if not 0 < h < z.real:
+        raise ValueError(f"step must satisfy 0 < h < Re zeta, got h={h}, zeta={z}")
     u_re_plus = apply(z + h, f, method=Method.QUADRATURE)
     u_re_minus = apply(z - h, f, method=Method.QUADRATURE)
     u_im_plus = apply(z + 1j * h, f, method=Method.QUADRATURE)
@@ -482,12 +479,10 @@ def _weights(inp: _Inputs):
     # weight inequalities over a seeded point cloud
     def pointwise():
         rng = np.random.default_rng([inp.cfg.seed, 0])
-        worst = math.inf
-        for k in (0.0, 1.0, 2.0, 3.5):
-            for _ in range(200):
-                x = rng.normal(0.0, 3.0, size=inp.cfg.n)
-                y = rng.normal(0.0, 3.0, size=inp.cfg.n)
-                worst = min(worst, weight_inequality_check(k, x, y).min())
+        # per k, 200 pairs (x, y): the draws of one pair at a time, in one call
+        pairs = rng.normal(0.0, 3.0, size=(4, 200, 2, inp.cfg.n))
+        slacks = (weight_inequality_check(k, p[:, 0], p[:, 1]) for k, p in zip((0.0, 1.0, 2.0, 3.5), pairs))
+        worst = min(s.min() for s in slacks)
         return [(max(0.0, -worst), {"pairs": 800})]
 
     yield pointwise, ("weights[pointwise]", "weights")
@@ -641,8 +636,9 @@ def _operator_bound(inp: _Inputs):
         attained = weighted_norm(evolved, sup) / weighted_norm(extremal, sup)
         # M_k exceeds the row sum at x = 0 by the kernel's weighted mass off
         # the grid, at most the tail beyond L; without 0 on the grid M_k is
-        # not sharp
-        tail = kernelmod.weighted_kernel_tail_bound(z, kernelmod.default_sector_angle(z), g.L, g.n, k)
+        # not sharp.  The sector majorant at the time's own argument is |chi|.
+        alpha = math.nextafter(abs(as_time(z).argument), math.pi / 2)
+        tail = kernelmod.weighted_kernel_tail_bound(z, alpha, g.L, g.n, k)
         sharp = g.N % 2 == 1
         terms = [abs(attained / norm - 1.0), norm / bound - 1.0]
         if sharp:

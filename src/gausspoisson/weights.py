@@ -9,17 +9,16 @@ Riemann sums with uniform cell volume.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_field import Field, interior_slices
+from .grid_field import Field, interior_slices, squared_norm
 
 __all__ = [
-    "Weight",
     "SpaceKind",
     "SpaceSpec",
-    "WeightSlacks",
     "weight_eval",
     "weight_inequality_check",
     "weighted_norm",
@@ -27,18 +26,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Weight:
-    """The radial polynomial weight ``w(x) = (1 + |x|)^k``, finite ``k >= 0``."""
+def _checked_exponent(k: float) -> float:
+    """The package's one check of a weight exponent: finite and ``>= 0``."""
+    if not 0 <= k < math.inf:
+        raise ValueError(f"weight exponent must be finite and >= 0, got {k}")
+    return k
 
-    k: float
 
-    def __post_init__(self):
-        if not 0 <= self.k < np.inf:
-            raise ValueError(f"weight exponent must be finite and >= 0, got {self.k}")
-
-    def __call__(self, x) -> np.ndarray:
-        return weight_eval(self.k, x)
+def _weight(k: float, squared_norms) -> np.ndarray | float:
+    """The package's one weight formula: ``(1 + |x|)^k`` from ``|x|^2``."""
+    return (1.0 + np.sqrt(squared_norms)) ** _checked_exponent(k)
 
 
 class SpaceKind(enum.Enum):
@@ -51,16 +48,18 @@ class SpaceKind(enum.Enum):
 class SpaceSpec:
     """Declaration of a weighted space: weight exponent, base kind, and p.
 
-    BUC and C0 share the discrete sup norm; the kind only records which test
-    fields a verification suite admits.  Membership of a sampled field in the
+    The weight is ``w(x) = (1 + |x|)^k`` with finite ``k >= 0``.  BUC and C0
+    share the discrete sup norm; the kind only records which test fields a
+    verification suite admits.  Membership of a sampled field in the
     declared base space is never checked.
     """
 
-    weight: Weight
+    k: float
     kind: SpaceKind = SpaceKind.BUC
     p: float | None = None
 
     def __post_init__(self):
+        _checked_exponent(self.k)
         if self.kind is SpaceKind.LP:
             if self.p is None or not self.p >= 1:
                 raise ValueError(f"Lp spaces need p >= 1, got p={self.p}")
@@ -74,11 +73,7 @@ class SpaceSpec:
         key = kind.upper()
         if key not in kind_map:
             raise ValueError(f"unknown space kind {kind!r}; expected BUC, C0 or Lp")
-        return SpaceSpec(Weight(float(k)), kind_map[key], None if p is None else float(p))
-
-    @property
-    def k(self) -> float:
-        return self.weight.k
+        return SpaceSpec(float(k), kind_map[key], None if p is None else float(p))
 
 
 def weight_eval(k: float, x) -> np.ndarray | float:
@@ -87,52 +82,25 @@ def weight_eval(k: float, x) -> np.ndarray | float:
     ``x`` is a single point (1-d array of coordinates, or a scalar for n=1)
     or an array of points with coordinates along the last axis.
     """
-    if not k >= 0:
-        raise ValueError(f"weight exponent must be >= 0, got {k}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        r = np.abs(x)
-    else:
-        r = np.sqrt(np.sum(x**2, axis=-1))
-    return (1.0 + r) ** k
+    return _weight(k, squared_norm(x))
 
 
-@dataclass(frozen=True)
-class WeightSlacks:
-    """Signed slacks of the four pointwise weight inequalities.
+def weight_inequality_check(k: float, x, y) -> np.ndarray:
+    """Signed slacks of the four pointwise weight inequalities at point pairs.
 
-    Each entry is nonnegative exactly when the corresponding relation holds:
+    ``x`` and ``y`` are points as :func:`weight_eval` takes them, one pair
+    or arrays of pairs.  The slacks lie along a trailing axis of 4, each
+    nonnegative exactly when its relation holds, in this order:
 
-    * ``lower``: ``w(x+y) - 1``
-    * ``submultiplicative``: ``w(x) w(y) - w(x+y)``
-    * ``translation``: ``w(x-y) w(x) - w(y)``
-    * ``ratio``: ``w(y) (w(y) - 1) - |w(x+y)/w(x) - 1|``
+    * lower: ``w(x+y) - 1``
+    * submultiplicative: ``w(x) w(y) - w(x+y)``
+    * translation: ``w(x-y) w(x) - w(y)``
+    * ratio: ``w(y) (w(y) - 1) - |w(x+y)/w(x) - 1|``
     """
-
-    lower: float
-    submultiplicative: float
-    translation: float
-    ratio: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lower, self.submultiplicative, self.translation, self.ratio])
-
-    def min(self) -> float:
-        return float(self.as_array().min())
-
-
-def weight_inequality_check(k: float, x, y) -> WeightSlacks:
-    """Signed slacks of the weight inequalities at a point pair ``(x, y)``."""
-    wxy = float(weight_eval(k, np.asarray(x, float) + np.asarray(y, float)))
-    wxmy = float(weight_eval(k, np.asarray(x, float) - np.asarray(y, float)))
-    wx = float(weight_eval(k, x))
-    wy = float(weight_eval(k, y))
-    return WeightSlacks(
-        lower=wxy - 1.0,
-        submultiplicative=wx * wy - wxy,
-        translation=wxmy * wx - wy,
-        ratio=wy * (wy - 1.0) - abs(wxy / wx - 1.0),
-    )
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    wxy, wxmy, wx, wy = (weight_eval(k, point) for point in (x + y, x - y, x, y))
+    slacks = (wxy - 1.0, wx * wy - wxy, wxmy * wx - wy, wy * (wy - 1.0) - np.abs(wxy / wx - 1.0))
+    return np.stack(slacks, axis=-1)
 
 
 def weighted_norm(f: Field, s: SpaceSpec, margin: float = 0.0) -> float:
@@ -143,12 +111,10 @@ def weighted_norm(f: Field, s: SpaceSpec, margin: float = 0.0) -> float:
     the norm to the interior window (that fraction excluded per side).
     """
     g = f.grid
-    if g.size == 0:
-        raise ValueError("empty grid")
     sl = interior_slices(g, margin) if margin > 0 else (slice(None),) * g.n
     mag = np.sqrt(np.sum(np.abs(f.values[sl]) ** 2, axis=-1))
     # the weight on the window only; at k=0 it is 1 and the quotient is mag
-    quotient = mag / (1.0 + np.sqrt(g.squared_norms[sl])) ** s.k if s.k else mag
+    quotient = mag / _weight(s.k, g.squared_norms[sl]) if s.k else mag
     if s.kind in (SpaceKind.BUC, SpaceKind.C0):
         return float(quotient.max())
     return float(np.sum(quotient**s.p) * g.cell_volume) ** (1.0 / s.p)

@@ -28,7 +28,7 @@ from gausspoisson import (
     sample,
     semigroup_law_residual,
 )
-from gausspoisson import verify
+from gausspoisson import verify, weights
 from gausspoisson.fields import field_rule
 from gausspoisson.verify import CheckResult
 from gausspoisson.weights import difference_norm
@@ -540,14 +540,23 @@ def _operator_rows(cfg):
 
 
 @pytest.mark.parametrize("cfg", [SuiteConfig(), SuiteConfig(n=2, N=65)], ids=["reference", "n2-N65"])
-@pytest.mark.parametrize("scale", [0.27, 1e6])
+@pytest.mark.parametrize("scale", [0.27, 1 + 1e-9, 1e6])
 def test_scaled_operator_bound_fails_every_row(monkeypatch, cfg, scale):
     # the row compares the exact operator norm T with M_k both ways: T <= M_k,
-    # and, with 0 on the grid, M_k - T within the kernel's tail beyond L
+    # and, with 0 on the grid, M_k - T within the kernel's tail beyond L,
+    # taken at the time's own argument, where it is the tail of |chi| itself
     original = verify.operator_bound
     monkeypatch.setattr(verify, "operator_bound", lambda z, k, g: scale * original(z, k, g))
     rows = _operator_rows(cfg)
     assert len(rows) == 6 and not any(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weight_without_its_one_fails_the_pointwise_row(monkeypatch, n):
+    # |x|^k in place of (1 + |x|)^k, through the package's one weight formula
+    monkeypatch.setattr(weights, "_weight", lambda k, sq: np.sqrt(sq) ** weights._checked_exponent(k))
+    (row,) = run_suite(SuiteConfig(n=n, N=17, checks=("weights",))).results
+    assert row.name == "weights[pointwise]" and not row.passed
 
 
 @pytest.mark.parametrize(

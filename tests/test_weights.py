@@ -7,14 +7,16 @@ from gausspoisson import (
     Field,
     SpaceKind,
     SpaceSpec,
-    Weight,
     interior_slices,
     make_grid,
+    operator_bound,
     sample,
     weight_eval,
     weight_inequality_check,
+    weighted_kernel_tail_bound,
     weighted_norm,
 )
+from gausspoisson.semigroup import _operator_norms
 
 
 def test_weight_eval_matches_definition():
@@ -27,35 +29,44 @@ def test_weight_eval_matches_definition():
 
 
 def test_weight_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        Weight(-0.5)
-    with pytest.raises(ValueError, match="finite"):
-        Weight(np.inf)
-    with pytest.raises(ValueError):
-        weight_eval(-1.0, 0.0)
+    # every user of the weight refuses an exponent that is not finite and >= 0
+    g = make_grid(1, 4.0, 9)
+    users = [
+        lambda k: SpaceSpec.make(k),
+        lambda k: weight_eval(k, 0.0),
+        lambda k: operator_bound(1.0, k, g),
+        lambda k: _operator_norms(1.0, k, g),
+        lambda k: weighted_kernel_tail_bound(1.0, 0.5, 4.0, 1, k),
+    ]
+    for k in (-0.5, np.inf, np.nan):
+        for use in users:
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                use(k)
 
 
 def test_weight_inequalities_hold_on_random_pairs():
     # the four relations hold for every pair and every k >= 0
     rng = np.random.default_rng(11)
-    worst = np.inf
-    for k in (0.0, 0.5, 1.0, 2.0, 3.5):
-        for _ in range(500):
-            x = rng.uniform(-8.0, 8.0, size=3)
-            y = rng.uniform(-8.0, 8.0, size=3)
-            slacks = weight_inequality_check(k, x, y)
-            worst = min(worst, slacks.min())
+    ks = (0.0, 0.5, 1.0, 2.0, 3.5)
+    pairs = rng.uniform(-8.0, 8.0, size=(len(ks), 500, 2, 3))
+    worst = min(weight_inequality_check(k, p[:, 0], p[:, 1]).min() for k, p in zip(ks, pairs))
     assert worst >= -1e-12
 
 
 def test_weight_inequality_slacks_are_signed():
     # submultiplicativity is tight at y = 0: w(x)w(0) = w(x)
-    s = weight_inequality_check(2.0, np.array([1.0]), np.array([0.0]))
-    assert abs(s.submultiplicative) < 1e-14
-    assert s.lower > 0.0
-    arr = s.as_array()
-    assert arr.shape == (4,)
-    assert s.min() == arr.min()
+    lower, submultiplicative, translation, ratio = weight_inequality_check(2.0, [1.0], [0.0])
+    assert abs(submultiplicative) < 1e-14
+    assert lower > 0.0
+    # w(x-y) w(x) - w(y) at x=1, y=0 is 4*4 - 1; ratio is 1*0 - |4/4 - 1|
+    assert (translation, ratio) == (15.0, 0.0)
+    # pairs along leading axes give one row of slacks each
+    x = np.array([[1.0, 0.0], [-2.0, 3.0], [0.5, 0.5]])
+    y = np.array([[0.0, 0.0], [1.0, -1.0], [4.0, 0.0]])
+    rows = weight_inequality_check(1.5, x, y)
+    assert rows.shape == (3, 4)
+    for row, a, b in zip(rows, x, y):
+        np.testing.assert_allclose(row, weight_inequality_check(1.5, a, b), rtol=1e-14, atol=1e-14)
 
 
 def test_space_spec_construction_and_validation():
