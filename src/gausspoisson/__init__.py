@@ -12,7 +12,6 @@ pointwise heat equation along trajectories.
 from .fields import FIELD_RULES, GaussianMixture, field_rule, random_gaussian_mixture
 from .generator import (
     GeneratorResiduals,
-    LaplacianMethod,
     classical_residual,
     difference_quotient_residual,
     discrete_laplacian,

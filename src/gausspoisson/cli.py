@@ -30,7 +30,7 @@ from .verify import (
 __all__ = ["ConfigError", "read_config", "write_config", "main", "console_entry"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A configuration file or configuration value is malformed."""
 
 
@@ -72,11 +72,21 @@ def _suite_config(mapping: dict) -> SuiteConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _resolve(mapping: dict, key: str, flag_value):
-    """Flag value if given, else the config-file value, else None."""
-    if flag_value is not None:
-        return flag_value
-    return mapping.get(key) or None
+# The command keys of a config file: each is the flag after its dot, for the
+# subcommand before it.  Every other key is the suite's.
+_COMMAND_KEYS = ("evolve.rule", "evolve.input", "evolve.zeta", "evolve.times", "evolve.method", "table.check")
+
+
+def _load(args) -> SuiteConfig:
+    """Read ``--config``: its command keys for the running subcommand fill the
+    flags that were not given, and the other keys form the suite config."""
+    mapping = read_config(args.config) if args.config else {}
+    for key in _COMMAND_KEYS:
+        command, _, flag = key.partition(".")
+        value = mapping.pop(key, None) or None
+        if command == args.command and getattr(args, flag) is None:
+            setattr(args, flag, value)
+    return _suite_config(mapping)
 
 
 def _out_dir(path) -> Path:
@@ -90,68 +100,51 @@ def _fmt_times(times) -> str:
 
 
 def _cmd_evolve(args) -> int:
-    mapping = read_config(args.config) if args.config else {}
-    cfg = _suite_config(mapping)
-
-    rule_name = _resolve(mapping, "evolve.rule", args.rule)
-    input_path = _resolve(mapping, "evolve.input", args.input)
-    zeta_text = _resolve(mapping, "evolve.zeta", args.zeta)
-    times_text = _resolve(mapping, "evolve.times", args.times)
-    method_name = _resolve(mapping, "evolve.method", args.method)
-
-    if (rule_name is None) == (input_path is None):
+    cfg = _load(args)
+    if (args.rule is None) == (args.input is None):
         raise ConfigError("evolve needs exactly one input: --rule NAME or --input FIELD.csv")
-    if (zeta_text is None) == (times_text is None):
+    if (args.zeta is None) == (args.times is None):
         raise ConfigError("evolve needs exactly one of --zeta or --times")
 
-    if input_path is not None:
+    if args.input is not None:
         try:
-            f = read_field_csv(input_path)
+            f = read_field_csv(args.input)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read field {input_path}: {exc}") from None
+            raise ConfigError(f"cannot read field {args.input}: {exc}") from None
     else:
-        try:
-            f = sample(cfg.grid, field_rule(rule_name))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        f = sample(cfg.grid, field_rule(args.rule))
 
     method = None
-    if method_name is not None:
+    if args.method is not None:
         try:
-            method = Method(method_name.lower())
+            method = Method(args.method.lower())
         except ValueError:
-            raise ConfigError(f"unknown method {method_name!r}; use quadrature or spectral") from None
+            raise ConfigError(f"unknown method {args.method!r}; use quadrature or spectral") from None
 
     out = _out_dir(args.out)
     effective = dict(cfg.to_mapping())
-    if rule_name is not None:
-        effective["evolve.rule"] = rule_name
+    if args.rule is not None:
+        effective["evolve.rule"] = args.rule
     else:
-        effective["evolve.input"] = str(input_path)
-    if method_name is not None:
+        effective["evolve.input"] = str(args.input)
+    if args.method is not None:
         effective["evolve.method"] = method.value
 
-    try:
-        if zeta_text is not None:
-            zeta = parse_complex(zeta_text)
-            result = apply(zeta, f, method=method)
-            write_field_csv(result, out / "field.csv")
-            effective["evolve.zeta"] = format_complex(zeta)
-        else:
-            times = tuple(float(part) for part in times_text.split(",") if part.strip())
-            traj = trajectory(f, times, method=method)
-            write_trajectory(traj, out)
-            effective["evolve.times"] = _fmt_times(times)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if args.zeta is not None:
+        zeta = parse_complex(args.zeta)
+        write_field_csv(apply(zeta, f, method=method), out / "field.csv")
+        effective["evolve.zeta"] = format_complex(zeta)
+    else:
+        times = tuple(float(part) for part in args.times.split(",") if part.strip())
+        write_trajectory(trajectory(f, times, method=method), out)
+        effective["evolve.times"] = _fmt_times(times)
 
     write_config(effective, out / "effective.cfg")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    mapping = read_config(args.config) if args.config else {}
-    cfg = _suite_config(mapping)
+    cfg = _load(args)
     report = run_suite(cfg)
     out = _out_dir(args.out)
     report.write_csv(out / "report.csv")
@@ -186,18 +179,16 @@ _TABLES = {
 
 
 def _cmd_table(args) -> int:
-    mapping = read_config(args.config) if args.config else {}
-    cfg = _suite_config(mapping)
-    check = args.check or mapping.get("table.check")
-    if check not in _TABLES:
-        raise ConfigError(f"table needs --check {'|'.join(_TABLES)}, got {check!r}")
-    header, rule, rows = _TABLES[check]
+    cfg = _load(args)
+    if args.check not in _TABLES:
+        raise ConfigError(f"table needs --check {'|'.join(_TABLES)}, got {args.check!r}")
+    header, rule, rows = _TABLES[args.check]
     out = _out_dir(args.out)
     f = sample(cfg.grid, field_rule(getattr(cfg, rule)))
     lines = [header] + [",".join(format(v, ".17g") for v in row) for row in rows(cfg, f)]
-    (out / f"{check}_table.csv").write_text("\n".join(lines) + "\n")
+    (out / f"{args.check}_table.csv").write_text("\n".join(lines) + "\n")
     effective = dict(cfg.to_mapping())
-    effective["table.check"] = check
+    effective["table.check"] = args.check
     write_config(effective, out / "effective.cfg")
     return 0
 
@@ -241,9 +232,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ stay out of the error budget.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ from .semigroup import _spectral_values, apply, apply_dzeta
 from .weights import SpaceSpec, difference_norm
 
 __all__ = [
-    "LaplacianMethod",
     "discrete_laplacian",
     "GeneratorResiduals",
     "generator_residuals",
@@ -39,47 +37,28 @@ __all__ = [
 DEFAULT_MARGIN = 0.25
 
 
-class LaplacianMethod(enum.Enum):
-    """Discretization of the Laplacian ``sum_j d^2/dx_j^2``."""
-
-    FINITE_DIFFERENCE = "finite_difference"
-    SPECTRAL = "spectral"
-
-
-def _space(s) -> SpaceSpec:
-    return SpaceSpec.make(0) if s is None else s
-
-
-def discrete_laplacian(f: Field, method=LaplacianMethod.SPECTRAL) -> Field:
-    """Apply a discrete Laplacian to a field.
-
-    ``finite_difference`` is the second-order central stencil
-    ``sum_j (f(x+h e_j) - 2 f(x) + f(x-h e_j)) / h^2`` with zero-fill off the
-    grid; ``spectral`` multiplies by ``-|xi|^2`` in DFT space (periodic).
-    Both are self-adjoint for the quadrature pairing on interior-supported
-    fields.
-    """
-    method = LaplacianMethod(method)
+def discrete_laplacian(f: Field) -> Field:
+    """The spectral Laplacian of a field: multiply by ``-|xi|^2`` in DFT space
+    (periodic).  Self-adjoint for the quadrature pairing."""
     g = f.grid
-    if method is LaplacianMethod.FINITE_DIFFERENCE:
-        if g.N < 3:
-            raise ValueError(f"central stencil needs N >= 3 points, got {g.N}")
-        return Field(g, _stencil(f.values, g.n, 1.0 / (g.h * g.h)), meta={"laplacian": method.value})
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
     spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
-    return Field(g, _spectral_values(spectrum, -g.fourier_squared_norms), meta={"laplacian": method.value})
+    return Field(g, _spectral_values(spectrum, -g.fourier_squared_norms), meta={"laplacian": "spectral"})
 
 
 def _window_laplacian(f: Field, inner) -> np.ndarray:
-    """``discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE).values[inner]``.
+    """The finite-difference Laplacian of ``f`` on the window ``inner``.
 
-    The stencil is formed only on the window plus a one-point halo, clipped at
-    the grid edge, where the zero-fill is the grid's own.  A grid too small
-    for the stencil goes to ``discrete_laplacian``, which rejects it.
+    It is the second-order central stencil
+    ``sum_j (f(x+h e_j) - 2 f(x) + f(x-h e_j)) / h^2`` with zero-fill off the
+    grid, self-adjoint for the quadrature pairing on interior-supported
+    fields.  It is formed only on the window plus a one-point halo, clipped at
+    the grid edge, where the zero-fill is the grid's own, so it equals the
+    full-grid stencil sliced to the window.
     """
     g = f.grid
     if g.N < 3:
-        return discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE).values[inner]
+        raise ValueError(f"central stencil needs N >= 3 points, got {g.N}")
     halo = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, g.N)) for s in inner)
     lap = _stencil(f.values[halo], g.n, 1.0 / (g.h * g.h))
     return lap[tuple(slice(s.start - h.start, s.stop - h.start) for s, h in zip(inner, halo))]
@@ -135,7 +114,7 @@ def generator_residuals(
     f: Field,
     t: float,
     dt: float,
-    space: SpaceSpec | None = None,
+    space: SpaceSpec = SpaceSpec.make(0),
     margin: float = DEFAULT_MARGIN,
 ) -> GeneratorResiduals:
     """Residuals of the generator identities at real time ``t``.
@@ -151,7 +130,6 @@ def generator_residuals(
         raise ValueError(f"time must be positive, got {t}")
     if not 0 < dt < t:
         raise ValueError(f"need 0 < dt < t, got dt={dt}, t={t}")
-    s = _space(space)
     u = apply(t, f)
     u_plus = apply(t + dt, f)
     u_minus = apply(t - dt, f)
@@ -160,16 +138,16 @@ def generator_residuals(
     u_of_lap = apply(t, discrete_laplacian(f))
     deriv = apply_dzeta(t, f)
     return GeneratorResiduals(
-        r1=difference_norm(dudt, lap_u, s, margin),
-        r2=difference_norm(lap_u, u_of_lap, s, margin),
-        r3=difference_norm(dudt, deriv, s, margin),
+        r1=difference_norm(dudt, lap_u, space, margin),
+        r2=difference_norm(lap_u, u_of_lap, space, margin),
+        r3=difference_norm(dudt, deriv, space, margin),
     )
 
 
 def difference_quotient_residual(
     f: Field,
     h: float,
-    space: SpaceSpec | None = None,
+    space: SpaceSpec = SpaceSpec.make(0),
     margin: float = DEFAULT_MARGIN,
 ) -> float:
     """Residual of ``(G(h)f - f)/h`` against the spectral Laplacian of ``f``.
@@ -180,9 +158,8 @@ def difference_quotient_residual(
     """
     if not h > 0:
         raise ValueError(f"step must be positive, got {h}")
-    s = _space(space)
     quotient = f.with_values((apply(h, f).values - f.values) / h)
-    return difference_norm(quotient, discrete_laplacian(f), s, margin)
+    return difference_norm(quotient, discrete_laplacian(f), space, margin)
 
 
 def _graded_nodes(t: float, steps: int) -> np.ndarray:
@@ -237,7 +214,7 @@ def mild_identity_residual(
     f: Field,
     t: float,
     steps: int = 256,
-    space: SpaceSpec | None = None,
+    space: SpaceSpec = SpaceSpec.make(0),
     margin: float = DEFAULT_MARGIN,
 ) -> float:
     """Residual ``|| Delta ∫_0^t G(s)f ds - (G(t)f - f) ||`` of the
@@ -246,7 +223,7 @@ def mild_identity_residual(
     """
     lhs = discrete_laplacian(time_integral(f, t, steps=steps))
     rhs = f.with_values(apply(t, f).values - f.values)
-    return difference_norm(lhs, rhs, _space(space), margin)
+    return difference_norm(lhs, rhs, space, margin)
 
 
 def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:

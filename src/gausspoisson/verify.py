@@ -212,14 +212,11 @@ class SuiteConfig:
         """Build a config from flat string key-value pairs.
 
         The recognized keys, with the field each sets and its text format,
-        are the entries of ``_CONFIG_KEYS`` in this module.  Keys under
-        ``evolve.`` / ``table.`` / ``out`` belong to the command-line layer and
-        are ignored here; anything else is an error.
+        are the entries of ``_CONFIG_KEYS`` in this module; any other key is
+        an error.
         """
         kwargs = {}
         for key, raw in mapping.items():
-            if key.startswith(("evolve.", "table.")) or key == "out":
-                continue
             prefix = key[: key.find(".") + 1]  # "tol." of tol.<name>; "" without a dot
             if prefix in _CONFIG_KEYS:
                 field, parse, _ = _CONFIG_KEYS[prefix]

@@ -237,6 +237,36 @@ def test_table_requires_known_check(tmp_path):
     assert main(["table", "--out", str(tmp_path / "x")]) == 2
 
 
+COMMAND_KEYS = "evolve.rule=constant\nevolve.zeta=1\nevolve.method=spectral\ntable.check=mild\n"
+
+
+def test_each_subcommand_reads_the_command_keys_and_uses_its_own(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid.N=257\nchecks=weights,contour\nradii=0.5,0.25\nrays=0\n" + COMMAND_KEYS)
+    suite = SuiteConfig(N=257, checks=("weights", "contour"), radii=(0.5, 0.25), rays=(0.0,)).to_mapping()
+    runs = {
+        "verify": ([], {}),
+        "table": (["--check", "continuity"], {"table.check": "continuity"}),  # the flag wins
+        "evolve": (["--rule", "gaussian"], {"evolve.rule": "gaussian", "evolve.zeta": "1", "evolve.method": "spectral"}),
+    }
+    for command, (flags, own) in runs.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        assert read_config(out / "effective.cfg") == suite | own
+    assert (tmp_path / "table" / "continuity_table.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["evolve.methd", "evolve.tims", "table.chek", "out"])
+@pytest.mark.parametrize("command", [["evolve", "--rule", "gaussian", "--zeta", "1"], ["verify"], ["table", "--check", "mild"]])
+def test_unknown_command_key_exits_two_from_every_subcommand(tmp_path, capsys, key, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{FAST}{key}=spectral\n")
+    out = tmp_path / "run"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+    assert not out.exists()  # no report.csv, effective.cfg or field
+
+
 def test_effective_config_rerun_is_identical(tmp_path):
     out1 = tmp_path / "a"
     assert main(["evolve", "--rule", "gaussian", "--zeta", "1", "--out", str(out1)]) == 0

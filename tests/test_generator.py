@@ -7,7 +7,6 @@ import scipy.fft
 import gausspoisson.kernel
 from gausspoisson import (
     Field,
-    LaplacianMethod,
     SpaceSpec,
     apply_many,
     classical_residual,
@@ -21,29 +20,34 @@ from gausspoisson import (
     time_integral,
     trajectory,
 )
-from gausspoisson.generator import _graded_nodes
+from gausspoisson.generator import _graded_nodes, _window_laplacian
 
 GRID = make_grid(1, 12.0, 1025)
 GAUSSIAN = sample(GRID, lambda p: np.exp(-p[..., 0] ** 2))
 
 
+def _finite_difference(f):
+    """The finite-difference Laplacian on the whole grid: the window at margin 0."""
+    return _window_laplacian(f, interior_slices(f.grid, 0.0))
+
+
 def test_laplacian_of_gaussian_closed_form():
     # Delta exp(-x^2) = (4x^2 - 2) exp(-x^2)
     expect = sample(GRID, lambda p: (4 * p[..., 0] ** 2 - 2) * np.exp(-p[..., 0] ** 2))
-    spec = discrete_laplacian(GAUSSIAN, LaplacianMethod.SPECTRAL)
+    spec = discrete_laplacian(GAUSSIAN)
     assert np.max(np.abs(spec.values - expect.values)) < 1e-9
-    fd = discrete_laplacian(GAUSSIAN, LaplacianMethod.FINITE_DIFFERENCE)
+    fd = _finite_difference(GAUSSIAN)
     inner = interior_slices(GRID, 0.1)
-    assert np.max(np.abs(fd.values[inner] - expect.values[inner])) < 1e-3
+    assert np.max(np.abs(fd[inner] - expect.values[inner])) < 1e-3
 
 
 def test_finite_difference_stencil_exact_on_quadratics():
     # the central stencil is exact for polynomials of degree <= 3
     g = make_grid(1, 2.0, 9)
     f = sample(g, lambda p: p[..., 0] ** 2)
-    lap = discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
+    lap = _finite_difference(f)
     inner = slice(1, 8)
-    np.testing.assert_allclose(lap.values[inner, 0].real, 2.0, rtol=1e-12)
+    np.testing.assert_allclose(lap[inner, 0].real, 2.0, rtol=1e-12)
 
 
 def _padded_stencil(values, n, h):
@@ -82,9 +86,9 @@ def test_finite_difference_matches_explicit_stencil(n, N):
             fd = f.values[tuple(down)] if down[axis] >= 0 else zero
             acc = acc + (fu - 2.0 * f.values[idx] + fd) * inv_h2
         expect[idx] = acc
-    lap = discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
-    assert np.array_equal(lap.values, expect)
-    assert np.array_equal(lap.values, _padded_stencil(f.values, n, g.h))
+    lap = _finite_difference(f)
+    assert np.array_equal(lap, expect)
+    assert np.array_equal(lap, _padded_stencil(f.values, n, g.h))
 
 
 @pytest.mark.parametrize("n, N", [(1, 65), (2, 33), (3, 9)])
@@ -112,9 +116,9 @@ def test_finite_difference_refines_at_second_order():
         g = make_grid(1, 12.0, N)
         f = sample(g, lambda p: np.exp(-p[..., 0] ** 2))
         expect = sample(g, lambda p: (4 * p[..., 0] ** 2 - 2) * np.exp(-p[..., 0] ** 2))
-        lap = discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
+        lap = _finite_difference(f)
         sl = interior_slices(g, 0.25)
-        return np.max(np.abs(lap.values[sl] - expect.values[sl]))
+        return np.max(np.abs(lap[sl] - expect.values[sl]))
 
     assert err(513) / err(1025) == pytest.approx(4.0, rel=0.1)
 
@@ -133,15 +137,7 @@ def test_laplacian_validation():
     g = make_grid(1, 1.0, 2)
     f = sample(g, lambda p: np.zeros(p.shape[:-1]))
     with pytest.raises(ValueError):
-        discrete_laplacian(f, LaplacianMethod.FINITE_DIFFERENCE)
-
-
-def test_unknown_laplacian_raises():
-    # a Laplacian is a LaplacianMethod or its value; anything else never
-    # falls through to the spectral path
-    assert discrete_laplacian(GAUSSIAN, "finite_difference").meta["laplacian"] == "finite_difference"
-    with pytest.raises(ValueError):
-        discrete_laplacian(GAUSSIAN, "no_such_method")
+        _finite_difference(f)
 
 
 def test_laplacian_self_adjoint_for_pairing():
@@ -153,10 +149,10 @@ def test_laplacian_self_adjoint_for_pairing():
     f, phi = sample(g, bump(-1.0)), sample(g, bump(1.5))
     for field in (f, phi):  # interior support: the outer two layers are zero
         assert not field.values[[0, 1, -2, -1]].any()
-    for method in LaplacianMethod:
+    for laplacian in (lambda u: discrete_laplacian(u).values, _finite_difference):
         # the quadrature pairing sum_x u(x) v(x) h of two scalar fields
-        left = np.sum(discrete_laplacian(f, method).values * phi.values) * g.h
-        right = np.sum(f.values * discrete_laplacian(phi, method).values) * g.h
+        left = np.sum(laplacian(f) * phi.values) * g.h
+        right = np.sum(f.values * laplacian(phi)) * g.h
         assert abs(left - right) < 1e-10
 
 

@@ -28,7 +28,7 @@ from gausspoisson import (
     sample,
     semigroup_law_residual,
 )
-from gausspoisson import verify, weights
+from gausspoisson import cli, generator, verify, weights
 from gausspoisson.fields import field_rule
 from gausspoisson.verify import CheckResult
 from gausspoisson.weights import difference_norm
@@ -184,8 +184,10 @@ def _key_names():
 def test_config_keys_documented_in_readme_and_reference_config():
     root = Path(__file__).resolve().parents[1]
     readme = " ".join((root / "README.md").read_text().split())
-    sentence = readme[readme.index("recognized keys are") :].split(" plus ")[0]
+    sentence, plus = readme[readme.index("recognized keys are") :].split(" plus ", 1)
     assert set(re.findall(r"`([^`]+)`", sentence)) == _key_names()
+    # the clause after "plus" names the command line's keys, up to its period
+    assert re.findall(r"`([^`]+)`", plus.split(". ")[0]) == list(cli._COMMAND_KEYS)
     cfg = (root / "configs" / "reference.cfg").read_text()
     block = cfg[cfg.index("# Recognized keys") :].splitlines()[1:]
     block = block[: next(i for i, line in enumerate(block) if not line.startswith("#   "))]
@@ -193,12 +195,10 @@ def test_config_keys_documented_in_readme_and_reference_config():
     assert documented == _key_names()
 
 
-def test_from_mapping_ignores_cli_keys_and_rejects_unknown():
-    cfg = SuiteConfig.from_mapping(
-        {"grid.N": "257", "evolve.zeta": "1", "table.check": "mild", "out": "x"}
-    )
-    assert cfg.N == 257
-    for key in ("grid.sz", "tol", "margin.x", "space"):
+def test_from_mapping_rejects_unknown_keys():
+    # the command-line keys are read by the command line, not by the suite
+    assert SuiteConfig.from_mapping({"grid.N": "257"}).N == 257
+    for key in ("grid.sz", "tol", "margin.x", "space", "evolve.zeta", "table.check", "out"):
         with pytest.raises(ValueError, match="unknown configuration key"):
             SuiteConfig.from_mapping({key: "10"})
 
@@ -409,12 +409,22 @@ def test_report_identical_whatever_the_thread_count(threaded_reports):
 
 def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_reports):
     ran_on = []
+    crashed = threading.Event()
+    law = verify.semigroup_law_residual
 
     def broken(*args, **kwargs):
         ran_on.append(threading.current_thread())
+        crashed.set()
         raise RuntimeError("classical broke")
 
+    def law_after_the_crash(*args, **kwargs):
+        # the calling thread's first unit: it waits for the helper's crash, so
+        # it cannot reach the coarse classical part first
+        crashed.wait(30)
+        return law(*args, **kwargs)
+
     monkeypatch.setattr(verify, "classical_residual", broken)
+    monkeypatch.setattr(verify, "semigroup_law_residual", law_after_the_crash)
     _set_cpus(monkeypatch, 2)
     report = run_suite(THREADED)
     # the last unit is the first one a helper takes
@@ -549,6 +559,19 @@ def test_scaled_operator_bound_fails_every_row(monkeypatch, cfg, scale):
     monkeypatch.setattr(verify, "operator_bound", lambda z, k, g: scale * original(z, k, g))
     rows = _operator_rows(cfg)
     assert len(rows) == 6 and not any(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("n, N", [(1, 257), (2, 33), (3, 17)])
+def test_negated_stencil_fails_the_classical_row(monkeypatch, n, N):
+    # the classical row is the one check of the finite-difference Laplacian
+    row = lambda: run_suite(SuiteConfig(n=n, N=N, checks=("classical",))).results
+    (unmutated,) = row()
+    assert unmutated.passed
+    stencil = generator._stencil
+    monkeypatch.setattr(generator, "_stencil", lambda *args: -stencil(*args))
+    (mutated,) = row()
+    assert mutated.name == "classical[gaussian;dt=1e-2]" and not mutated.passed
+    assert mutated.residual > 1  # against a tolerance of 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
