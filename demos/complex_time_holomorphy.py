@@ -25,20 +25,16 @@ f = sample(grid, field_rule("wide_gaussian"))
 print("continuity scan: residual of G(r e^{i ray}) f - f as r -> 0")
 rays = (-np.pi / 4, 0.0, np.pi / 4)
 radii = [2.0**-j for j in range(1, 11)]
-entries = continuity_scan(f, space, np.pi / 3, rays, radii)
+scans = continuity_scan(f, space, np.pi / 3, rays, radii)
 print("  radius   " + "".join(f"ray {r:+.2f}  " for r in rays))
-for i, radius in enumerate(radii):
-    row = [entries[j * len(radii) + i].residual for j in range(len(rays))]
+for radius, row in zip(radii, zip(*scans)):
     print(f"  {radius:8.2e} " + " ".join(f"{v:9.2e}" for v in row))
 
 print("\nCauchy-Riemann and derivative defects shrink at second order in h")
 gaussian = sample(grid, field_rule("gaussian"))
 for h in (2e-2, 1e-2, 5e-3):
-    res = holomorphy_residuals(gaussian, 1.0, h, space)
-    print(
-        f"  h = {h:.0e}: cauchy-riemann {res.cauchy_riemann:.3e}, "
-        f"derivative match {res.derivative_match:.3e}"
-    )
+    cauchy_riemann, derivative_match = holomorphy_residuals(gaussian, 1.0, h, space)
+    print(f"  h = {h:.0e}: cauchy-riemann {cauchy_riemann:.3e}, derivative match {derivative_match:.3e}")
 
 print("\nclosed contour integrals of zeta -> G(zeta) f vanish")
 for m in (8, 16, 32, 64):

@@ -32,7 +32,7 @@ print("\nsector modulus bound (tail beyond radius R never exceeds the bound)")
 zeta = np.exp(1j * np.pi / 4)
 alpha = default_sector_angle(zeta)
 for R in (2.0, 4.0, 8.0):
-    bound = kernel_tail_bound(zeta, alpha, R, n=1)
+    bound = kernel_tail_bound(zeta, alpha, R, n=1, k=0)
     # brute-force the actual tail on a fine grid
     x = np.linspace(R, R + 40, 200001)
     tail = 2 * np.trapezoid(np.abs(kernel_eval(zeta, x[:, None], 1)), x)

@@ -40,7 +40,6 @@ from .kernel import (
     kernel_mass,
     kernel_tail_bound,
     sample_kernel,
-    weighted_kernel_tail_bound,
 )
 from .semigroup import (
     Method,
@@ -57,8 +56,6 @@ from .semigroup import (
 from .verify import (
     CHECK_GROUPS,
     CheckResult,
-    ContinuityEntry,
-    HolomorphyResiduals,
     SuiteConfig,
     VerificationReport,
     continuity_scan,

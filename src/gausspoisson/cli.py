@@ -121,7 +121,6 @@ def _cmd_evolve(args) -> int:
         except ValueError:
             raise ConfigError(f"unknown method {args.method!r}; use quadrature or spectral") from None
 
-    out = _out_dir(args.out)
     effective = dict(cfg.to_mapping())
     if args.rule is not None:
         effective["evolve.rule"] = args.rule
@@ -130,16 +129,18 @@ def _cmd_evolve(args) -> int:
     if args.method is not None:
         effective["evolve.method"] = method.value
 
+    # the output directory is made only once the evolution has succeeded
     if args.zeta is not None:
         zeta = parse_complex(args.zeta)
-        write_field_csv(apply(zeta, f, method=method), out / "field.csv")
+        result = apply(zeta, f, method=method)
+        write_field_csv(result, _out_dir(args.out) / "field.csv")
         effective["evolve.zeta"] = format_complex(zeta)
     else:
         times = tuple(float(part) for part in args.times.split(",") if part.strip())
-        write_trajectory(trajectory(f, times, method=method), out)
+        write_trajectory(trajectory(f, times, method=method), args.out)
         effective["evolve.times"] = _fmt_times(times)
 
-    write_config(effective, out / "effective.cfg")
+    write_config(effective, Path(args.out) / "effective.cfg")
     return 0
 
 
@@ -155,8 +156,10 @@ def _cmd_verify(args) -> int:
 
 
 def _continuity_table(cfg: SuiteConfig, f):
-    for e in continuity_scan(f, cfg.space, cfg.alpha, cfg.rays, cfg.radii, margin=cfg.margin):
-        yield e.ray, e.radius, e.residual
+    scans = continuity_scan(f, cfg.space, cfg.alpha, cfg.rays, cfg.radii, margin=cfg.margin)
+    for ray, residuals in zip(cfg.rays, scans):
+        for radius, residual in zip(cfg.radii, residuals):
+            yield ray, radius, residual
 
 
 def _generator_table(cfg: SuiteConfig, f):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernel as _kernel
 from .grid_field import Field, interior_slices
-from .semigroup import _spectral_values, apply, apply_dzeta
+from .semigroup import _spectral_values, apply, apply_dzeta, apply_many
 from .weights import SpaceSpec, difference_norm
 
 __all__ = [
@@ -106,9 +106,6 @@ class GeneratorResiduals:
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"residual {name} must be finite and >= 0, got {v}")
 
-    def max(self) -> float:
-        return max(self.r1, self.r2, self.r3)
-
 
 def generator_residuals(
     f: Field,
@@ -130,9 +127,7 @@ def generator_residuals(
         raise ValueError(f"time must be positive, got {t}")
     if not 0 < dt < t:
         raise ValueError(f"need 0 < dt < t, got dt={dt}, t={t}")
-    u = apply(t, f)
-    u_plus = apply(t + dt, f)
-    u_minus = apply(t - dt, f)
+    u, u_plus, u_minus = apply_many((t, t + dt, t - dt), f)
     dudt = u.with_values((u_plus.values - u_minus.values) / (2.0 * dt))
     lap_u = discrete_laplacian(u)
     u_of_lap = apply(t, discrete_laplacian(f))

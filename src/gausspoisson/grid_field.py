@@ -147,8 +147,8 @@ class Field:
     def m(self) -> int:
         return self.values.shape[-1]
 
-    def with_values(self, values: np.ndarray, **meta) -> "Field":
-        return Field(self.grid, values, meta=dict(meta))
+    def with_values(self, values: np.ndarray) -> "Field":
+        return Field(self.grid, values)
 
 
 def sample(grid: Grid, rule: Callable[[np.ndarray], np.ndarray]) -> Field:

@@ -32,7 +32,6 @@ __all__ = [
     "kernel_mass",
     "kernel_fourier",
     "kernel_tail_bound",
-    "weighted_kernel_tail_bound",
     "sample_kernel",
     "grid_for_time",
     "fourier_symbol_residual",
@@ -67,8 +66,7 @@ class ComplexTime:
 
     def in_sector(self, alpha: float) -> bool:
         """True iff ``|arg zeta| < alpha`` for ``0 < alpha < pi/2``."""
-        if not 0.0 < alpha < math.pi / 2:
-            raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
+        _checked_sector(alpha)
         return (not self.is_zero) and abs(self.argument) < alpha
 
 
@@ -86,6 +84,12 @@ def _require_positive(zeta) -> ComplexTime:
     if ct.is_zero:
         raise ValueError("kernel undefined at zeta = 0")
     return ct
+
+
+def _checked_sector(alpha: float) -> None:
+    """The package's one check of a sector angle: strictly inside ``(0, pi/2)``."""
+    if not 0.0 < alpha < math.pi / 2:
+        raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
 
 
 def default_sector_angle(zeta) -> float:
@@ -139,49 +143,34 @@ def kernel_fourier(zeta, xi):
     return np.exp(-z * squared_norm(xi))
 
 
-def kernel_tail_bound(zeta, alpha: float, R: float, n: int) -> float:
-    """Upper bound for the kernel mass outside the ball of radius ``R``.
+def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
+    """Upper bound for the weighted kernel tail ``∫_{|x|>R} (1+|x|)^k |chi| dx``.
 
-    Uses the sector-uniform majorant ``(4 pi r)^{-n/2} e^{-|x|^2 cos(alpha)/4r}``
-    valid for ``|arg zeta| < alpha < pi/2``; its radial integral reduces to a
-    regularized upper incomplete gamma.  Monotone decreasing in ``R`` and at
-    least the full absolute mass at ``R = 0``.
+    Integrates the sector-uniform majorant
+    ``(4 pi r)^{-n/2} e^{-|x|^2 cos(alpha)/4r}`` of ``|chi|``, valid for
+    ``|arg zeta| < alpha < pi/2``.  Its radial moments ``∫_{|x|>R} |x|^j``
+    are regularized upper incomplete gammas, so the binomial expansion of
+    ``(1+|x|)^K`` with ``K = ceil(k)`` gives the integral: exactly for
+    integer ``k``, and as an upper bound otherwise, since ``1+|x| >= 1``.
+    Monotone decreasing in ``R``; at ``k = 0`` it is the kernel's mass
+    outside the ball, at least the full absolute mass at ``R = 0``.
     """
     ct = _require_positive(zeta)
-    if not 0.0 < alpha < math.pi / 2:
-        raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
+    _checked_sector(alpha)
     if not abs(ct.argument) < alpha:
         raise ValueError(f"zeta argument {ct.argument:.4f} outside the sector of angle {alpha:.4f}")
     if R < 0:
         raise ValueError(f"radius must be >= 0, got {R}")
+    K = math.ceil(_checked_exponent(k))
     from scipy.special import gammaincc  # imported on use: it is most of the package's import time
     a = math.cos(alpha) / (4.0 * ct.modulus)
-    return math.cos(alpha) ** (-n / 2.0) * float(gammaincc(n / 2.0, a * R * R))
-
-
-def weighted_kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
-    """Upper bound for the weighted tail ``∫_{|x|>R} (1+|x|)^k |chi| dx``.
-
-    The weighted integral of the sector majorant of :func:`kernel_tail_bound`.
-    Its radial moments ``∫_{|x|>R} |x|^j`` are upper incomplete gammas, so
-    for integer ``k`` the binomial expansion of ``(1+|x|)^k`` gives the
-    integral exactly; other ``k`` use ``(1+|x|)^k <= 2^k (1 + |x|^k)``.
-    """
-    _checked_exponent(k)
-    tail = kernel_tail_bound(zeta, alpha, R, n)
-    if k == 0:
-        return tail
-    from scipy.special import gammaincc
-    a = math.cos(alpha) / (4.0 * as_time(zeta).modulus)
 
     def moment(j):  # the majorant's tail integral of |x|^j
         s = (n + j) / 2.0
         ratio = math.gamma(s) / math.gamma(n / 2.0)
         return math.cos(alpha) ** (-n / 2.0) * ratio * a ** (-j / 2.0) * float(gammaincc(s, a * R * R))
 
-    if float(k).is_integer():
-        return tail + sum(math.comb(int(k), j) * moment(j) for j in range(1, int(k) + 1))
-    return 2.0**k * (tail + moment(k))
+    return moment(0) + sum(math.comb(K, j) * moment(j) for j in range(1, K + 1))
 
 
 def sample_kernel(zeta, g: Grid) -> Field:

@@ -137,7 +137,7 @@ def _spectral_values(spectrum: np.ndarray, multiplier: np.ndarray) -> np.ndarray
 
 def _tail_meta(z: complex, g: Grid) -> dict:
     alpha = default_sector_angle(z)
-    bound = kernel_tail_bound(z, alpha, g.L, g.n)
+    bound = kernel_tail_bound(z, alpha, g.L, g.n, 0)
     return {
         "zeta": z,
         "tail_bound": bound,
@@ -286,13 +286,6 @@ class Trajectory:
                 raise ValueError("all trajectory states must share one component count")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
 
 
 def trajectory(f: Field, times, method=None) -> Trajectory:

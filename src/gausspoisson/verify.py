@@ -28,7 +28,7 @@ from .generator import (
     mild_identity_residual,
 )
 from .grid_field import Field, Grid, interior_slices, make_grid, sample
-from .kernel import _require_positive, as_time
+from .kernel import _checked_sector, _require_positive, as_time
 from .semigroup import Method, _operator_norms, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceKind, SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
 
@@ -38,8 +38,6 @@ __all__ = [
     "SuiteConfig",
     "CheckResult",
     "VerificationReport",
-    "ContinuityEntry",
-    "HolomorphyResiduals",
     "semigroup_law_residual",
     "continuity_scan",
     "holomorphy_residuals",
@@ -309,18 +307,10 @@ def semigroup_law_residual(zeta1, zeta2, f: Field, s: SpaceSpec, margin: float =
     return difference_norm(one_step, two_step, s, margin)
 
 
-@dataclass(frozen=True)
-class ContinuityEntry:
-    ray: float
-    radius: float
-    residual: float
-
-
 def _continuity_geometry(alpha: float, rays, radii) -> tuple:
     """Validate a continuity scan's sector angle, rays and radii; returns the
     radii as floats."""
-    if not 0 < alpha < math.pi / 2:
-        raise ValueError(f"sector angle must lie in (0, pi/2), got {alpha}")
+    _checked_sector(alpha)
     if not rays:
         raise ValueError("need at least one ray")
     radii = tuple(float(r) for r in radii)
@@ -337,37 +327,27 @@ def _continuity_geometry(alpha: float, rays, radii) -> tuple:
 def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: float = 0.25) -> list:
     """Residuals of ``G(r e^{i ray}) f - f`` for each ray and shrinking radius.
 
-    Rows are ordered by (ray, radius in the given order); every ray must lie
-    strictly inside the sector of angle ``alpha``.  Strong continuity at zero
-    time predicts the residuals to fall to 0 along every ray.
+    Returns one list per ray, in the given order, of the residuals at each
+    radius, in the given order; every ray must lie strictly inside the sector
+    of angle ``alpha``.  Strong continuity at zero time predicts the
+    residuals to fall to 0 along every ray.
     """
     radii = _continuity_geometry(alpha, rays, radii)
-    entries = []
-    for ray in rays:
-        for r in radii:
-            zeta = r * complex(math.cos(ray), math.sin(ray))
-            residual = difference_norm(apply(zeta, f), f, s, margin)
-            entries.append(ContinuityEntry(float(ray), r, residual))
-    return entries
+    return [
+        [difference_norm(apply(r * complex(math.cos(ray), math.sin(ray)), f), f, s, margin) for r in radii]
+        for ray in rays
+    ]
 
 
-@dataclass(frozen=True)
-class HolomorphyResiduals:
+def holomorphy_residuals(f: Field, zeta, h: float, s: SpaceSpec, margin: float = 0.25) -> tuple:
     """Discrete complex-differentiability measures of ``zeta -> G(zeta)f``.
 
-    ``cauchy_riemann``: weighted norm of the central-difference approximation
-    of the conjugate-derivative (must vanish for a holomorphic map).
-    ``derivative_match``: distance of the real-direction difference quotient
-    from the closed-form derivative operator.
-
-    Every evolution is by quadrature, the path of the derivative operator.
+    Returns ``(cauchy_riemann, derivative_match)``: the weighted norm of the
+    central-difference approximation of the conjugate derivative (it must
+    vanish for a holomorphic map), and the distance of the real-direction
+    difference quotient from the closed-form derivative operator.  Every
+    evolution is by quadrature, the path of the derivative operator.
     """
-
-    cauchy_riemann: float
-    derivative_match: float
-
-
-def holomorphy_residuals(f: Field, zeta, h: float, s: SpaceSpec, margin: float = 0.25) -> HolomorphyResiduals:
     z = _require_positive(zeta).value
     if not 0 < h < z.real:
         raise ValueError(f"step must satisfy 0 < h < Re zeta, got h={h}, zeta={z}")
@@ -380,10 +360,7 @@ def holomorphy_residuals(f: Field, zeta, h: float, s: SpaceSpec, margin: float =
     conjugate = f.with_values(0.5 * (d_re + 1j * d_im))
     deriv = apply_dzeta(z, f)
     quotient = f.with_values(d_re)
-    return HolomorphyResiduals(
-        cauchy_riemann=weighted_norm(conjugate, s, margin=margin),
-        derivative_match=difference_norm(quotient, deriv, s, margin),
-    )
+    return weighted_norm(conjugate, s, margin=margin), difference_norm(quotient, deriv, s, margin)
 
 
 def contour_residual(f: Field, center, radius: float, m: int, s: SpaceSpec, margin: float = 0.25) -> float:
@@ -553,10 +530,9 @@ def _kernel_reproduction(inp: _Inputs):
 def _continuity(inp: _Inputs):
     # strong continuity along sector rays: one scan per ray gives both rows
     def scan(ray):
-        entries = continuity_scan(
+        [residuals] = continuity_scan(
             inp.continuity_field, inp.s, inp.cfg.alpha, [ray], inp.cfg.radii, margin=inp.margin
         )
-        residuals = [e.residual for e in entries]
         rises = [later - earlier for earlier, later in zip(residuals, residuals[1:])]
         return [(residuals[-1], {"radii": len(residuals)}), (max([0.0, *rises]), {})]
 
@@ -571,8 +547,7 @@ def _holomorphy(inp: _Inputs):
         coarse, fine = (
             holomorphy_residuals(inp.gaussian_field, 1.0, h, inp.s, margin=inp.margin) for h in (1e-2, 5e-3)
         )
-        pairs = [(getattr(coarse, a), getattr(fine, a)) for a in ("cauchy_riemann", "derivative_match")]
-        return [(abs(_ratio(num, den, 4.0) - 4.0), {"coarse": num, "fine": den}) for num, den in pairs]
+        return [(abs(_ratio(a, b, 4.0) - 4.0), {"coarse": a, "fine": b}) for a, b in zip(coarse, fine)]
 
     yield ratios, *((f"holomorphy-ratio[{r}]", "holomorphy_ratio") for r in ("cauchy-riemann", "derivative"))
 
@@ -635,7 +610,7 @@ def _operator_bound(inp: _Inputs):
         # the grid, at most the tail beyond L; without 0 on the grid M_k is
         # not sharp.  The sector majorant at the time's own argument is |chi|.
         alpha = math.nextafter(abs(as_time(z).argument), math.pi / 2)
-        tail = kernelmod.weighted_kernel_tail_bound(z, alpha, g.L, g.n, k)
+        tail = kernelmod.kernel_tail_bound(z, alpha, g.L, g.n, k)
         sharp = g.N % 2 == 1
         terms = [abs(attained / norm - 1.0), norm / bound - 1.0]
         if sharp:

@@ -104,26 +104,32 @@ def test_evolve_header_only_input_exits_two(tmp_path):
 
 
 def test_evolve_input_validation(tmp_path, capsys):
-    out = str(tmp_path / "x")
-    # no input source
-    assert main(["evolve", "--zeta", "1", "--out", out]) == 2
-    # both input sources
-    assert main(["evolve", "--rule", "gaussian", "--input", "f.csv", "--zeta", "1", "--out", out]) == 2
-    # neither zeta nor times
-    assert main(["evolve", "--rule", "gaussian", "--out", out]) == 2
-    # both zeta and times
-    assert main(["evolve", "--rule", "gaussian", "--zeta", "1", "--times", "1", "--out", out]) == 2
-    # unknown rule, unknown method, bad zeta
-    assert main(["evolve", "--rule", "bogus", "--zeta", "1", "--out", out]) == 2
-    assert main(["evolve", "--rule", "gaussian", "--zeta", "1", "--method", "magic", "--out", out]) == 2
-    assert main(["evolve", "--rule", "gaussian", "--zeta", "1 2", "--out", out]) == 2
-    # negative time in a trajectory
-    assert main(["evolve", "--rule", "gaussian", "--times", "-1,0", "--out", out]) == 2
+    out = tmp_path / "x"
+    gaussian = ["--rule", "gaussian"]
+    cases = [
+        ["--zeta", "1"],  # no input source
+        [*gaussian, "--input", "f.csv", "--zeta", "1"],  # both input sources
+        gaussian,  # neither zeta nor times
+        [*gaussian, "--zeta", "1", "--times", "1"],  # both zeta and times
+        ["--rule", "bogus", "--zeta", "1"],  # unknown rule
+        [*gaussian, "--zeta", "1", "--method", "magic"],  # unknown method
+        # bad times: malformed, negative, out of order
+        [*gaussian, "--zeta", "1 2"],
+        [*gaussian, "--zeta", "abc"],
+        [*gaussian, "--times", "1,abc"],
+        [*gaussian, "--times", "-1,0"],
+        [*gaussian, "--times", "1,0.5"],
+    ]
+    for args in cases:
+        assert main(["evolve", *args, "--out", str(out)]) == 2, args
+        # nothing is written, not even the output directory
+        assert not out.exists(), args
     # an infinite time is blamed as such, not as a non-finite field value
     for flag, value in (("--zeta", "inf"), ("--times", "0,inf")):
         capsys.readouterr()
-        assert main(["evolve", "--rule", "gaussian", flag, value, "--out", out]) == 2
+        assert main(["evolve", *gaussian, flag, value, "--out", str(out)]) == 2
         assert "complex time must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_flag_overrides_config_value(tmp_path):

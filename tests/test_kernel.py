@@ -21,7 +21,6 @@ from gausspoisson import (
     make_grid,
     sample,
     sample_kernel,
-    weighted_kernel_tail_bound,
 )
 from gausspoisson.generator import _window_laplacian
 
@@ -193,7 +192,7 @@ def test_tail_bound_dominates_true_tail_mass():
         density = lambda x: (4 * np.pi * r) ** -0.5 * np.exp(-(x**2) * np.cos(phi) / (4 * r))
         for R in (2.0, 5.0, 8.0):
             true_tail = 2.0 * integrate.quad(density, R, np.inf)[0]
-            bound = kernel_tail_bound(zeta, alpha, R, 1)
+            bound = kernel_tail_bound(zeta, alpha, R, 1, 0)
             assert bound >= true_tail > 0.0
 
 
@@ -201,20 +200,20 @@ def test_tail_bound_tight_for_real_time_and_small_angle():
     # as alpha -> |arg zeta| = 0 the sector majorant converges to the true tail
     density = lambda x: (4 * np.pi) ** -0.5 * np.exp(-(x**2) / 4.0)
     true_tail = 2.0 * integrate.quad(density, 6.0, np.inf)[0]
-    bound = kernel_tail_bound(1.0, 1e-6, 6.0, 1)
+    bound = kernel_tail_bound(1.0, 1e-6, 6.0, 1, 0)
     assert bound == pytest.approx(true_tail, rel=1e-4)
 
 
 def test_tail_bound_decreases_in_radius():
     zeta = np.exp(1j * np.pi / 6)
-    vals = [kernel_tail_bound(zeta, 1.0, R, 2) for R in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    vals = [kernel_tail_bound(zeta, 1.0, R, 2, 0) for R in (1.0, 2.0, 4.0, 8.0, 16.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-12
 
 
 def test_tail_bound_rejects_time_outside_sector():
     with pytest.raises(ValueError):
-        kernel_tail_bound(np.exp(1j * 1.2), 1.0, 3.0, 1)
+        kernel_tail_bound(np.exp(1j * 1.2), 1.0, 3.0, 1, 0)
 
 
 def test_weighted_tail_bound_dominates_weighted_tail_mass():
@@ -227,18 +226,29 @@ def test_weighted_tail_bound_dominates_weighted_tail_mass():
     )
     for R in (3.0, 6.0):
         true_tail = 2.0 * integrate.quad(density, R, np.inf)[0]
-        bound = weighted_kernel_tail_bound(zeta, 1.0, R, 1, k)
+        bound = kernel_tail_bound(zeta, 1.0, R, 1, k)
         assert bound >= true_tail > 0.0
-    assert weighted_kernel_tail_bound(zeta, 1.0, 3.0, 1, 0.0) == pytest.approx(
-        kernel_tail_bound(zeta, 1.0, 3.0, 1)
-    )
+    # a fractional exponent takes the expansion of the next integer one
+    for k, ceil_k in ((1.5, 2), (0.25, 1), (3.0 - 1e-12, 3)):
+        assert kernel_tail_bound(zeta, 1.0, 3.0, 1, k) == kernel_tail_bound(zeta, 1.0, 3.0, 1, ceil_k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tail_bound_at_k0_is_the_incomplete_gamma(n):
+    # the unweighted tail of the majorant, to the bit: every apply's tail_bound
+    from scipy.special import gammaincc
+
+    for zeta, alpha, R in ((1.0, 0.1, 6.0), (np.exp(1j * np.pi / 4), 0.9, 12.0), (0.25, 0.3, 1.0)):
+        a = math.cos(alpha) / (4.0 * abs(complex(zeta)))
+        closed_form = math.cos(alpha) ** (-n / 2.0) * float(gammaincc(n / 2.0, a * R * R))
+        assert kernel_tail_bound(zeta, alpha, R, n, 0) == closed_form
 
 
 def test_weighted_tail_bound_monotone_in_radius_and_exponent():
     zeta = 0.5
-    bounds_R = [weighted_kernel_tail_bound(zeta, 0.3, R, 1, 2.0) for R in (2.0, 4.0, 8.0)]
+    bounds_R = [kernel_tail_bound(zeta, 0.3, R, 1, 2.0) for R in (2.0, 4.0, 8.0)]
     assert all(a > b for a, b in zip(bounds_R, bounds_R[1:]))
-    bounds_k = [weighted_kernel_tail_bound(zeta, 0.3, 4.0, 1, k) for k in (0.0, 1.0, 2.0)]
+    bounds_k = [kernel_tail_bound(zeta, 0.3, 4.0, 1, k) for k in (0.0, 1.0, 2.0)]
     assert all(a <= b for a, b in zip(bounds_k, bounds_k[1:]))
 
 
@@ -257,7 +267,7 @@ def test_weighted_tail_bound_against_mpmath(n, k):
         density = lambda rho: (1 + rho) ** k * rho ** (n - 1) * mpmath.exp(-a * rho**2)
         radial = mpmath.quad(density, [R, R + 10, mpmath.inf])
         exact = float(sphere * (4 * mpmath.pi * r) ** (-mpmath.mpf(n) / 2) * radial)
-        bound = weighted_kernel_tail_bound(zeta, alpha, R, n, k)
+        bound = kernel_tail_bound(zeta, alpha, R, n, k)
         if float(k).is_integer():
             assert bound == pytest.approx(exact, rel=1e-12)
         else:
@@ -269,7 +279,7 @@ def test_grid_for_time_controls_tail_and_resolution():
         g = grid_for_time(zeta, 1, tol=1e-10)
         assert g.N % 2 == 1
         alpha = default_sector_angle(zeta)
-        assert kernel_tail_bound(zeta, alpha, g.L, 1) <= 1e-10
+        assert kernel_tail_bound(zeta, alpha, g.L, 1, 0) <= 1e-10
         # spacing resolves the modulus scale sqrt(2 r / cos alpha)
         r = abs(complex(zeta))
         assert g.h <= np.sqrt(2 * r / np.cos(alpha)) / 10

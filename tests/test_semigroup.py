@@ -173,8 +173,8 @@ def test_operator_norms_match_the_dense_matrix(n, N):
 
 def test_trajectory_states_match_apply():
     traj = trajectory(GAUSSIAN, [0.0, 0.25, 1.0])
-    assert len(traj) == 3
-    assert traj.grid == GRID
+    assert len(traj.times) == 3
+    assert all(state.grid == GRID for state in traj.states)
     assert traj.states[0].values is GAUSSIAN.values
     np.testing.assert_array_equal(traj.states[2].values, apply(1.0, GAUSSIAN).values)
 

@@ -8,12 +8,12 @@ from gausspoisson import (
     SpaceKind,
     SpaceSpec,
     interior_slices,
+    kernel_tail_bound,
     make_grid,
     operator_bound,
     sample,
     weight_eval,
     weight_inequality_check,
-    weighted_kernel_tail_bound,
     weighted_norm,
 )
 from gausspoisson.semigroup import _operator_norms
@@ -36,7 +36,7 @@ def test_weight_rejects_negative_exponent():
         lambda k: weight_eval(k, 0.0),
         lambda k: operator_bound(1.0, k, g),
         lambda k: _operator_norms(1.0, k, g),
-        lambda k: weighted_kernel_tail_bound(1.0, 0.5, 4.0, 1, k),
+        lambda k: kernel_tail_bound(1.0, 0.5, 4.0, 1, k),
     ]
     for k in (-0.5, np.inf, np.nan):
         for use in users:
