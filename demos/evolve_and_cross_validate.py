@@ -47,4 +47,4 @@ quad = apply(zeta, f, method=Method.QUADRATURE)
 spec = apply(zeta, f, method=Method.SPECTRAL)
 gap = np.max(np.abs(quad.values[window] - spec.values[window]))
 print(f"  zeta = {zeta}: interior max gap {gap:.2e}")
-print(f"  tail bound recorded with the result: {quad.meta['tail_bound']:.2e}")
+print(f"  kernel tail beyond L recorded with the result: {quad.meta['tail_bound']:.2e}")

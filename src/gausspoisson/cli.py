@@ -65,13 +65,6 @@ def write_config(mapping: dict, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _suite_config(mapping: dict) -> SuiteConfig:
-    try:
-        return SuiteConfig.from_mapping(mapping)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
-
-
 # The command keys of a config file: each is the flag after its dot, for the
 # subcommand before it.  Every other key is the suite's.
 _COMMAND_KEYS = ("evolve.rule", "evolve.input", "evolve.zeta", "evolve.times", "evolve.method", "table.check")
@@ -86,7 +79,7 @@ def _load(args) -> SuiteConfig:
         value = mapping.pop(key, None) or None
         if command == args.command and getattr(args, flag) is None:
             setattr(args, flag, value)
-    return _suite_config(mapping)
+    return SuiteConfig.from_mapping(mapping)
 
 
 def _out_dir(path) -> Path:
@@ -163,14 +156,14 @@ def _continuity_table(cfg: SuiteConfig, f):
 
 
 def _generator_table(cfg: SuiteConfig, f):
-    for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
-        res = generator_residuals(f, 0.5, dt, space=cfg.space, margin=cfg.margin)
+    dts = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    for dt, res in zip(dts, generator_residuals(f, 0.5, dts, space=cfg.space, margin=cfg.margin)):
         yield dt, res.r1, res.r2, res.r3
 
 
 def _mild_table(cfg: SuiteConfig, f):
-    for steps in (32, 64, 128, 256, 512):
-        yield steps, mild_identity_residual(f, 1.0, steps=steps, space=cfg.space, margin=cfg.margin)
+    steps = (32, 64, 128, 256, 512)
+    return zip(steps, mild_identity_residual(f, 1.0, steps, space=cfg.space, margin=cfg.margin))
 
 
 # check -> (CSV header, SuiteConfig attribute naming the field rule, rows(cfg, field))

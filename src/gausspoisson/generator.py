@@ -43,7 +43,7 @@ def discrete_laplacian(f: Field) -> Field:
     g = f.grid
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
     spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
-    return Field(g, _spectral_values(spectrum, -g.fourier_squared_norms), meta={"laplacian": "spectral"})
+    return Field(g, _spectral_values(spectrum, -g.fourier_squared_norms))
 
 
 def _window_laplacian(f: Field, inner) -> np.ndarray:
@@ -110,51 +110,57 @@ class GeneratorResiduals:
 def generator_residuals(
     f: Field,
     t: float,
-    dt: float,
+    dts,
     space: SpaceSpec = SpaceSpec.make(0),
     margin: float = DEFAULT_MARGIN,
-) -> GeneratorResiduals:
-    """Residuals of the generator identities at real time ``t``.
+) -> list:
+    """Residuals of the generator identities at real time ``t``, one
+    :class:`GeneratorResiduals` per step of ``dts``, in order.
 
     The time derivative is the central difference
-    ``(G(t+dt)f - G(t-dt)f) / (2 dt)``, so all three residuals carry an
-    O(dt^2) bias on top of grid error.  The Laplacian is the spectral one.
-    ``r2`` applies it on both sides so its bias cancels to leading order; it
-    is only meaningful when ``f`` is smooth enough to differentiate on the
-    grid.
+    ``(G(t+dt)f - G(t-dt)f) / (2 dt)``, so ``r1`` and ``r3`` carry an O(dt^2)
+    bias on top of grid error.  The Laplacian is the spectral one.  ``r2``
+    has no step, so all entries share it; it is only meaningful when ``f`` is
+    smooth enough to differentiate on the grid.  All times come from one
+    :func:`apply_many`, and only ``u`` and one shifted pair are held.
     """
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
-    if not 0 < dt < t:
-        raise ValueError(f"need 0 < dt < t, got dt={dt}, t={t}")
-    u, u_plus, u_minus = apply_many((t, t + dt, t - dt), f)
-    dudt = u.with_values((u_plus.values - u_minus.values) / (2.0 * dt))
+    dts = tuple(dts)  # read more than once
+    if not all(0 < dt < t for dt in dts):
+        raise ValueError(f"need 0 < dt < t for every step, got dts={dts}, t={t}")
+    states = apply_many((t, *(s for dt in dts for s in (t + dt, t - dt))), f)
+    u = next(states)
     lap_u = discrete_laplacian(u)
-    u_of_lap = apply(t, discrete_laplacian(f))
+    r2 = difference_norm(lap_u, apply(t, discrete_laplacian(f)), space, margin)
     deriv = apply_dzeta(t, f)
-    return GeneratorResiduals(
-        r1=difference_norm(dudt, lap_u, space, margin),
-        r2=difference_norm(lap_u, u_of_lap, space, margin),
-        r3=difference_norm(dudt, deriv, space, margin),
-    )
+    # G(t+dt)f, then G(t-dt)f: the order apply_many yields them in
+    dudts = (u.with_values((next(states).values - next(states).values) / (2.0 * dt)) for dt in dts)
+    norms = ((difference_norm(d, lap_u, space, margin), difference_norm(d, deriv, space, margin)) for d in dudts)
+    return [GeneratorResiduals(r1, r2, r3) for r1, r3 in norms]
 
 
 def difference_quotient_residual(
     f: Field,
-    h: float,
+    hs,
     space: SpaceSpec = SpaceSpec.make(0),
     margin: float = DEFAULT_MARGIN,
-) -> float:
-    """Residual of ``(G(h)f - f)/h`` against the spectral Laplacian of ``f``.
+) -> list:
+    """Residuals of ``(G(h)f - f)/h`` against the spectral Laplacian of ``f``,
+    one per step of ``hs``, in order.
 
     For fields in the generator's domain this tends to 0 as ``h`` does, at
     observed order about 1 for smooth fields (the leading error term is
     ``(h/2) Delta^2 f``).
     """
-    if not h > 0:
-        raise ValueError(f"step must be positive, got {h}")
-    quotient = f.with_values((apply(h, f).values - f.values) / h)
-    return difference_norm(quotient, discrete_laplacian(f), space, margin)
+    hs = tuple(hs)  # read more than once
+    if not all(h > 0 for h in hs):
+        raise ValueError(f"steps must be positive, got {hs}")
+    lap = discrete_laplacian(f)
+    return [
+        difference_norm(f.with_values((u.values - f.values) / h), lap, space, margin)
+        for h, u in zip(hs, apply_many(hs, f))
+    ]
 
 
 def _graded_nodes(t: float, steps: int) -> np.ndarray:
@@ -208,17 +214,17 @@ def time_integral(f: Field, t: float, steps: int = 256) -> Field:
 def mild_identity_residual(
     f: Field,
     t: float,
-    steps: int = 256,
+    steps,
     space: SpaceSpec = SpaceSpec.make(0),
     margin: float = DEFAULT_MARGIN,
-) -> float:
-    """Residual ``|| Delta ∫_0^t G(s)f ds - (G(t)f - f) ||`` of the
-    mild-solution identity in the weighted norm over the interior window.
-    The Laplacian is the spectral one.
+) -> list:
+    """Residuals ``|| Delta ∫_0^t G(s)f ds - (G(t)f - f) ||`` of the
+    mild-solution identity in the weighted norm over the interior window, one
+    per quadrature step count of ``steps``, in order.  The Laplacian is the
+    spectral one; ``G(t)f - f`` is formed once.
     """
-    lhs = discrete_laplacian(time_integral(f, t, steps=steps))
     rhs = f.with_values(apply(t, f).values - f.values)
-    return difference_norm(lhs, rhs, space, margin)
+    return [difference_norm(discrete_laplacian(time_integral(f, t, n)), rhs, space, margin) for n in steps]
 
 
 def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:

@@ -173,6 +173,13 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
     return moment(0) + sum(math.comb(K, j) * moment(j) for j in range(1, K + 1))
 
 
+def _own_tail(zeta, R: float, n: int, k: float) -> float:
+    """:func:`kernel_tail_bound` at the angle just above ``|arg zeta|``, where
+    the sector majorant is ``|chi_zeta|`` itself: the kernel's own tail."""
+    alpha = math.nextafter(abs(_require_positive(zeta).argument), math.pi / 2)
+    return kernel_tail_bound(zeta, alpha, R, n, k)
+
+
 def sample_kernel(zeta, g: Grid) -> Field:
     """The kernel sampled on a grid as a scalar field."""
     z = _require_positive(zeta).value

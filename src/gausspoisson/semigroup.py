@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernel as _kernel
 from .grid_field import Field, Grid, read_field_csv, write_field_csv
-from .kernel import _require_positive, as_time, default_sector_angle, kernel_tail_bound
+from .kernel import _own_tail, _require_positive, as_time
 from .weights import _weight
 
 __all__ = [
@@ -136,8 +136,7 @@ def _spectral_values(spectrum: np.ndarray, multiplier: np.ndarray) -> np.ndarray
 
 
 def _tail_meta(z: complex, g: Grid) -> dict:
-    alpha = default_sector_angle(z)
-    bound = kernel_tail_bound(z, alpha, g.L, g.n, 0)
+    bound = _own_tail(z, g.L, g.n, 0)
     return {
         "zeta": z,
         "tail_bound": bound,
@@ -153,8 +152,8 @@ def apply(zeta, f: Field, method=None) -> Field:
     is the identity there), with its own metadata
     ``{"zeta": 0, "method": "identity"}``.  For ``Re zeta > 0`` the selected
     method runs; ``method=None`` picks the default for the time.  The result
-    carries provenance metadata including a kernel tail bound beyond the grid
-    half-extent; if that exceeds the budget recorded as ``tail_budget``
+    carries provenance metadata including the kernel's own tail beyond the
+    grid half-extent; if that exceeds the budget recorded as ``tail_budget``
     (1e-10) the metadata records ``tail_warning=True`` rather than raising,
     so suites can assert on grid adequacy.
     """
@@ -165,7 +164,8 @@ def apply_many(times, f: Field, method=None):
     """Yield ``apply(t, f, method)`` for each time in turn.
 
     The spectral path transforms ``f`` once for all times.  States are
-    produced one at a time, so a caller holds only the states it keeps.
+    produced one at a time, and no name here refers to a state once it is
+    yielded, so a caller holds only the states it keeps.
     """
     g = f.grid
     spectrum = None
@@ -176,20 +176,19 @@ def apply_many(times, f: Field, method=None):
             continue
         z = ct.value
         m = default_method(ct) if method is None else Method(method)
-        if m is Method.QUADRATURE:
-            factor = _kernel.kernel_eval(z, _difference_axis(g), 1)
-            values = _riemann_sum([factor] * g.n, f)
-        else:
-            from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-            if spectrum is None:
-                spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
-            # the symbol goes through kernel.kernel_fourier (module attribute,
-            # not a local alias) so the spectral path provably follows it
-            symbol = _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
-            values = _spectral_values(spectrum, reduce(np.multiply.outer, (symbol,) * g.n))
         meta = _tail_meta(z, g)
         meta["method"] = m.value
-        yield Field(g, values, meta=meta)
+        if m is Method.QUADRATURE:
+            factor = _kernel.kernel_eval(z, _difference_axis(g), 1)
+            yield Field(g, _riemann_sum([factor] * g.n, f), meta=meta)
+            continue
+        from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
+        if spectrum is None:
+            spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
+        # the symbol goes through kernel.kernel_fourier (module attribute,
+        # not a local alias) so the spectral path provably follows it
+        symbol = _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
+        yield Field(g, _spectral_values(spectrum, reduce(np.multiply.outer, (symbol,) * g.n)), meta=meta)
 
 
 def apply_dzeta(zeta, f: Field) -> Field:

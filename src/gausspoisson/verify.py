@@ -22,6 +22,7 @@ import numpy as np
 from . import kernel as kernelmod
 from .fields import GaussianMixture, field_rule, random_gaussian_mixture
 from .generator import (
+    DEFAULT_MARGIN,
     classical_residual,
     difference_quotient_residual,
     generator_residuals,
@@ -297,14 +298,13 @@ class VerificationReport:
 # -- check operations ----------------------------------------------------------
 
 
-def semigroup_law_residual(zeta1, zeta2, f: Field, s: SpaceSpec, margin: float = 0.25) -> float:
+def semigroup_law_residual(zeta1, zeta2, f: Field, s: SpaceSpec, margin: float = DEFAULT_MARGIN) -> float:
     """Interior-window weighted-norm residual of the composition law:
     evolving by ``zeta1 + zeta2`` in one step versus two, each on the
     default path for its time."""
     z1, z2 = as_time(zeta1), as_time(zeta2)
-    one_step = apply(z1.value + z2.value, f)
-    two_step = apply(z1, apply(z2, f))
-    return difference_norm(one_step, two_step, s, margin)
+    one_step, first_step = apply_many((z1.value + z2.value, z2), f)
+    return difference_norm(one_step, apply(z1, first_step), s, margin)
 
 
 def _continuity_geometry(alpha: float, rays, radii) -> tuple:
@@ -324,7 +324,7 @@ def _continuity_geometry(alpha: float, rays, radii) -> tuple:
     return radii
 
 
-def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: float = 0.25) -> list:
+def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: float = DEFAULT_MARGIN) -> list:
     """Residuals of ``G(r e^{i ray}) f - f`` for each ray and shrinking radius.
 
     Returns one list per ray, in the given order, of the residuals at each
@@ -333,37 +333,40 @@ def continuity_scan(f: Field, s: SpaceSpec, alpha: float, rays, radii, margin: f
     residuals to fall to 0 along every ray.
     """
     radii = _continuity_geometry(alpha, rays, radii)
-    return [
-        [difference_norm(apply(r * complex(math.cos(ray), math.sin(ray)), f), f, s, margin) for r in radii]
-        for ray in rays
-    ]
+    scans = (apply_many([r * complex(math.cos(ray), math.sin(ray)) for r in radii], f) for ray in rays)
+    return [[difference_norm(u, f, s, margin) for u in states] for states in scans]
 
 
-def holomorphy_residuals(f: Field, zeta, h: float, s: SpaceSpec, margin: float = 0.25) -> tuple:
+def holomorphy_residuals(f: Field, zeta, hs, s: SpaceSpec, margin: float = DEFAULT_MARGIN) -> list:
     """Discrete complex-differentiability measures of ``zeta -> G(zeta)f``.
 
-    Returns ``(cauchy_riemann, derivative_match)``: the weighted norm of the
-    central-difference approximation of the conjugate derivative (it must
-    vanish for a holomorphic map), and the distance of the real-direction
-    difference quotient from the closed-form derivative operator.  Every
+    Returns one pair ``(cauchy_riemann, derivative_match)`` per step of
+    ``hs``, in order: the weighted norm of the central-difference
+    approximation of the conjugate derivative (it must vanish for a
+    holomorphic map), and the distance of the real-direction difference
+    quotient from the closed-form derivative operator, applied once.  Every
     evolution is by quadrature, the path of the derivative operator.
     """
     z = _require_positive(zeta).value
-    if not 0 < h < z.real:
-        raise ValueError(f"step must satisfy 0 < h < Re zeta, got h={h}, zeta={z}")
-    u_re_plus = apply(z + h, f, method=Method.QUADRATURE)
-    u_re_minus = apply(z - h, f, method=Method.QUADRATURE)
-    u_im_plus = apply(z + 1j * h, f, method=Method.QUADRATURE)
-    u_im_minus = apply(z - 1j * h, f, method=Method.QUADRATURE)
-    d_re = (u_re_plus.values - u_re_minus.values) / (2.0 * h)
-    d_im = (u_im_plus.values - u_im_minus.values) / (2.0 * h)
-    conjugate = f.with_values(0.5 * (d_re + 1j * d_im))
+    hs = tuple(hs)  # read more than once
+    if not all(0 < h < z.real for h in hs):
+        raise ValueError(f"steps must satisfy 0 < h < Re zeta, got hs={hs}, zeta={z}")
+    times = [w for h in hs for w in (z + h, z - h, z + 1j * h, z - 1j * h)]
+    states = apply_many(times, f, method=Method.QUADRATURE)
     deriv = apply_dzeta(z, f)
-    quotient = f.with_values(d_re)
-    return weighted_norm(conjugate, s, margin=margin), difference_norm(quotient, deriv, s, margin)
+    pairs = []
+    for h in hs:  # z+h, z-h, z+ih, z-ih: the order apply_many yields them in
+        d_re = (next(states).values - next(states).values) / (2.0 * h)
+        d_im = (next(states).values - next(states).values) / (2.0 * h)
+        conjugate = f.with_values(0.5 * (d_re + 1j * d_im))
+        quotient = f.with_values(d_re)
+        pairs.append((weighted_norm(conjugate, s, margin=margin), difference_norm(quotient, deriv, s, margin)))
+    return pairs
 
 
-def contour_residual(f: Field, center, radius: float, m: int, s: SpaceSpec, margin: float = 0.25) -> float:
+def contour_residual(
+    f: Field, center, radius: float, m: int, s: SpaceSpec, margin: float = DEFAULT_MARGIN
+) -> float:
     """Weighted norm of the trapezoid closed-contour integral of ``G(zeta)f``,
     evolved by quadrature at every node.
 
@@ -372,16 +375,15 @@ def contour_residual(f: Field, center, radius: float, m: int, s: SpaceSpec, marg
     integrand converges spectrally in ``m``, so this residual falls to
     rounding level already at moderate node counts.
     """
-    c = complex(center.value if hasattr(center, "value") else center)
+    c = as_time(center).value
     if m < 8:
         raise ValueError(f"need at least 8 contour nodes, got {m}")
     if not radius > 0 or c.real - radius <= 0:
         raise ValueError(f"disk of radius {radius} around {c} leaves the right half-plane")
+    directions = [complex(math.cos(theta), math.sin(theta)) for theta in 2.0 * math.pi * np.arange(m) / m]
+    nodes = apply_many([c + radius * d for d in directions], f, method=Method.QUADRATURE)
     acc = np.zeros_like(f.values)
-    for j in range(m):
-        theta = 2.0 * math.pi * j / m
-        direction = complex(math.cos(theta), math.sin(theta))
-        u = apply(c + radius * direction, f, method=Method.QUADRATURE)
+    for direction, u in zip(directions, nodes):
         acc = acc + u.values * (1j * radius * direction)
     acc = acc * (2.0 * math.pi / m)
     return weighted_norm(f.with_values(acc), s, margin=margin)
@@ -544,9 +546,7 @@ def _continuity(inp: _Inputs):
 def _holomorphy(inp: _Inputs):
     # second-order shrink of both residuals from one coarse/fine pair
     def ratios():
-        coarse, fine = (
-            holomorphy_residuals(inp.gaussian_field, 1.0, h, inp.s, margin=inp.margin) for h in (1e-2, 5e-3)
-        )
+        coarse, fine = holomorphy_residuals(inp.gaussian_field, 1.0, (1e-2, 5e-3), inp.s, margin=inp.margin)
         return [(abs(_ratio(a, b, 4.0) - 4.0), {"coarse": a, "fine": b}) for a, b in zip(coarse, fine)]
 
     yield ratios, *((f"holomorphy-ratio[{r}]", "holomorphy_ratio") for r in ("cauchy-riemann", "derivative"))
@@ -562,7 +562,7 @@ def _contour(inp: _Inputs):
 def _generator(inp: _Inputs):
     # generator identities at t = 0.5, all three from one evaluation
     def identities():
-        res = generator_residuals(inp.gaussian_field, 0.5, 1e-3, space=inp.s, margin=inp.margin)
+        [res] = generator_residuals(inp.gaussian_field, 0.5, (1e-3,), space=inp.s, margin=inp.margin)
         return [(res.r1, {}), (res.r2, {}), (res.r3, {})]
 
     yield identities, *((f"generator[{r}]", "generator") for r in ("r1", "r2", "r3"))
@@ -571,10 +571,8 @@ def _generator(inp: _Inputs):
 def _quotient_order(inp: _Inputs):
     # first-order convergence of the difference quotient (ratio window)
     def order():
-        residuals = [
-            difference_quotient_residual(inp.gaussian_field, h, space=inp.s, margin=inp.margin)
-            for h in (1e-2, 5e-3, 2.5e-3)
-        ]
+        hs = (1e-2, 5e-3, 2.5e-3)
+        residuals = difference_quotient_residual(inp.gaussian_field, hs, space=inp.s, margin=inp.margin)
         violation = 0.0
         for a, b in zip(residuals, residuals[1:]):
             ratio = _ratio(a, b, 2.0)
@@ -587,10 +585,8 @@ def _quotient_order(inp: _Inputs):
 def _mild(inp: _Inputs):
     # mild identity at 256 steps and its gain at 512
     def identity():
-        coarse, fine = (
-            mild_identity_residual(inp.gaussian_field, 1.0, steps=steps, space=inp.s, margin=inp.margin)
-            for steps in (256, 512)
-        )
+        f = inp.gaussian_field
+        coarse, fine = mild_identity_residual(f, 1.0, (256, 512), space=inp.s, margin=inp.margin)
         refinement = max(0.0, 2.0 - _ratio(coarse, fine, 2.0))
         return [(coarse, {}), (refinement, {"coarse": coarse, "fine": fine})]
 
@@ -606,11 +602,9 @@ def _operator_bound(inp: _Inputs):
         sup = SpaceSpec.make(k)
         evolved = apply(z, extremal, method=Method.QUADRATURE)
         attained = weighted_norm(evolved, sup) / weighted_norm(extremal, sup)
-        # M_k exceeds the row sum at x = 0 by the kernel's weighted mass off
-        # the grid, at most the tail beyond L; without 0 on the grid M_k is
-        # not sharp.  The sector majorant at the time's own argument is |chi|.
-        alpha = math.nextafter(abs(as_time(z).argument), math.pi / 2)
-        tail = kernelmod.kernel_tail_bound(z, alpha, g.L, g.n, k)
+        # M_k exceeds the row sum at x = 0 by the kernel's weighted mass off the
+        # grid, at most the tail beyond L; without 0 on the grid M_k is not sharp.
+        tail = kernelmod._own_tail(z, g.L, g.n, k)
         sharp = g.N % 2 == 1
         terms = [abs(attained / norm - 1.0), norm / bound - 1.0]
         if sharp:

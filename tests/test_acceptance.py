@@ -138,8 +138,7 @@ def test_sector_continuity():
     worst_bump = 0.0  # largest monotonicity violation
     for k in (0, 2):
         s = SpaceSpec.make(k)
-        for ray in rays:
-            [res] = continuity_scan(bump, s, np.pi / 3, [ray], radii, margin=MARGIN)
+        for res in continuity_scan(bump, s, np.pi / 3, rays, radii, margin=MARGIN):
             worst_final = max(worst_final, res[-1])
             for earlier, later in zip(res, res[1:]):
                 worst_bump = max(worst_bump, later - earlier)
@@ -155,8 +154,7 @@ def test_sector_continuity():
 
 def test_holomorphy_and_contour():
     s = SpaceSpec.make(0)
-    coarse = holomorphy_residuals(GAUSSIAN, 1.0, 1e-2, s, margin=MARGIN)
-    fine = holomorphy_residuals(GAUSSIAN, 1.0, 5e-3, s, margin=MARGIN)
+    coarse, fine = holomorphy_residuals(GAUSSIAN, 1.0, (1e-2, 5e-3), s, margin=MARGIN)
     cr_ratio, dm_ratio = (a / b for a, b in zip(coarse, fine))
     contour = contour_residual(GAUSSIAN, 1.0, 0.25, 64, s, margin=MARGIN)
     ok = 3.5 <= cr_ratio <= 4.5 and 3.5 <= dm_ratio <= 4.5 and contour <= 1e-8
@@ -172,13 +170,10 @@ def test_holomorphy_and_contour():
 def test_generator_identities_and_quotient_order():
     worst = 0.0
     for k in (0, 1):
-        res = generator_residuals(GAUSSIAN, 0.5, 1e-3, space=SpaceSpec.make(k), margin=MARGIN)
+        [res] = generator_residuals(GAUSSIAN, 0.5, (1e-3,), space=SpaceSpec.make(k), margin=MARGIN)
         worst = max(worst, res.r1, res.r2, res.r3)
     s = SpaceSpec.make(0)
-    quotients = [
-        difference_quotient_residual(GAUSSIAN, h, space=s, margin=MARGIN)
-        for h in (1e-2, 5e-3, 2.5e-3)
-    ]
+    quotients = difference_quotient_residual(GAUSSIAN, (1e-2, 5e-3, 2.5e-3), space=s, margin=MARGIN)
     ratios = [a / b for a, b in zip(quotients, quotients[1:])]
     order_ok = all(1.5 <= r <= 2.5 for r in ratios)
     ok = worst <= 1e-4 and order_ok
@@ -193,8 +188,7 @@ def test_generator_identities_and_quotient_order():
 
 def test_mild_identity_and_refinement():
     s = SpaceSpec.make(0)
-    coarse = mild_identity_residual(GAUSSIAN, 1.0, steps=256, space=s, margin=MARGIN)
-    fine = mild_identity_residual(GAUSSIAN, 1.0, steps=512, space=s, margin=MARGIN)
+    coarse, fine = mild_identity_residual(GAUSSIAN, 1.0, (256, 512), space=s, margin=MARGIN)
     ok = coarse <= 1e-4 and coarse / fine >= 2.0
     _report(
         "mild identity",

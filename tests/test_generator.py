@@ -157,7 +157,7 @@ def test_laplacian_self_adjoint_for_pairing():
 
 
 def test_generator_residuals_small_for_gaussian():
-    r = generator_residuals(GAUSSIAN, 0.5, 1e-3)
+    [r] = generator_residuals(GAUSSIAN, 0.5, (1e-3,))
     assert r.r1 < 1e-5
     assert r.r2 < 1e-10  # same discretization on both sides
     assert r.r3 < 1e-5
@@ -165,26 +165,24 @@ def test_generator_residuals_small_for_gaussian():
 
 def test_generator_residuals_shrink_with_dt():
     # the central difference carries an O(dt^2) bias
-    r_coarse = generator_residuals(GAUSSIAN, 0.5, 1e-2).r1
-    r_fine = generator_residuals(GAUSSIAN, 0.5, 5e-3).r1
+    r_coarse, r_fine = (r.r1 for r in generator_residuals(GAUSSIAN, 0.5, (1e-2, 5e-3)))
     assert r_coarse / r_fine == pytest.approx(4.0, rel=0.1)
 
 
 def test_generator_residuals_validation():
     with pytest.raises(ValueError):
-        generator_residuals(GAUSSIAN, 0.0, 1e-3)
+        generator_residuals(GAUSSIAN, 0.0, (1e-3,))
     with pytest.raises(ValueError):
-        generator_residuals(GAUSSIAN, 0.5, 0.6)  # dt >= t
+        generator_residuals(GAUSSIAN, 0.5, (1e-3, 0.6))  # dt >= t
 
 
 def test_difference_quotient_first_order():
-    r1 = difference_quotient_residual(GAUSSIAN, 1e-2)
-    r2 = difference_quotient_residual(GAUSSIAN, 5e-3)
+    r1, r2 = difference_quotient_residual(GAUSSIAN, (1e-2, 5e-3))
     assert 1.5 <= r1 / r2 <= 2.5
     # leading error is (h/2) Delta^2 f, about 0.03 here
     assert r2 < 0.05
     with pytest.raises(ValueError):
-        difference_quotient_residual(GAUSSIAN, 0.0)
+        difference_quotient_residual(GAUSSIAN, (0.0,))
 
 
 def test_time_integral_of_constant_is_linear():
@@ -267,8 +265,7 @@ def test_time_integral_validation():
 
 
 def test_mild_identity_holds_and_refines():
-    coarse = mild_identity_residual(GAUSSIAN, 1.0, steps=256)
-    fine = mild_identity_residual(GAUSSIAN, 1.0, steps=512)
+    coarse, fine = mild_identity_residual(GAUSSIAN, 1.0, (256, 512))
     assert coarse < 1e-4
     assert coarse / fine >= 2.0
 
@@ -310,5 +307,5 @@ def test_classical_residual_streams_states():
 
 def test_residuals_respect_weighted_space():
     s = SpaceSpec.make(2)
-    r = generator_residuals(GAUSSIAN, 0.5, 1e-3, space=s)
+    [r] = generator_residuals(GAUSSIAN, 0.5, (1e-3,), space=s)
     assert max(r.r1, r.r2, r.r3) < 1e-4

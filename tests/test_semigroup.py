@@ -1,5 +1,7 @@
 """Evolution operator: both discretizations, law, bounds, trajectories."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -100,6 +102,18 @@ def test_apply_attaches_tail_metadata():
     f = sample(small, lambda p: np.exp(-p[..., 0] ** 2))
     warn = apply(4.0, f)
     assert warn.meta["tail_warning"] is True
+
+
+def test_apply_tail_is_the_kernel_tail_at_its_own_argument():
+    # n=2, L=12, zeta=e^{i pi/4}: the kernel's mass beyond L is 1.245e-11,
+    # under the budget, though a wider sector's majorant exceeds it
+    zeta = np.exp(1j * np.pi / 4)
+    grid = make_grid(2, 12.0, 33)
+    out = apply(zeta, sample(grid, lambda p: np.exp(-np.sum(p**2, axis=-1))))
+    # in 2-D, |chi_zeta| has mass exp(-R^2 cos(arg)/(4|zeta|)) / cos(arg) beyond R
+    c = np.cos(np.pi / 4)
+    assert out.meta["tail_bound"] == pytest.approx(np.exp(-144.0 * c / 4.0) / c, rel=1e-12)
+    assert out.meta["tail_warning"] is False
 
 
 def test_apply_vector_components_evolve_independently():
@@ -255,6 +269,14 @@ def test_apply_many_matches_apply_per_time(n, N):
             expect = apply(t, f, method=method)
             np.testing.assert_array_equal(state.values, expect.values)
             assert state.meta == expect.meta
+
+
+def test_apply_many_keeps_no_state_it_yielded():
+    # a sweep that drops each state before asking for the next holds one at a time
+    states = apply_many([0.5, 0.5 + 0.1j, 1.0], GAUSSIAN)
+    for _ in range(3):
+        values = weakref.ref(next(states).values)
+        assert values() is None
 
 
 def test_spectral_apply_flushes_subnormals_bit_for_bit(monkeypatch):

@@ -1,6 +1,7 @@
 """Suite configuration, individual checks, and report serialization."""
 
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -264,8 +265,7 @@ def test_continuity_scan_validation():
 
 
 def test_holomorphy_residuals_second_order():
-    coarse = holomorphy_residuals(GAUSSIAN, 1.0, 1e-2, SPACE)
-    fine = holomorphy_residuals(GAUSSIAN, 1.0, 5e-3, SPACE)
+    coarse, fine = holomorphy_residuals(GAUSSIAN, 1.0, (1e-2, 5e-3), SPACE)
     assert len(coarse) == len(fine) == 2  # (cauchy_riemann, derivative_match)
     for a, b in zip(coarse, fine):
         assert a / b == pytest.approx(4.0, rel=0.15)
@@ -273,7 +273,7 @@ def test_holomorphy_residuals_second_order():
 
 def test_holomorphy_step_must_stay_in_half_plane():
     with pytest.raises(ValueError):
-        holomorphy_residuals(GAUSSIAN, 0.01, 0.02, SPACE)
+        holomorphy_residuals(GAUSSIAN, 0.01, (0.02,), SPACE)
 
 
 def test_contour_residual_vanishes():
@@ -282,6 +282,22 @@ def test_contour_residual_vanishes():
         contour_residual(GAUSSIAN, 1.0, 0.25, 4, SPACE)  # too few nodes
     with pytest.raises(ValueError):
         contour_residual(GAUSSIAN, 0.2, 0.5, 64, SPACE)  # circle exits half-plane
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_sweep_entry_is_its_one_step_sweep(n):
+    # sharing the step-free work moves no bit of any entry
+    f = sample(make_grid(n, 8.0, 65), field_rule("gaussian"))
+    sweeps = {
+        functools.partial(generator.generator_residuals, f, 0.5): (1e-2, 5e-3, 2.5e-3),
+        functools.partial(generator.difference_quotient_residual, f): (1e-2, 5e-3, 2.5e-3),
+        functools.partial(generator.mild_identity_residual, f, 1.0): (32, 64),
+        functools.partial(holomorphy_residuals, f, 1.0, s=SPACE): (1e-2, 5e-3),
+    }
+    for sweep, steps in sweeps.items():
+        entries = [entry for step in steps for entry in sweep((step,))]
+        assert sweep(steps) == entries
+        assert sweep(iter(steps)) == entries  # a one-shot iterator is read once
 
 
 def test_run_suite_is_deterministic():
@@ -309,7 +325,13 @@ def test_run_suite_flags_unreachable_tolerance():
 
 
 # the functions whose work a unit shares between its rows
-SHARED_WORK = ("continuity_scan", "holomorphy_residuals", "generator_residuals", "mild_identity_residual")
+SHARED_WORK = (
+    "continuity_scan",
+    "holomorphy_residuals",
+    "generator_residuals",
+    "difference_quotient_residual",
+    "mild_identity_residual",
+)
 
 
 @pytest.fixture(scope="module")
@@ -340,9 +362,10 @@ def test_units_do_shared_work_once(default_run):
     _, calls = default_run
     assert calls == {
         "continuity_scan": len(SuiteConfig().rays),  # final and monotone rows from one scan
-        "holomorphy_residuals": 2,  # one coarse/fine pair for both ratios
+        "holomorphy_residuals": 1,  # one coarse/fine sweep for both ratios
         "generator_residuals": 1,  # r1, r2 and r3 from one evaluation
-        "mild_identity_residual": 2,  # the 256-step residual and its refinement
+        "difference_quotient_residual": 1,  # the three steps of the ratio window
+        "mild_identity_residual": 1,  # the 256- and 512-step residuals in one sweep
     }
 
 
