@@ -9,7 +9,6 @@ randomness), serializable as CSV and as readable text.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -28,7 +27,7 @@ from .generator import (
     generator_residuals,
     mild_identity_residual,
 )
-from .grid_field import Field, Grid, interior_slices, make_grid, sample
+from .grid_field import Field, Grid, _cpu_count, interior_slices, make_grid, sample
 from .kernel import _checked_sector, _require_positive, as_time
 from .semigroup import Method, _operator_norms, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceKind, SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
@@ -677,13 +676,6 @@ CHECK_GROUPS = tuple(group for group, _, _ in _GROUPS)
 # 0.79 (the crossover depends on FFT lengths too); 0.99 and 1.23 at n=2,
 # N=64, 0.99-1.00 at N=65, and 0.69-0.71 at n=2, N=129.
 _THREADED_MIN_POINTS = 4096
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:

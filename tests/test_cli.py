@@ -309,6 +309,16 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_no_concurrent_futures():
+    # the CSV writer's and the suite's threads use ``threading``; importing
+    # ``concurrent.futures`` with the package would add about 16 ms to every
+    # command's start
+    code = "import sys, gausspoisson; print('concurrent.futures' in sys.modules)"
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_demos_run(tmp_path):
     # the demos are the package's public-API callers outside the tests; all
     # five start at once, one BLAS thread each

@@ -1,5 +1,9 @@
 """Grid geometry, field containers, interior windows, and CSV round trips."""
 
+import os
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +297,108 @@ def test_sampled_mixture_takes_the_fast_path(monkeypatch, tmp_path):
     assert seen[0] == 0
     reference_write_field_csv(f, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_csv_block_temporaries_stay_small():
+    # one 4096x6 block (an evolve-2d-csv block) allocated about 11 MB when its
+    # byte layouts were gathered through one index array for the whole block
+    block = np.random.default_rng(11).standard_normal((grid_field._CSV_BLOCK_ROWS, 6))
+    expected = grid_field._csv_block_bytes(block)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        text = grid_field._csv_block_bytes(block)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert text == expected
+    assert peak < 6e6
+
+
+def _set_cpus(mp, cpus):
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def several_block_field() -> Field:
+    """A 2-D field of five full CSV blocks and a partial sixth (22500 rows),
+    with a value for the ``%`` fallback in every block."""
+    g = make_grid(2, 12.0, 150)
+    f = random_gaussian_mixture(2, m=1, terms=3, rng=np.random.default_rng(13)).sampled(g)
+    vals = f.values.copy().reshape(-1)
+    vals[7 :: grid_field._CSV_BLOCK_ROWS] = 1e300 - 2.5j  # the real part is outside the fast range
+    return Field(g, vals.reshape(f.values.shape))
+
+
+def test_write_field_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
+    f = several_block_field()
+    assert f.grid.size % grid_field._CSV_BLOCK_ROWS and f.grid.size // grid_field._CSV_BLOCK_ROWS == 5
+    seen = _count_fallback(monkeypatch)
+    reference_write_field_csv(f, tmp_path / "reference.csv")
+    expected = (tmp_path / "reference.csv").read_bytes()
+    interval = sys.getswitchinterval()
+    for cpus in (1, 2, 4):
+        _set_cpus(monkeypatch, cpus)
+        sys.setswitchinterval(1e-5 if cpus == 4 else interval)  # frequent thread switches
+        try:
+            write_field_csv(f, tmp_path / f"cpus{cpus}.csv")
+        finally:
+            sys.setswitchinterval(interval)
+        assert (tmp_path / f"cpus{cpus}.csv").read_bytes() == expected, cpus
+    assert seen[0] == 3 * 6  # one value per block, three writes
+
+
+def test_write_field_csv_raises_a_helpers_exception(monkeypatch, tmp_path):
+    f = several_block_field()
+    _set_cpus(monkeypatch, 2)
+    caller = threading.current_thread()
+    exact = grid_field._csv_block_bytes
+    helper_formatting = threading.Event()
+
+    def helpers_fail(block):
+        if threading.current_thread() is caller:
+            assert helper_formatting.wait(timeout=60)  # a helper takes a block
+            return exact(block)
+        helper_formatting.set()
+        raise RuntimeError("helper broke")
+
+    monkeypatch.setattr(grid_field, "_csv_block_bytes", helpers_fail)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper broke"):
+        write_field_csv(f, tmp_path / "f.csv")
+    assert threading.active_count() == threads
+
+
+def _with_coordinate(path, row: int, col: int, value: float):
+    """Rewrite one coordinate of a field CSV's data row."""
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[row + 1].split(b",")
+    cells[col] = b"%.17g" % value
+    lines[row + 1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def test_read_field_csv_checks_each_axis_within_the_tolerance(tmp_path):
+    g = make_grid(2, 1.5, 5)
+    f = Field(g, np.arange(g.size * 2).reshape(g.shape + (2,)) * (1 - 0.5j))
+    tol = 1e-12 * 1.5
+    for offset, ok in ((3 * tol, False), (-3 * tol, False), (0.5 * tol, True)):
+        path = tmp_path / "f.csv"
+        write_field_csv(f, path)
+        _with_coordinate(path, 7, 1, g.axis[2] + offset)  # point (1, 2), its second axis
+        if ok:
+            back = read_field_csv(path)
+            assert back.grid == g and np.array_equal(back.values, f.values)
+        else:
+            with pytest.raises(ValueError, match="row-major uniform lattice"):
+                read_field_csv(path)
+
+
+def test_read_field_csv_builds_no_point_array(tmp_path):
+    g = make_grid(2, 1.5, 5)
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(g, np.ones(g.shape)), path)
+    assert "points" not in read_field_csv(path).grid.__dict__
 
 
 def test_read_field_csv_rejects_malformed(tmp_path):
