@@ -195,6 +195,10 @@ _CSV_BLOCK_ROWS = 4096
 # Values per slice of the layout gather, whose index takes 8 bytes per text
 # byte: 5.1 MB for a whole 4096x6 block, 0.43 MB per slice.
 _GATHER_VALUES = 2048
+# Threads that format CSV blocks: the caller and one helper.  Each further
+# helper gets its own malloc arena (5-7 MB kept) and adds little speed, since
+# per-block Python work holds the interpreter lock.
+_CSV_THREADS = 2
 
 # ``%.17g`` writes decimal exponents -4..16 in fixed notation, others as
 # ``d.ddde+XX``, with at least two exponent digits.
@@ -391,17 +395,14 @@ def _cpu_count() -> int:
 def _write_blocks(fh, blocks: list) -> None:
     """Write ``_csv_block_bytes`` of each block to ``fh``, in order.
 
-    The calling thread and ``min(cpus, blocks) - 1`` helper threads take
-    blocks in index order, with at most two blocks per thread taken and not
-    yet written; only the caller writes, so the bytes do not depend on the
-    thread count.  An exception raised while formatting a block is raised
-    here when that block's turn comes, after every helper has stopped.
+    The calling thread and ``min(cpus, blocks, _CSV_THREADS) - 1`` helper
+    threads take blocks in index order, with at most two blocks per thread
+    taken and not yet written; only the caller writes, so the bytes do not
+    depend on the thread count.  An exception raised while formatting a
+    block is raised here when that block's turn comes, after every helper
+    has stopped.
     """
-    helpers = min(_cpu_count(), len(blocks)) - 1
-    if helpers < 1:
-        for block in blocks:
-            fh.write(_csv_block_bytes(block))
-        return
+    helpers = min(_cpu_count(), len(blocks), _CSV_THREADS) - 1
     ahead = 2 * (helpers + 1)
     texts = {}  # formatted, unwritten: block index -> text or the exception raised
     changed = threading.Condition()

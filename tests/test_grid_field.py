@@ -1,6 +1,5 @@
 """Grid geometry, field containers, interior windows, and CSV round trips."""
 
-import os
 import sys
 import threading
 import tracemalloc
@@ -22,6 +21,8 @@ from gausspoisson import (
     write_field_csv,
 )
 from gausspoisson import grid_field
+
+from conftest import set_cpus
 
 FIELD_GOLDEN = Path(__file__).parent / "data" / "field_golden.csv"
 
@@ -316,10 +317,6 @@ def test_csv_block_temporaries_stay_small():
     assert peak < 6e6
 
 
-def _set_cpus(mp, cpus):
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
 def several_block_field() -> Field:
     """A 2-D field of five full CSV blocks and a partial sixth (22500 rows),
     with a value for the ``%`` fallback in every block."""
@@ -338,7 +335,7 @@ def test_write_field_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_p
     expected = (tmp_path / "reference.csv").read_bytes()
     interval = sys.getswitchinterval()
     for cpus in (1, 2, 4):
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         sys.setswitchinterval(1e-5 if cpus == 4 else interval)  # frequent thread switches
         try:
             write_field_csv(f, tmp_path / f"cpus{cpus}.csv")
@@ -348,9 +345,23 @@ def test_write_field_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_p
     assert seen[0] == 3 * 6  # one value per block, three writes
 
 
+def test_write_field_csv_starts_one_helper_at_most(monkeypatch, tmp_path):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(grid_field.threading, "Thread", Counted)
+    set_cpus(monkeypatch, 8)
+    write_field_csv(several_block_field(), tmp_path / "f.csv")
+    assert len(started) == grid_field._CSV_THREADS - 1 == 1
+
+
 def test_write_field_csv_raises_a_helpers_exception(monkeypatch, tmp_path):
     f = several_block_field()
-    _set_cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     caller = threading.current_thread()
     exact = grid_field._csv_block_bytes
     helper_formatting = threading.Event()

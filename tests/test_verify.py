@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import math
-import os
 import re
 import sys
 import threading
@@ -33,6 +32,8 @@ from gausspoisson import cli, generator, verify, weights
 from gausspoisson.fields import field_rule
 from gausspoisson.verify import CheckResult
 from gausspoisson.weights import difference_norm
+
+from conftest import set_cpus
 
 # report.csv of run_suite(SuiteConfig()), byte for byte: a refactor of the suite
 # must reproduce it
@@ -395,10 +396,6 @@ def test_crashing_unit_fails_all_its_rows(monkeypatch):
 THREADED = SuiteConfig(n=2, N=65, checks=("semigroup-law", "gaussian-closed-form", "classical"))
 
 
-def _set_cpus(mp, cpus):
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
 @pytest.fixture(scope="module")
 def threaded_reports():
     """Reports of THREADED with the CPU count set to 1, 2 and 4; at 4, with
@@ -407,9 +404,9 @@ def threaded_reports():
     reports = {}
     with pytest.MonkeyPatch.context() as mp:
         for cpus in (1, 2):
-            _set_cpus(mp, cpus)
+            set_cpus(mp, cpus)
             reports[cpus] = run_suite(THREADED)
-        _set_cpus(mp, 4)
+        set_cpus(mp, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -448,7 +445,7 @@ def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_repo
 
     monkeypatch.setattr(verify, "classical_residual", broken)
     monkeypatch.setattr(verify, "semigroup_law_residual", law_after_the_crash)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     report = run_suite(THREADED)
     # the last unit is the first one a helper takes
     assert ran_on and ran_on[0] is not threading.current_thread()
@@ -472,7 +469,7 @@ def test_a_crashing_classical_part_fails_only_its_row(monkeypatch, threaded_repo
         return original(times, states, margin)
 
     monkeypatch.setattr(verify, "classical_residual", breaks_one_part)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     *rest, classical = run_suite(THREADED).results
     assert classical.name == "classical[gaussian;dt=1e-2]"
     assert classical.residual == math.inf and not classical.passed
@@ -508,7 +505,7 @@ def spy_threads(monkeypatch):
     ],
 )
 def test_helper_count_follows_grid_size_cpus_and_units(monkeypatch, spy_threads, offset, cpus, checks, helpers):
-    _set_cpus(monkeypatch, cpus)
+    set_cpus(monkeypatch, cpus)
     report = run_suite(SuiteConfig(N=verify._THREADED_MIN_POINTS + offset, checks=checks))
     assert len(spy_threads) == helpers
     assert not any(thread.is_alive() for thread in spy_threads)
@@ -538,7 +535,7 @@ def test_interrupt_empties_the_queue_and_joins_the_helpers(monkeypatch):
     monkeypatch.setattr(threading, "Thread", Spy)
     monkeypatch.setattr(verify.kernelmod, "kernel_mass", interrupted)
     monkeypatch.setattr(verify.kernelmod, "fourier_symbol_residual", finishes_after_the_interrupt)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     cfg = SuiteConfig(N=verify._THREADED_MIN_POINTS, checks=("kernel-mass", "fourier-symbol"))
     with pytest.raises(KeyboardInterrupt):
         run_suite(cfg)
@@ -562,7 +559,7 @@ def test_a_helper_that_dies_leaves_no_silent_gap(monkeypatch):
         raise HelperDied
 
     monkeypatch.setattr(verify.kernelmod, "fourier_symbol_residual", dies_off_the_main_thread)
-    _set_cpus(monkeypatch, 2)
+    set_cpus(monkeypatch, 2)
     cfg = SuiteConfig(N=verify._THREADED_MIN_POINTS, checks=("fourier-symbol",))
     with pytest.raises(RuntimeError, match=r"fourier-symbol\[zeta=1\+1i\]"):
         run_suite(cfg)
