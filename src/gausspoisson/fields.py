@@ -98,7 +98,8 @@ class GaussianMixture:
         out = np.zeros(grid.shape + (self.m,), dtype=complex)
         for c, a, mu in zip(self.amplitudes, self.widths, self.centers):
             term = reduce(np.multiply.outer, [np.exp(-a * (grid.axis - mu_j) ** 2) for mu_j in mu])
-            out = out + term[..., np.newaxis] * c
+            for j, c_j in enumerate(c):  # in place, one component at a time
+                out[..., j] += term * c_j
         return Field(grid, out)
 
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import threading
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property, reduce
-from itertools import product
+from functools import cache, cached_property, partial, reduce
+from itertools import chain, product
 from typing import Callable
 
 import numpy as np
@@ -187,7 +188,9 @@ def interior_slices(grid: Grid, margin: float) -> tuple[slice, ...]:
 # the integer ``D``.  The error of ``y`` is below 1e-13, so ``D`` is exact
 # unless ``y`` lies within 2^-20 of a rounding tie; such values, and those
 # outside ``1e-250 < |x| < 1e250``, are converted by ``%`` instead.  The text
-# is one gather from a table of byte layouts.
+# is one gather from a table of byte layouts.  Coordinates are axis points:
+# ``write_field_csv`` formats the axis once per write and gathers each row's
+# coordinate text from it.
 
 # Rows formatted per block: bounds the temporaries, and blocks of 2048-8192
 # rows format fastest.
@@ -267,7 +270,6 @@ def _csv_tables() -> dict[str, np.ndarray]:
         "exponent": _words("".join(exps)),
         "constants": _words("\0-.0e,\r\n\0\0\0\0"),  # bytes 20-31; 20 is the leading digit
         "layout": np.array(layouts, dtype=np.intp),
-        "length": np.array([_LAYOUT_WIDTH - row.count(_NUL) for row in layouts]),
     }
 
 
@@ -348,10 +350,14 @@ def _text_sources(digits, e, t):
     return src, zeros
 
 
-def _csv_block_bytes(block: np.ndarray) -> bytes:
+def _csv_block_bytes(block: np.ndarray, lead=None) -> bytes:
     """Rows of a float table as CSV text: ``"%.17g" % x`` per value, ``,``
-    between values and CRLF after each row, byte for byte."""
+    between values and CRLF after each row, byte for byte.  ``lead``, NUL-padded
+    text of shape ``(rows, k, _LAYOUT_WIDTH)``, fills the first ``k`` slots of
+    each row."""
     t = _csv_tables()
+    rows, cols = block.shape
+    k = 0 if lead is None else lead.shape[1]
     x = block.ravel()
     digits, e, decided = _decimals(x, t)
     src, zeros = _text_sources(digits, e, t)
@@ -359,23 +365,26 @@ def _csv_block_bytes(block: np.ndarray) -> bytes:
     fixed = (e >= _FIXED_MIN_EXP) & (e <= _FIXED_MAX_EXP)
     kind[fixed] = e[fixed] - _FIXED_MIN_EXP + _FIXED
     kind[~decided] = _EMPTY
-    key = ((kind * 17 + 16 - zeros) * 2 + np.signbit(x)) * 2
-    key.reshape(block.shape)[:, -1] += 1  # the last column ends its row
+    key = (((kind * 17 + 16 - zeros) * 2 + np.signbit(x)) * 2).reshape(rows, cols)
+    key[:, -1] += 1  # the last column ends its row
     del digits, e, fixed, kind, zeros  # dead before the gather
     src = src.ravel()
-    text = np.empty((x.size, _LAYOUT_WIDTH), np.uint8)
-    for start in range(0, x.size, _GATHER_VALUES):
-        stop = min(start + _GATHER_VALUES, x.size)
+    text = np.empty((rows, k + cols, _LAYOUT_WIDTH), np.uint8)
+    if k:
+        text[:, :k] = lead
+    step = max(1, _GATHER_VALUES // cols)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
         idx = t["layout"][key[start:stop]]
-        idx += np.arange(start * _ROW_BYTES, stop * _ROW_BYTES, _ROW_BYTES)[:, None]
-        np.take(src, idx, out=text[start:stop])
+        idx += np.arange(start * cols, stop * cols).reshape(-1, cols, 1) * _ROW_BYTES
+        np.take(src, idx, out=text[start:stop, k:])
     out = text[text != 0].tobytes()
     if decided.all():
         return out
 
     undecided = np.flatnonzero(~decided)
-    length = t["length"][key]
-    starts = (np.cumsum(length) - length)[undecided].tolist()
+    length = np.count_nonzero(text, axis=2)  # text bytes are never NUL
+    starts = (np.cumsum(length).reshape(rows, -1) - length)[:, k:].ravel()[undecided].tolist()
     pieces, prev = [], 0
     for pos, value in zip(starts, _percent_g17(x[undecided].tolist())):
         pieces += [out[prev:pos], value.encode()]
@@ -392,8 +401,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _write_blocks(fh, blocks: list) -> None:
-    """Write ``_csv_block_bytes`` of each block to ``fh``, in order.
+def _write_blocks(fh, blocks, block_bytes) -> None:
+    """Write ``block_bytes(b)`` of each block ``b`` of ``blocks`` to ``fh``, in order.
 
     The calling thread and ``min(cpus, blocks, _CSV_THREADS) - 1`` helper
     threads take blocks in index order, with at most two blocks per thread
@@ -417,7 +426,7 @@ def _write_blocks(fh, blocks: list) -> None:
 
     def format_block(i):
         try:
-            text = _csv_block_bytes(blocks[i])
+            text = block_bytes(blocks[i])
         except BaseException as exc:  # raised by the caller in block order
             text = exc
         with changed:
@@ -464,36 +473,78 @@ def write_field_csv(f: Field, path) -> None:
     g = f.grid
     header = [f"x{i + 1}" for i in range(g.n)] + [f"{part}_{c + 1}" for c in range(f.m) for part in ("re", "im")]
     # complex values viewed as floats are re_1, im_1, ..., re_m, im_m
-    table = np.concatenate([g.points.reshape(-1, g.n), f.values.reshape(-1, f.m).view(float)], axis=1)
+    values = f.values.reshape(-1, f.m).view(float)
+    # coordinate j of row r is axis[(r // N^(n-1-j)) % N]: its text, with the
+    # separator, is formatted once per write
+    axis_text = np.array(["%.17g," % x for x in g.axis.tolist()], dtype=f"S{_LAYOUT_WIDTH}")
+    axis_text = axis_text.view(np.uint8).reshape(g.N, _LAYOUT_WIDTH)
+    strides = g.N ** np.arange(g.n - 1, -1, -1)
+
+    def block_bytes(start):
+        block = values[start : start + _CSV_BLOCK_ROWS]
+        rows = np.arange(start, start + len(block))[:, None]
+        return _csv_block_bytes(block, axis_text[rows // strides % g.N])
+
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        _write_blocks(fh, np.split(table, range(_CSV_BLOCK_ROWS, len(table), _CSV_BLOCK_ROWS)))
+        _write_blocks(fh, range(0, g.size, _CSV_BLOCK_ROWS), block_bytes)
+
+
+def _line_ends(fh) -> int:
+    """Line ends (LF, CR or CRLF, as universal newlines split lines) in the
+    rest of a binary file, counted in chunks."""
+    count = 0
+    for chunk in iter(partial(fh.read, 1 << 16), b""):
+        if chunk.endswith(b"\r"):
+            chunk += fh.read(1)  # a CRLF across two chunks is one line end
+        u = np.frombuffer(chunk, np.uint8)
+        cr, lf = u == ord("\r"), u == ord("\n")
+        count += np.count_nonzero(cr) + np.count_nonzero(lf) - np.count_nonzero(cr[:-1] & lf[1:])
+    return count
 
 
 def read_field_csv(path) -> Field:
+    with open(path, "rb") as fh:
+        capacity = _line_ends(fh)  # the data rows are at most the line ends
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]), [])
+        n = sum(1 for name in header if name.startswith("x"))
+        m = (len(header) - n) // 2
+        if n < 1 or m < 1 or len(header) != n + 2 * m:
+            raise ValueError(f"malformed field CSV header: {header}")
+        coords, values = np.empty((capacity, n)), np.empty((capacity, 2 * m))
+        # each block is read after a row of zeros, which fixes its column
+        # count to the header's: loadtxt then rejects a ragged row or block
+        zeros = ",".join(["0"] * len(header))
+        total = 0
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body is rejected below
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-    n = sum(1 for name in header if name.startswith("x"))
-    m = (len(header) - n) // 2
-    if n < 1 or m < 1 or len(header) != n + 2 * m:
-        raise ValueError(f"malformed field CSV header: {header}")
-    total = data.shape[0]
+            warnings.simplefilter("ignore", UserWarning)  # a blank line is skipped, not counted as a row
+            while total < capacity:
+                try:
+                    block = np.loadtxt(
+                        chain([zeros], fh), delimiter=",", ndmin=2, comments=None, max_rows=_CSV_BLOCK_ROWS + 1
+                    )[1:]
+                except ValueError as exc:  # name the row counted from the start of the file
+                    shifted = re.sub(r"at row (\d+)", lambda r: f"at row {int(r[1]) + total - 1}", str(exc))
+                    raise ValueError(shifted) from None
+                if not len(block):
+                    break
+                coords[total : total + len(block)] = block[:, :n]
+                values[total : total + len(block)] = block[:, n:]
+                total += len(block)
     if total == 0:
         raise ValueError(f"field CSV {path} has a header but no data rows")
     N = round(total ** (1.0 / n))
     if N**n != total:
         raise ValueError(f"{total} rows do not form an N^{n} lattice")
-    L = -data[0, 0]
+    L = -coords[0, 0]
     grid = make_grid(n, L, N)
     # axis by axis: column i of a row-major lattice runs over the axis along
     # its own dimension, constant along the others
     atol = 1e-12 * max(1.0, L)
     for i in range(n):
-        column = data[:, i].reshape(N**i, N, N ** (n - 1 - i))
+        column = coords[:total, i].reshape(N**i, N, N ** (n - 1 - i))
         if not np.all(np.abs(column - grid.axis[:, None]) <= atol):
             raise ValueError("CSV coordinates are not a row-major uniform lattice")
-    vals = np.ascontiguousarray(data[:, n:]).view(complex)  # keeps the sign of a zero
+    vals = values[:total].view(complex)  # keeps the sign of a zero
     return Field(grid, vals.reshape(grid.shape + (m,)))

@@ -273,6 +273,9 @@ class Trajectory:
             raise ValueError("trajectory needs at least one time")
         if len(times) != len(states):
             raise ValueError(f"{len(times)} times but {len(states)} states")
+        for t in times:  # NaN would pass every comparison below
+            if not np.isfinite(t):
+                raise ValueError(f"times must be finite, got {t}")
         if times[0] < 0:
             raise ValueError(f"times must be >= 0, got {times[0]}")
         if any(b <= a for a, b in zip(times, times[1:])):

@@ -1,5 +1,6 @@
 """Grid geometry, field containers, interior windows, and CSV round trips."""
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -300,19 +301,24 @@ def test_sampled_mixture_takes_the_fast_path(monkeypatch, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_csv_block_temporaries_stay_small():
     # one 4096x6 block (an evolve-2d-csv block) allocated about 11 MB when its
     # byte layouts were gathered through one index array for the whole block
     block = np.random.default_rng(11).standard_normal((grid_field._CSV_BLOCK_ROWS, 6))
     expected = grid_field._csv_block_bytes(block)  # builds the cached tables
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        text = grid_field._csv_block_bytes(block)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(lambda: grid_field._csv_block_bytes(block))
     assert text == expected
     assert peak < 6e6
 
@@ -366,10 +372,10 @@ def test_write_field_csv_raises_a_helpers_exception(monkeypatch, tmp_path):
     exact = grid_field._csv_block_bytes
     helper_formatting = threading.Event()
 
-    def helpers_fail(block):
+    def helpers_fail(block, lead):
         if threading.current_thread() is caller:
             assert helper_formatting.wait(timeout=60)  # a helper takes a block
-            return exact(block)
+            return exact(block, lead)
         helper_formatting.set()
         raise RuntimeError("helper broke")
 
@@ -378,6 +384,99 @@ def test_write_field_csv_raises_a_helpers_exception(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="helper broke"):
         write_field_csv(f, tmp_path / "f.csv")
     assert threading.active_count() == threads
+
+
+# an evolve-2d-csv field on a quarter of its grid (n=2, N=257, m=2)
+PEAK_MIXTURE = random_gaussian_mixture(2, m=2, terms=3, rng=np.random.default_rng(7))
+PEAK_GRID = make_grid(2, 12.0, 257)
+
+
+def test_write_field_csv_holds_no_whole_table(monkeypatch, tmp_path):
+    # concatenating the lattice points with the values peaked at 3.4 times the
+    # value array; the blocks' own temporaries do not grow with the grid
+    set_cpus(monkeypatch, 1)  # one block in flight, whatever the thread timing
+    f = PEAK_MIXTURE.sampled(PEAK_GRID)
+    write_field_csv(f, tmp_path / "f.csv")  # builds the cached tables
+    _, peak = traced_peak(lambda: write_field_csv(f, tmp_path / "f.csv"))
+    assert peak < 2.5 * f.values.nbytes
+
+
+def test_write_field_csv_builds_no_point_array(tmp_path):
+    path = tmp_path / "f.csv"
+    write_field_csv(PEAK_MIXTURE.sampled(PEAK_GRID), path)
+    back = read_field_csv(path)
+    write_field_csv(back, tmp_path / "again.csv")
+    assert "points" not in back.grid.__dict__
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_read_field_csv_holds_one_value_array(tmp_path):
+    # loadtxt's float table next to a complex copy peaked at 2.6 times the
+    # value array; the coordinates take half of it at n=2, m=2
+    f = PEAK_MIXTURE.sampled(PEAK_GRID)
+    write_field_csv(f, tmp_path / "f.csv")
+    back, peak = traced_peak(lambda: read_field_csv(tmp_path / "f.csv"))
+    assert peak < 2.3 * f.values.nbytes
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_sampled_adds_each_term_in_place():
+    # a new sum per term peaked at 2.6 times the value array; in place, the
+    # sum, one term and its product with an amplitude remain
+    f, peak = traced_peak(lambda: PEAK_MIXTURE.sampled(PEAK_GRID))
+    assert peak < 2.35 * f.values.nbytes
+
+
+def edge_file_lines(path) -> tuple[Field, list[bytes]]:
+    """A 4225-row field CSV at ``path`` (two blocks, the second of 129 rows)
+    and its lines without their ends."""
+    f = random_gaussian_mixture(2, m=1, terms=3, rng=np.random.default_rng(3)).sampled(make_grid(2, 12.0, 65))
+    write_field_csv(f, path)
+    return f, path.read_bytes().split(b"\r\n")[:-1]
+
+
+def _short(line: bytes) -> bytes:
+    return line.rsplit(b",", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda ls: b"\r\n".join(ls),  # no line end after the last row
+        lambda ls: b"\n".join(ls) + b"\n",
+        lambda ls: b"\r".join(ls) + b"\r",
+        lambda ls: b"\r\n".join(ls[:2] + [b""] + ls[2:4097] + [b"", b""] + ls[4097:] + [b""]),  # blank lines
+    ],
+    ids=["no-final-line-end", "lf", "cr", "blank-lines"],
+)
+def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
+    path = tmp_path / "f.csv"
+    f, lines = edge_file_lines(path)
+    path.write_bytes(edit(lines))
+    assert np.array_equal(read_field_csv(path).values, f.values)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # data row 4098 is the second row of the second block
+        (lambda ls: ls[:4098] + [_short(ls[4098])] + ls[4099:], "changed from 4 to 3 at row 4098;"),
+        (lambda ls: ls[:4097] + [_short(ls[4097])] + ls[4098:], "changed from 4 to 3 at row 4097;"),
+        (lambda ls: ls[:4097] + [_short(line) for line in ls[4097:]], "changed from 4 to 3 at row 4097;"),
+        (lambda ls: ls[:3] + [b""] + ls[3:4098] + [_short(ls[4098])] + ls[4099:], "changed from 4 to 3 at row 4098;"),
+        (lambda ls: ls[:5] + [ls[5] + b",1"] + ls[6:], "changed from 4 to 5 at row 5;"),
+        (lambda ls: ls[:1] + [_short(line) for line in ls[1:]], "changed from 4 to 3 at row 1;"),
+        # loadtxt counts the rows of a conversion error from 0
+        (lambda ls: ls[:4098] + [ls[4098].replace(b",", b",x", 1)] + ls[4099:], "at row 4097, column 2"),
+    ],
+    ids=["short-row-4098", "short-row-4097", "short-block", "blank-then-short", "long-row", "all-short", "text-cell"],
+)
+def test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, message):
+    path = tmp_path / "f.csv"
+    _, lines = edge_file_lines(path)
+    path.write_bytes(b"\r\n".join(edit(lines)) + b"\r\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_field_csv(path)
 
 
 def _with_coordinate(path, row: int, col: int, value: float):

@@ -230,6 +230,20 @@ def test_read_trajectory_rejects_bad_index(tmp_path):
         read_trajectory(bad)
 
 
+@pytest.mark.parametrize("times, bad", [((0.5, np.nan), "nan"), ((np.nan, 1.0), "nan"), ((0.5, np.inf), "inf")])
+def test_trajectory_rejects_non_finite_times(times, bad):
+    # NaN fails every comparison, so the order checks alone let it through
+    with pytest.raises(ValueError, match=f"finite, got {bad}"):
+        Trajectory(times, (GAUSSIAN, GAUSSIAN))
+
+
+def test_read_trajectory_rejects_a_nan_time(tmp_path):
+    index = write_trajectory(trajectory(GAUSSIAN, [0.0, 0.5]), tmp_path)
+    index.write_text(index.read_text().replace("0.5,", "nan,"))
+    with pytest.raises(ValueError, match="finite, got nan"):
+        read_trajectory(index)
+
+
 def _difference_lattice_sum(zeta, f, dzeta=False):
     # brute-force reference: the n-D kernel (or its time derivative) at every
     # pairwise point difference, written out here rather than taken from the
