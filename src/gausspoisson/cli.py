@@ -6,7 +6,7 @@ run serializes its fully resolved configuration into the output directory,
 so re-running from that file reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 verification found failing checks, 2 usage or
-configuration errors.
+configuration errors, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,14 +7,12 @@ is the discrete stand-in for a function ``R^n -> C^m``.
 
 from __future__ import annotations
 
-import csv
 import os
-import re
 import threading
 import warnings
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property, partial, reduce
-from itertools import chain, product
+from functools import cache, cached_property, reduce
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -469,9 +467,13 @@ def _write_blocks(fh, blocks, block_bytes) -> None:
             thread.join()
 
 
+def _csv_header(n: int, m: int) -> str:
+    """The field CSV header ``x1,...,xn,re_1,im_1,...,re_m,im_m``."""
+    return ",".join([f"x{i + 1}" for i in range(n)] + [f"{part}_{c + 1}" for c in range(m) for part in ("re", "im")])
+
+
 def write_field_csv(f: Field, path) -> None:
     g = f.grid
-    header = [f"x{i + 1}" for i in range(g.n)] + [f"{part}_{c + 1}" for c in range(f.m) for part in ("re", "im")]
     # complex values viewed as floats are re_1, im_1, ..., re_m, im_m
     values = f.values.reshape(-1, f.m).view(float)
     # coordinate j of row r is axis[(r // N^(n-1-j)) % N]: its text, with the
@@ -486,65 +488,47 @@ def write_field_csv(f: Field, path) -> None:
         return _csv_block_bytes(block, axis_text[rows // strides % g.N])
 
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
+        fh.write((_csv_header(g.n, f.m) + "\r\n").encode())
         _write_blocks(fh, range(0, g.size, _CSV_BLOCK_ROWS), block_bytes)
 
 
-def _line_ends(fh) -> int:
-    """Line ends (LF, CR or CRLF, as universal newlines split lines) in the
-    rest of a binary file, counted in chunks."""
-    count = 0
-    for chunk in iter(partial(fh.read, 1 << 16), b""):
-        if chunk.endswith(b"\r"):
-            chunk += fh.read(1)  # a CRLF across two chunks is one line end
-        u = np.frombuffer(chunk, np.uint8)
-        cr, lf = u == ord("\r"), u == ord("\n")
-        count += np.count_nonzero(cr) + np.count_nonzero(lf) - np.count_nonzero(cr[:-1] & lf[1:])
-    return count
-
-
 def read_field_csv(path) -> Field:
-    with open(path, "rb") as fh:
-        capacity = _line_ends(fh)  # the data rows are at most the line ends
     with open(path) as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        n = sum(1 for name in header if name.startswith("x"))
-        m = (len(header) - n) // 2
-        if n < 1 or m < 1 or len(header) != n + 2 * m:
-            raise ValueError(f"malformed field CSV header: {header}")
-        coords, values = np.empty((capacity, n)), np.empty((capacity, 2 * m))
-        # each block is read after a row of zeros, which fixes its column
-        # count to the header's: loadtxt then rejects a ragged row or block
-        zeros = ",".join(["0"] * len(header))
-        total = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a blank line is skipped, not counted as a row
-            while total < capacity:
-                try:
-                    block = np.loadtxt(
-                        chain([zeros], fh), delimiter=",", ndmin=2, comments=None, max_rows=_CSV_BLOCK_ROWS + 1
-                    )[1:]
-                except ValueError as exc:  # name the row counted from the start of the file
-                    shifted = re.sub(r"at row (\d+)", lambda r: f"at row {int(r[1]) + total - 1}", str(exc))
-                    raise ValueError(shifted) from None
-                if not len(block):
-                    break
-                coords[total : total + len(block)] = block[:, :n]
-                values[total : total + len(block)] = block[:, n:]
-                total += len(block)
-    if total == 0:
+        names = fh.readline().rstrip("\n").split(",")
+    n = sum(1 for name in names if name.startswith("x"))
+    m = (len(names) - n) // 2
+    if n < 1 or m < 1 or ",".join(names) != _csv_header(n, m):
+        raise ValueError(f"malformed field CSV header: {names}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    rows = len(table)
+    if rows == 0:
         raise ValueError(f"field CSV {path} has a header but no data rows")
-    N = round(total ** (1.0 / n))
-    if N**n != total:
-        raise ValueError(f"{total} rows do not form an N^{n} lattice")
-    L = -coords[0, 0]
-    grid = make_grid(n, L, N)
+    # loadtxt rejects a row whose column count differs from the first row's
+    if table.shape[1] != len(names):
+        raise ValueError(f"the number of columns changed from {len(names)} to {table.shape[1]} at row 1;")
+    N = round(rows ** (1.0 / n))
+    if N**n != rows:
+        raise ValueError(f"{rows} rows do not form an N^{n} lattice")
+    grid = make_grid(n, -table[0, 0], N)
     # axis by axis: column i of a row-major lattice runs over the axis along
-    # its own dimension, constant along the others
-    atol = 1e-12 * max(1.0, L)
+    # its own dimension, constant along the others; one column-sized
+    # temporary at a time
+    atol = 1e-12 * max(1.0, grid.L)
     for i in range(n):
-        column = coords[:total, i].reshape(N**i, N, N ** (n - 1 - i))
-        if not np.all(np.abs(column - grid.axis[:, None]) <= atol):
+        gap = table[:, i].reshape(N**i, N, -1) - grid.axis[:, None]
+        if not np.all(np.abs(gap, out=gap) <= atol):
             raise ValueError("CSV coordinates are not a row-major uniform lattice")
-    vals = values[:total].view(complex)  # keeps the sign of a zero
+        del gap
+    # the value columns move to the front of the table's own buffer; block
+    # [a, b) lands below row b, so no row is overwritten before it is moved
+    width = 2 * m
+    flat = table.reshape(-1)
+    for a in range(0, rows, _CSV_BLOCK_ROWS):
+        b = min(a + _CSV_BLOCK_ROWS, rows)
+        flat[a * width : b * width] = table[a:b, n:].ravel()
+    del flat
+    table.resize(rows * width)
+    vals = table.view(complex)  # keeps the sign of a zero
     return Field(grid, vals.reshape(grid.shape + (m,)))

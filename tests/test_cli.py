@@ -196,6 +196,25 @@ def test_verify_bad_config_exits_two(tmp_path):
     assert not (tmp_path / "empty" / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evolve", "--rule", "gaussian", "--zeta", "0.5"],
+        ["verify"],
+        ["table", "--check", "continuity"],
+    ],
+    ids=["evolve", "verify", "table"],
+)
+def test_output_under_a_regular_file_exits_two(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid.N=129\nchecks=weights\nradii=0.5,0.25\nrays=0\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*command, "--config", str(cfg), "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert main([]) == 2  # missing subcommand
     assert main(["verify"]) == 2  # missing --out

@@ -151,6 +151,26 @@ def test_field_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+@pytest.mark.parametrize(
+    "n, N, m",
+    [(1, 4095, 1), (1, 4096, 1), (1, 4097, 1), (1, 8193, 1), (1, 4095, 3), (1, 4096, 3), (1, 4097, 3), (1, 8193, 3),
+     (3, 17, 2)],
+)
+def test_field_csv_round_trip_is_exact_around_the_block_size(tmp_path, n, N, m):
+    # the reader moves the values to the front of loadtxt's table in blocks
+    # of _CSV_BLOCK_ROWS rows
+    g = make_grid(n, 1.5, N)
+    rng = np.random.default_rng(N + m)
+    vals = rng.standard_normal(g.shape + (m,)) + 1j * rng.standard_normal(g.shape + (m,))
+    vals.reshape(-1)[-1] = complex(-0.0, -0.0)
+    f = Field(g, vals)
+    path = tmp_path / "field.csv"
+    write_field_csv(f, path)
+    back = read_field_csv(path)
+    assert back.grid == g
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
 def test_field_csv_header_shape(tmp_path):
     g = make_grid(1, 1.0, 3)
     f = Field(g, np.zeros((3, 2)))
@@ -524,6 +544,25 @@ def test_read_field_csv_rejects_empty_files(tmp_path):
     with pytest.raises(ValueError, match="no data rows"):
         read_field_csv(path)
     path.write_text("")
+    with pytest.raises(ValueError, match="malformed field CSV header"):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "x1,x2,im_1,re_1,re_2,im_2",  # real and imaginary parts swapped
+        "x1,x2,re_1,im_1,re_3,im_3",  # a misnumbered component
+        "x1,xb,re_1,im_1,re_2,im_2",  # a renamed coordinate
+        "x1,x2,foo,bar,re_2,im_2",
+    ],
+)
+def test_read_field_csv_requires_the_writers_header(tmp_path, header):
+    g = make_grid(2, 1.5, 5)
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(g, np.ones(g.shape + (2,))), path)
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join([header.encode(), *lines[1:]]))
     with pytest.raises(ValueError, match="malformed field CSV header"):
         read_field_csv(path)
 
