@@ -139,8 +139,8 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
+    out = _out_dir(args.out)  # before the suite runs, so a bad --out fails fast
     report = run_suite(cfg)
-    out = _out_dir(args.out)
     report.write_csv(out / "report.csv")
     report.write_text(out / "report.txt")
     write_config(cfg.to_mapping(), out / "effective.cfg")

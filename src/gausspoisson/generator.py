@@ -40,10 +40,7 @@ DEFAULT_MARGIN = 0.25
 def discrete_laplacian(f: Field) -> Field:
     """The spectral Laplacian of a field: multiply by ``-|xi|^2`` in DFT space
     (periodic).  Self-adjoint for the quadrature pairing."""
-    g = f.grid
-    from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-    spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
-    return Field(g, _spectral_values(spectrum, -g.fourier_squared_norms))
+    return Field(f.grid, _spectral_values(f, -f.grid.fourier_squared_norms))
 
 
 def _window_laplacian(f: Field, inner) -> np.ndarray:
@@ -202,12 +199,10 @@ def time_integral(f: Field, t: float, steps: int = 256) -> Field:
         raise ValueError(f"time must be positive, got {t}")
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
     nodes = _graded_nodes(t, steps)
     weights = np.convolve(np.diff(nodes), [0.5, 0.5])  # the trapezoid weights
     table = np.array([_kernel.kernel_fourier(s, f.grid.fourier_axis[:, np.newaxis]) for s in nodes])
-    spectrum = _fft.fftn(f.values, axes=tuple(range(f.grid.n)))
-    values = _spectral_values(spectrum, _node_sum(weights, table, f.grid.n))
+    values = _spectral_values(f, _node_sum(weights, table, f.grid.n))
     return Field(f.grid, values, meta={"t": t, "nodes": len(nodes), "method": "spectral"})
 
 

@@ -120,7 +120,7 @@ class Field:
     ``values`` has shape ``grid.shape + (m,)`` and complex dtype.  A purely
     spatial array (no trailing component axis) is accepted and treated as
     scalar-valued, ``m = 1``.  Values are frozen after construction; all
-    operations return new fields.
+    operations return new fields, so :attr:`spectrum` never goes stale.
     """
 
     grid: Grid
@@ -147,6 +147,15 @@ class Field:
     @property
     def m(self) -> int:
         return self.values.shape[-1]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The DFT of ``values`` over the grid axes, read-only, made on first
+        use: every spectral operator on this field shares this one transform."""
+        from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
+        out = _fft.fftn(self.values, axes=tuple(range(self.grid.n)))
+        out.setflags(write=False)
+        return out
 
     def with_values(self, values: np.ndarray) -> "Field":
         return Field(self.grid, values)

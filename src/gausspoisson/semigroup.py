@@ -125,11 +125,11 @@ def _flush_subnormals(values: np.ndarray) -> None:
     np.putmask(parts, (parts > -tiny) & (parts < tiny), 0.0)
 
 
-def _spectral_values(spectrum: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """The spectral propagator's last step: the inverse DFT over the grid axes
-    of ``spectrum * multiplier``, after :func:`_flush_subnormals` on it."""
+def _spectral_values(f: Field, multiplier: np.ndarray) -> np.ndarray:
+    """The one spectral step: the inverse DFT over the grid axes of the
+    shared ``f.spectrum`` times ``multiplier``, after :func:`_flush_subnormals`."""
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-    product = spectrum * multiplier[..., np.newaxis]
+    product = f.spectrum * multiplier[..., np.newaxis]
     _flush_subnormals(product)
     # the product is a temporary, so the inverse transform may overwrite it
     return _fft.ifftn(product, axes=tuple(range(multiplier.ndim)), overwrite_x=True)
@@ -163,12 +163,11 @@ def apply(zeta, f: Field, method=None) -> Field:
 def apply_many(times, f: Field, method=None):
     """Yield ``apply(t, f, method)`` for each time in turn.
 
-    The spectral path transforms ``f`` once for all times.  States are
+    The spectral path reuses ``f.spectrum``, ``f``'s one DFT.  States are
     produced one at a time, and no name here refers to a state once it is
     yielded, so a caller holds only the states it keeps.
     """
     g = f.grid
-    spectrum = None
     for zeta in times:
         ct = as_time(zeta)
         if ct.is_zero:
@@ -182,13 +181,10 @@ def apply_many(times, f: Field, method=None):
             factor = _kernel.kernel_eval(z, _difference_axis(g), 1)
             yield Field(g, _riemann_sum([factor] * g.n, f), meta=meta)
             continue
-        from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-        if spectrum is None:
-            spectrum = _fft.fftn(f.values, axes=tuple(range(g.n)))
         # the symbol goes through kernel.kernel_fourier (module attribute,
         # not a local alias) so the spectral path provably follows it
         symbol = _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
-        yield Field(g, _spectral_values(spectrum, reduce(np.multiply.outer, (symbol,) * g.n)), meta=meta)
+        yield Field(g, _spectral_values(f, reduce(np.multiply.outer, (symbol,) * g.n)), meta=meta)
 
 
 def apply_dzeta(zeta, f: Field) -> Field:
@@ -259,6 +255,22 @@ def _operator_norms(zeta, k: float, g: Grid):
     return float(rows[peak]), extremal, float(np.max(w * modulus_sums(1.0 / w)))
 
 
+def _checked_times(times) -> tuple:
+    """The package's one check of trajectory times: at least one, all finite,
+    the first ``>= 0``, strictly increasing.  Returns them as floats."""
+    times = tuple(float(t) for t in times)
+    if not times:
+        raise ValueError("trajectory needs at least one time")
+    for t in times:  # NaN would pass every comparison below
+        if not np.isfinite(t):
+            raise ValueError(f"times must be finite, got {t}")
+    if times[0] < 0:
+        raise ValueError(f"times must be >= 0, got {times[0]}")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States of one field under the real-time evolution, on a shared grid."""
@@ -267,38 +279,25 @@ class Trajectory:
     states: tuple
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = _checked_times(self.times)
         states = tuple(self.states)
-        if len(times) == 0:
-            raise ValueError("trajectory needs at least one time")
         if len(times) != len(states):
             raise ValueError(f"{len(times)} times but {len(states)} states")
-        for t in times:  # NaN would pass every comparison below
-            if not np.isfinite(t):
-                raise ValueError(f"times must be finite, got {t}")
-        if times[0] < 0:
-            raise ValueError(f"times must be >= 0, got {times[0]}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("times must be strictly increasing")
-        g = states[0].grid
-        for s in states[1:]:
-            if s.grid != g:
-                raise ValueError("all trajectory states must share one grid")
-            if s.m != states[0].m:
-                raise ValueError("all trajectory states must share one component count")
+        if any(s.grid != states[0].grid or s.m != states[0].m for s in states):
+            raise ValueError("all trajectory states must share one grid and one component count")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
 
 def trajectory(f: Field, times, method=None) -> Trajectory:
-    """Evolve ``f`` through the given strictly increasing real times.
+    """Evolve ``f`` through strictly increasing real times, checked first.
 
     A leading time 0 keeps ``f``'s values; every positive time is one kernel
     application to the initial field (the evolution is exact in time, so
     there is no stepping error to accumulate), through :func:`apply_many`.
     """
-    states = tuple(apply_many(times, f, method=method))
-    return Trajectory(tuple(times), states)
+    times = _checked_times(times)
+    return Trajectory(times, tuple(apply_many(times, f, method=method)))
 
 
 def write_trajectory(traj: Trajectory, directory) -> Path:

@@ -416,11 +416,11 @@ def _ratio(coarse: float, fine: float, fallback: float) -> float:
 
 
 class _Inputs:
-    """The inputs one run's groups share; each field is built on first use.
-
-    Units on several threads may ask for a field at once: ``cached_property``
-    builds it once (from Python 3.12, without its lock, maybe twice, equal).
-    """
+    """The inputs one run's groups share.  Each field, and so its shared
+    :attr:`Field.spectrum`, is built on first use.  Units on several threads
+    may ask at once: up to Python 3.11 ``cached_property`` holds one lock per
+    attribute for all instances (two spectra are made in turn); from 3.12 it
+    has none, and a field may be built twice, equal."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -625,9 +625,8 @@ def _classical(inp: _Inputs):
     # pointwise heat equation along streamed trajectories, refinement gain.
     # The fine grid about halves h on a fast FFT length; the grids need not
     # nest, since each residual is a max over its own grid's points.  The two
-    # trajectories share nothing, so each is a part of its own.
-    def residual(n_points, dt):
-        f = inp.unit_gaussian.sampled(make_grid(inp.cfg.n, inp.cfg.L, n_points))
+    # runs (the coarse one on the shared field) share nothing: one part each.
+    def residual(f, dt):
         times = np.arange(0.5, 1.5 + dt / 2, dt)
         return classical_residual(times, apply_many(times, f), margin=inp.margin)
 
@@ -635,14 +634,14 @@ def _classical(inp: _Inputs):
         from scipy.fft import next_fast_len  # imported on use: it loads scipy.special (slow to import)
 
         fine_N = next_fast_len(2 * inp.cfg.N - 2)
-        return residual(fine_N, 5e-3), fine_N
+        return residual(inp.unit_gaussian.sampled(make_grid(inp.cfg.n, inp.cfg.L, fine_N)), 5e-3), fine_N
 
     def refinement(results):
         coarse, (fine, fine_N) = results
         meta = {"coarse": coarse, "fine": fine, "N": inp.cfg.N, "fine_N": fine_N, "dt": 1e-2, "fine_dt": 5e-3}
         return [(max(0.0, 3.0 - _ratio(coarse, fine, 3.0)), meta)]
 
-    parts = (partial(residual, inp.cfg.N, 1e-2), fine_run)  # the fine run last: a helper takes it first
+    parts = (lambda: residual(inp.gaussian_field, 1e-2), fine_run)  # the fine run last: a helper takes it first
     yield _Split(parts, refinement), ("classical[gaussian;dt=1e-2]", "classical_refinement")
 
 

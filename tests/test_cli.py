@@ -21,6 +21,7 @@ from gausspoisson import (
     sample,
     write_field_csv,
 )
+from gausspoisson import cli
 from gausspoisson.cli import ConfigError, main, read_config, write_config
 
 FAST = "grid.N=257\nchecks=weights,contour\n"
@@ -124,11 +125,15 @@ def test_evolve_input_validation(tmp_path, capsys):
         assert main(["evolve", *args, "--out", str(out)]) == 2, args
         # nothing is written, not even the output directory
         assert not out.exists(), args
-    # an infinite time is blamed as such, not as a non-finite field value
-    for flag, value in (("--zeta", "inf"), ("--times", "0,inf")):
+    # an infinite time is blamed as such, not as a non-finite field value;
+    # trajectory times are checked before anything is evolved
+    for flag, value, message in (
+        ("--zeta", "inf", "complex time must be finite"),
+        ("--times", "0,inf", "times must be finite, got inf"),
+    ):
         capsys.readouterr()
         assert main(["evolve", *gaussian, flag, value, "--out", str(out)]) == 2
-        assert "complex time must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -213,6 +218,17 @@ def test_output_under_a_regular_file_exits_two(tmp_path, capsys, command):
     assert main([*command, "--config", str(cfg), "--out", str(blocker / "sub")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_makes_its_output_directory_before_running_the_suite(tmp_path, capsys, monkeypatch):
+    def must_not_run(cfg):
+        raise AssertionError("the suite ran before --out was made")
+
+    monkeypatch.setattr(cli, "run_suite", must_not_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["verify", "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -8,6 +8,7 @@ import gausspoisson.kernel
 from gausspoisson import (
     Field,
     SpaceSpec,
+    apply,
     apply_many,
     classical_residual,
     difference_quotient_residual,
@@ -244,6 +245,27 @@ def test_time_integral_makes_one_inverse_transform(monkeypatch, steps):
     monkeypatch.setattr(scipy.fft, "ifftn", spy)
     time_integral(f, 1.0, steps=steps)
     assert len(calls) == 1  # whatever the number of nodes
+
+
+def test_spectral_operators_share_one_forward_transform_per_field(monkeypatch):
+    inputs = []
+    forward = scipy.fft.fftn
+
+    def spy(x, *args, **kwargs):
+        inputs.append(x)
+        return forward(x, *args, **kwargs)
+
+    f = _random_field(make_grid(2, 4.0, 33), 2, np.random.default_rng(4))
+    monkeypatch.setattr(scipy.fft, "fftn", spy)
+    list(apply_many((0.25, 0.5), f))  # real times: the spectral path
+    apply(1.0, f)
+    discrete_laplacian(f)
+    time_integral(f, 1.0, steps=16)
+    assert len(inputs) == 1 and inputs[0] is f.values
+    # a field made by with_values is a new field, with its own transform
+    copy = f.with_values(f.values)
+    discrete_laplacian(copy)
+    assert len(inputs) == 2 and copy.spectrum is not f.spectrum
 
 
 def test_time_integral_follows_kernel_fourier(monkeypatch):

@@ -112,6 +112,19 @@ def test_field_values_are_frozen():
         f.values[0] = 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectrum_is_the_read_only_dft_over_the_grid_axes(n):
+    from scipy import fft
+
+    g = make_grid(n, 3.0, 9)
+    f = random_gaussian_mixture(n, m=2, rng=np.random.default_rng(n)).sampled(g)
+    expect = fft.fftn(f.values, axes=tuple(range(n)))
+    np.testing.assert_array_equal(f.spectrum.view(float), expect.view(float))
+    assert f.spectrum is f.spectrum  # made once per field
+    with pytest.raises(ValueError):
+        f.spectrum[(0,) * (n + 1)] = 1.0
+
+
 def test_sample_passes_point_array():
     g = make_grid(2, 2.0, 5)
     f = sample(g, lambda p: p[..., 0] + 1j * p[..., 1])

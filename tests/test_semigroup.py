@@ -205,6 +205,16 @@ def test_trajectory_validation():
         Trajectory((0.0, 1.0), (GAUSSIAN, other))
 
 
+def test_trajectory_checks_times_before_evolving(monkeypatch):
+    def must_not_evolve(*args, **kwargs):
+        raise AssertionError("evolved before the times were checked")
+
+    monkeypatch.setattr(semigroup, "apply_many", must_not_evolve)
+    for times in ((1.0, 0.5), (0.0, np.inf), (0.0, np.nan), (-0.1, 0.5), ()):
+        with pytest.raises(ValueError):
+            trajectory(GAUSSIAN, times)
+
+
 def test_trajectory_round_trip(tmp_path):
     mix = GaussianMixture([[1.0 + 0.5j]], [0.8], [[0.4]])
     f = mix.sampled(make_grid(1, 8.0, 129))

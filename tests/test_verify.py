@@ -370,6 +370,27 @@ def test_units_do_shared_work_once(default_run):
     }
 
 
+def test_suite_transforms_no_input_twice(monkeypatch):
+    # the checks that share a field share its one spectrum: 14 forward
+    # transforms at n=2, where each check transforming on its own made 34
+    import hashlib
+
+    import scipy.fft
+
+    forward = scipy.fft.fftn
+    digests = []
+
+    def spy(x, *args, **kwargs):
+        digests.append((x.shape, hashlib.blake2b(x.tobytes(), digest_size=16).digest()))
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", spy)
+    report = run_suite(SuiteConfig(n=2, N=17))
+    assert len(report.results) == 47
+    assert len(digests) == 14
+    assert len(set(digests)) == len(digests)
+
+
 def test_crashing_unit_fails_all_its_rows(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("holomorphy broke")
