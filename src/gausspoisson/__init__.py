@@ -47,7 +47,6 @@ from .semigroup import (
     apply,
     apply_dzeta,
     apply_many,
-    default_method,
     operator_bound,
     read_trajectory,
     trajectory,

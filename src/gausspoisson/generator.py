@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel as _kernel
 from .grid_field import Field, interior_slices
-from .semigroup import _spectral_values, apply, apply_dzeta, apply_many
+from .semigroup import Method, _path, _spectral_values, apply, apply_dzeta, apply_many
 from .weights import SpaceSpec, difference_norm
 
 __all__ = [
@@ -190,10 +189,10 @@ def time_integral(f: Field, t: float, steps: int = 256) -> Field:
 
     The nodes are geometrically refined toward 0 (ratio-2 panels), which
     keeps the trapezoid error controlled even when the integrand is merely
-    continuous at 0.  Every node is a real time, so on the spectral path, and
-    the propagator is linear: the weighted sum of the node states is one
-    inverse DFT of ``f``'s spectrum times the weighted sum of the node symbols
-    from :func:`kernel.kernel_fourier` (1 at the node 0, the identity).
+    continuous at 0.  Every node is a real time, forced onto the spectral
+    path, and the propagator is linear: the weighted sum of the node states is
+    one inverse DFT of ``f``'s spectrum times the weighted sum of the node
+    symbols from :func:`semigroup._path` (1 at the node 0, the identity).
     """
     if not t > 0:
         raise ValueError(f"time must be positive, got {t}")
@@ -201,7 +200,7 @@ def time_integral(f: Field, t: float, steps: int = 256) -> Field:
         raise ValueError(f"need at least 2 steps, got {steps}")
     nodes = _graded_nodes(t, steps)
     weights = np.convolve(np.diff(nodes), [0.5, 0.5])  # the trapezoid weights
-    table = np.array([_kernel.kernel_fourier(s, f.grid.fourier_axis[:, np.newaxis]) for s in nodes])
+    table = np.array([_path(s, f.grid, Method.SPECTRAL)[1] for s in nodes])
     values = _spectral_values(f, _node_sum(weights, table, f.grid.n))
     return Field(f.grid, values, meta={"t": t, "nodes": len(nodes), "method": "spectral"})
 

@@ -11,10 +11,11 @@ Two independent numerical paths compute the same operator:
   fields that decay to negligible size at the grid boundary.
 
 Both paths use that the kernel and its symbol factor by axis,
-``chi_zeta(x) = prod_j chi_zeta^(1)(x_j)``: quadrature applies the 1-D factor
-from :func:`kernel.kernel_eval` along each axis in turn (the same zero-fill
-Riemann sum as the n-D one), and the spectral multiplier is the outer product
-of the 1-D symbols from :func:`kernel.kernel_fourier`.
+``chi_zeta(x) = prod_j chi_zeta^(1)(x_j)``, and every evolution takes its
+path and 1-D factor from one decision, :func:`_path`: quadrature applies the
+kernel from :func:`kernel.kernel_eval` along each axis in turn (the same
+zero-fill Riemann sum as the n-D one); the spectral multiplier is the outer
+product of the 1-D symbols from :func:`kernel.kernel_fourier`.
 
 Cross-checking the two paths against each other is one of the strongest
 consistency tests in the package, since they share no code beyond the symbol.
@@ -37,7 +38,6 @@ from .weights import _weight
 
 __all__ = [
     "Method",
-    "default_method",
     "apply",
     "apply_many",
     "apply_dzeta",
@@ -61,14 +61,13 @@ class Method(enum.Enum):
     SPECTRAL = "spectral"
 
 
-def default_method(zeta) -> Method:
-    """Spectral for real times (fast, wrap error well below tolerance for
-    decaying fields); quadrature for properly complex times, where the
-    sampled-kernel error model stays uniform over the sector."""
-    ct = as_time(zeta)
-    if ct.is_zero or ct.value.imag == 0.0:
-        return Method.SPECTRAL
-    return Method.QUADRATURE
+def _checked_method(method):
+    """The package's one check of a method: ``None`` (the per-time choice of
+    :func:`_path`), a :class:`Method` or its value, returned as a Method."""
+    try:
+        return None if method is None else Method(method)
+    except ValueError:
+        raise ValueError(f"unknown method {method!r}; use quadrature or spectral") from None
 
 
 def _difference_axis(g: Grid) -> np.ndarray:
@@ -135,13 +134,27 @@ def _spectral_values(f: Field, multiplier: np.ndarray) -> np.ndarray:
     return _fft.ifftn(product, axes=tuple(range(multiplier.ndim)), overwrite_x=True)
 
 
-def _tail_meta(z: complex, g: Grid) -> dict:
+def _path(z, g: Grid, method=None):
+    """The package's one path decision at time ``z``: the method (a forced
+    one stays; ``None`` takes spectral at real times, quadrature at properly
+    complex ones) and its 1-D factor along every axis, the kernel on the
+    difference lattice or the symbol at the DFT frequencies.  Both come from
+    the ``kernel`` module attributes, so the paths provably follow them."""
+    if method is None:
+        method = Method.SPECTRAL if as_time(z).value.imag == 0.0 else Method.QUADRATURE
+    if method is Method.QUADRATURE:
+        return method, _kernel.kernel_eval(z, _difference_axis(g), 1)
+    return method, _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
+
+
+def _tail_meta(z: complex, g: Grid, method: str) -> dict:
     bound = _own_tail(z, g.L, g.n, 0)
     return {
         "zeta": z,
         "tail_bound": bound,
         "tail_budget": _TAIL_BUDGET,
         "tail_warning": bound > _TAIL_BUDGET,
+        "method": method,
     }
 
 
@@ -151,11 +164,11 @@ def apply(zeta, f: Field, method=None) -> Field:
     Zero time returns a field that shares ``f``'s values array (the operator
     is the identity there), with its own metadata
     ``{"zeta": 0, "method": "identity"}``.  For ``Re zeta > 0`` the selected
-    method runs; ``method=None`` picks the default for the time.  The result
-    carries provenance metadata including the kernel's own tail beyond the
-    grid half-extent; if that exceeds the budget recorded as ``tail_budget``
-    (1e-10) the metadata records ``tail_warning=True`` rather than raising,
-    so suites can assert on grid adequacy.
+    method runs; ``method=None`` lets :func:`_path` pick it for the time.
+    The result carries provenance metadata including the kernel's own tail
+    beyond the grid half-extent; if that exceeds the budget recorded as
+    ``tail_budget`` (1e-10) the metadata records ``tail_warning=True`` rather
+    than raising, so suites can assert on grid adequacy.
     """
     return next(apply_many((zeta,), f, method))
 
@@ -163,28 +176,24 @@ def apply(zeta, f: Field, method=None) -> Field:
 def apply_many(times, f: Field, method=None):
     """Yield ``apply(t, f, method)`` for each time in turn.
 
-    The spectral path reuses ``f.spectrum``, ``f``'s one DFT.  States are
-    produced one at a time, and no name here refers to a state once it is
-    yielded, so a caller holds only the states it keeps.
+    The method is checked before the first time.  The spectral path reuses
+    ``f.spectrum``, ``f``'s one DFT.  States are produced one at a time, and
+    no name here refers to a state once it is yielded, so a caller holds only
+    the states it keeps.
     """
     g = f.grid
+    method = _checked_method(method)
     for zeta in times:
         ct = as_time(zeta)
         if ct.is_zero:
             yield Field(g, f.values, meta={"zeta": ct.value, "method": "identity"})
             continue
-        z = ct.value
-        m = default_method(ct) if method is None else Method(method)
-        meta = _tail_meta(z, g)
-        meta["method"] = m.value
+        m, factor = _path(ct.value, g, method)
+        meta = _tail_meta(ct.value, g, m.value)
         if m is Method.QUADRATURE:
-            factor = _kernel.kernel_eval(z, _difference_axis(g), 1)
             yield Field(g, _riemann_sum([factor] * g.n, f), meta=meta)
-            continue
-        # the symbol goes through kernel.kernel_fourier (module attribute,
-        # not a local alias) so the spectral path provably follows it
-        symbol = _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
-        yield Field(g, _spectral_values(f, reduce(np.multiply.outer, (symbol,) * g.n)), meta=meta)
+        else:
+            yield Field(g, _spectral_values(f, reduce(np.multiply.outer, (factor,) * g.n)), meta=meta)
 
 
 def apply_dzeta(zeta, f: Field) -> Field:
@@ -197,15 +206,12 @@ def apply_dzeta(zeta, f: Field) -> Field:
     """
     z = _require_positive(zeta).value
     g = f.grid
-    d = _difference_axis(g)
-    factor = _kernel.kernel_eval(z, d, 1)
-    dfactor = _kernel.kernel_dzeta(z, d, 1)
+    _, factor = _path(z, g, Method.QUADRATURE)
+    dfactor = _kernel.kernel_dzeta(z, _difference_axis(g), 1)
     values = sum(
         _riemann_sum([dfactor if a == j else factor for a in range(g.n)], f) for j in range(g.n)
     )
-    meta = _tail_meta(z, g)
-    meta["method"] = "quadrature-dzeta"
-    return Field(g, values, meta=meta)
+    return Field(g, values, meta=_tail_meta(z, g, "quadrature-dzeta"))
 
 
 def operator_bound(zeta, k: float, g: Grid) -> float:
@@ -224,7 +230,7 @@ def operator_bound(zeta, k: float, g: Grid) -> float:
     z = _require_positive(zeta).value
     d = _difference_axis(g)
     w = _weight(k, reduce(np.add.outer, (d[:, 0] ** 2,) * g.n))
-    absker = reduce(np.multiply.outer, (np.abs(_kernel.kernel_eval(z, d, 1)),) * g.n)
+    absker = reduce(np.multiply.outer, (np.abs(_path(z, g, Method.QUADRATURE)[1]),) * g.n)
     return float(np.sum(w * absker) * g.cell_volume)
 
 
@@ -242,7 +248,7 @@ def _operator_norms(zeta, k: float, g: Grid):
     difference lattice.
     """
     w = _weight(k, g.squared_norms)
-    factor = _kernel.kernel_eval(zeta, _difference_axis(g), 1)
+    _, factor = _path(zeta, g, Method.QUADRATURE)
 
     def modulus_sums(v):  # sum_y |chi(x-y)| v(y) h^n at every grid point x
         return _riemann_sum([np.abs(factor)] * g.n, Field(g, v)).real[..., 0]

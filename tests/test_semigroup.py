@@ -1,5 +1,6 @@
 """Evolution operator: both discretizations, law, bounds, trajectories."""
 
+import sys
 import weakref
 
 import numpy as np
@@ -15,7 +16,6 @@ from gausspoisson import (
     apply,
     apply_dzeta,
     apply_many,
-    default_method,
     interior_slices,
     kernel_eval,
     kernel_fourier,
@@ -23,12 +23,14 @@ from gausspoisson import (
     operator_bound,
     read_trajectory,
     sample,
+    time_integral,
     trajectory,
     weighted_norm,
     write_trajectory,
 )
 from gausspoisson import semigroup
 from gausspoisson.fields import random_gaussian_mixture
+from gausspoisson.generator import _graded_nodes
 
 GRID = make_grid(1, 12.0, 1025)
 GAUSSIAN = sample(GRID, lambda p: np.exp(-p[..., 0] ** 2))
@@ -48,9 +50,11 @@ def test_zero_time_is_identity():
 
 
 def test_method_selection():
-    assert default_method(1.0) is Method.SPECTRAL
-    assert default_method(0.0) is Method.SPECTRAL
-    assert default_method(1.0 + 0.1j) is Method.QUADRATURE
+    # with no method forced: spectral at real times, quadrature at properly
+    # complex ones, the identity at zero
+    assert apply(1.0, GAUSSIAN).meta["method"] == "spectral"
+    assert apply(1.0 + 0.1j, GAUSSIAN).meta["method"] == "quadrature"
+    assert apply(0.0, GAUSSIAN).meta["method"] == "identity"
     assert Method("quadrature") is Method.QUADRATURE
 
 
@@ -60,6 +64,47 @@ def test_unknown_method_raises():
     assert apply(1.0, GAUSSIAN, method="quadrature").meta["method"] == "quadrature"
     with pytest.raises(ValueError):
         apply(1.0, GAUSSIAN, method="no_such_method")
+    # the one check runs before the first time, so neither a zero time nor a
+    # trajectory's leading 0 is evolved with a method that does not exist
+    message = "unknown method 'nope'; use quadrature or spectral"
+    with pytest.raises(ValueError, match=message):
+        apply(0.0, GAUSSIAN, method="nope")
+    with pytest.raises(ValueError, match=message):
+        trajectory(GAUSSIAN, (0.0, 1.0), method="nope")
+
+
+def test_every_evolution_takes_its_path_from_one_decision(monkeypatch):
+    original = semigroup._path
+    calls = []
+
+    def counted(z, g, method=None):
+        calls.append(method)
+        return original(z, g, method)
+
+    # wrap the decision wherever a module of the package bound it by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gausspoisson") and getattr(module, "_path", None) is original:
+            monkeypatch.setattr(module, "_path", counted)
+
+    def methods(run):
+        calls.clear()
+        run()
+        return calls[:]
+
+    g = make_grid(2, 4.0, 17)
+    f = sample(g, lambda p: np.exp(-np.sum(p**2, axis=-1)))
+    assert methods(lambda: apply(1.0, f)) == [None]
+    assert methods(lambda: apply(1.0 + 0.5j, f)) == [None]
+    for forced in Method:
+        assert methods(lambda: apply(0.5, f, method=forced)) == [forced]
+    times = (0.0, 0.25, 0.5 + 0.1j, 1.0)
+    assert methods(lambda: list(apply_many(times, f))) == [None] * 3
+    quadrature = [Method.QUADRATURE]
+    assert methods(lambda: apply_dzeta(0.5, f)) == quadrature
+    assert methods(lambda: operator_bound(0.5, 2.0, g)) == quadrature
+    assert methods(lambda: semigroup._operator_norms(0.5, 2.0, g)) == quadrature
+    nodes = len(_graded_nodes(1.0, 16))
+    assert methods(lambda: time_integral(f, 1.0, 16)) == [Method.SPECTRAL] * nodes
 
 
 def test_quadrature_matches_gaussian_closed_form():
