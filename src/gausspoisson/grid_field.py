@@ -10,8 +10,9 @@ from __future__ import annotations
 import os
 import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import product
 from typing import Callable
 
@@ -400,79 +401,74 @@ def _csv_block_bytes(block: np.ndarray, lead=None) -> bytes:
     return b"".join(pieces)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _in_order(tasks, threads, ahead):
+    """Yield ``(result, error)`` of each zero-argument task in ``tasks``, in order.
 
-
-def _write_blocks(fh, blocks, block_bytes) -> None:
-    """Write ``block_bytes(b)`` of each block ``b`` of ``blocks`` to ``fh``, in order.
-
-    The calling thread and ``min(cpus, blocks, _CSV_THREADS) - 1`` helper
-    threads take blocks in index order, with at most two blocks per thread
-    taken and not yet written; only the caller writes, so the bytes do not
-    depend on the thread count.  An exception raised while formatting a
-    block is raised here when that block's turn comes, after every helper
-    has stopped.
+    The calling thread and ``min(cpus, tasks, threads) - 1`` helper threads
+    take tasks in index order, with at most ``ahead`` tasks taken and not yet
+    yielded; ``error`` is the exception a task raised, or None.  A
+    non-``Exception`` raised on the calling thread propagates at once; the
+    helpers catch everything and hand it over.  Closing the generator stops
+    and joins every helper started, after its current task.
     """
-    helpers = min(_cpu_count(), len(blocks), _CSV_THREADS) - 1
-    ahead = 2 * (helpers + 1)
-    texts = {}  # formatted, unwritten: block index -> text or the exception raised
+    try:  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    helpers = min(cpus, len(tasks), threads) - 1
+    done = {}  # finished, not yet yielded: task index -> (result, error)
     changed = threading.Condition()
-    taken = written = 0
+    taken = given = 0
 
-    def take():  # with ``changed`` held: the next block to format, or None
+    def take():  # with ``changed`` held: the next task to run, or None
         nonlocal taken
-        if taken == len(blocks) or taken - written >= ahead:
+        if taken == len(tasks) or taken - given >= ahead:
             return None
         taken += 1
         return taken - 1
 
-    def format_block(i):
+    def run(i, catch):
         try:
-            text = block_bytes(blocks[i])
-        except BaseException as exc:  # raised by the caller in block order
-            text = exc
+            outcome = (tasks[i](), None)
+        except catch as exc:
+            outcome = (None, exc)
         with changed:
-            texts[i] = text
+            done[i] = outcome
             changed.notify_all()
 
     def work():
         while True:
             with changed:
-                changed.wait_for(lambda: taken == len(blocks) or taken - written < ahead)
+                changed.wait_for(lambda: taken == len(tasks) or taken - given < ahead)
                 i = take()
             if i is None:
                 return
-            format_block(i)
+            run(i, BaseException)
 
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(helpers)]
-    for thread in threads:
-        thread.start()
+    started = []
     try:
-        while written < len(blocks):
+        for _ in range(helpers):
+            thread = threading.Thread(target=work, daemon=True)
+            thread.start()
+            started.append(thread)
+        while given < len(tasks):
             with changed:
-                i = None if written in texts else take()
-                if i is None:  # the next block is formatted or being formatted
-                    changed.wait_for(lambda: written in texts)
-                    text = texts.pop(written)
+                i = None if given in done else take()
+                if i is None:  # the next task is done or running
+                    changed.wait_for(lambda: given in done)
+                    outcome = done.pop(given)
             if i is not None:
-                format_block(i)
+                run(i, Exception)
                 continue
-            if isinstance(text, BaseException):
-                raise text
-            fh.write(text)
+            yield outcome
             with changed:
-                written += 1
+                given += 1
                 changed.notify_all()
     finally:
         with changed:
-            taken = len(blocks)  # the helpers take no further block
+            taken = len(tasks)  # the helpers take no further task
             changed.notify_all()
-        for thread in threads:
+        for thread in started:
             thread.join()
 
 
@@ -498,7 +494,12 @@ def write_field_csv(f: Field, path) -> None:
 
     with open(path, "wb") as fh:
         fh.write((_csv_header(g.n, f.m) + "\r\n").encode())
-        _write_blocks(fh, range(0, g.size, _CSV_BLOCK_ROWS), block_bytes)
+        tasks = [partial(block_bytes, start) for start in range(0, g.size, _CSV_BLOCK_ROWS)]
+        with closing(_in_order(tasks, _CSV_THREADS, 2 * _CSV_THREADS)) as texts:
+            for text, error in texts:
+                if error is not None:
+                    raise error
+                fh.write(text)
 
 
 def read_field_csv(path) -> Field:

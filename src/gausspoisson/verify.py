@@ -9,8 +9,6 @@ randomness), serializable as CSV and as readable text.
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from operator import attrgetter, itemgetter
@@ -27,7 +25,7 @@ from .generator import (
     generator_residuals,
     mild_identity_residual,
 )
-from .grid_field import Field, Grid, _cpu_count, interior_slices, make_grid, sample
+from .grid_field import Field, Grid, _in_order, interior_slices, make_grid, sample
 from .kernel import _checked_sector, _require_positive, as_time
 from .semigroup import Method, _operator_norms, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceKind, SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
@@ -400,7 +398,7 @@ def contour_residual(
 
 @dataclass(frozen=True)
 class _Split:
-    """A unit's work as independent parts, one queue item each; ``combine``
+    """A unit's work as independent parts, one suite task each; ``combine``
     takes their results, in part order, to the unit's rows."""
 
     parts: tuple
@@ -641,7 +639,7 @@ def _classical(inp: _Inputs):
         meta = {"coarse": coarse, "fine": fine, "N": inp.cfg.N, "fine_N": fine_N, "dt": 1e-2, "fine_dt": 5e-3}
         return [(max(0.0, 3.0 - _ratio(coarse, fine, 3.0)), meta)]
 
-    parts = (lambda: residual(inp.gaussian_field, 1e-2), fine_run)  # the fine run last: a helper takes it first
+    parts = (lambda: residual(inp.gaussian_field, 1e-2), fine_run)  # the fine run last: the suite takes it first
     yield _Split(parts, refinement), ("classical[gaussian;dt=1e-2]", "classical_refinement")
 
 
@@ -681,9 +679,9 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the configured check groups and assemble the deterministic report.
 
     Units, and the parts of a unit that splits, share no mutable state, so
-    on a large enough grid with more than one CPU they run concurrently: the
-    calling thread takes queue items from the front of the table, helper
-    threads from the back, where the costliest groups sit.  Rows are always
+    on a large enough grid with more than one CPU they run concurrently:
+    ``grid_field._in_order`` runs them on the calling thread and helper
+    threads, costliest first, from the back of the table.  Rows are always
     reported in table order and randomness is seeded, so two runs from
     identical configurations produce byte-identical reports whatever the
     thread count.  A crashing unit or part is recorded as failed (every row
@@ -698,33 +696,16 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         for compute, *specs in rows(inputs)
     ]
     items = [(specs[0][0], part) for _, split, specs in units for part in split.parts]
-    pending = deque(range(len(items)))
-    outcomes = [None] * len(items)  # (result, None) or (None, exception) per item
-
-    def work(take):
-        while True:
-            try:
-                i = take()
-            except IndexError:  # the queue is empty
-                return
-            try:
-                outcomes[i] = (items[i][1](), None)
-            except Exception as exc:  # a crashing part fails its unit's rows, not the suite
-                outcomes[i] = (None, exc)
-
-    helpers = min(_cpu_count(), len(items)) - 1 if cfg.grid.size >= _THREADED_MIN_POINTS else 0
-    threads = [threading.Thread(target=work, args=(pending.pop,), daemon=True) for _ in range(helpers)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(pending.popleft)
-    finally:  # on an interrupt, let the helpers finish their current item
-        pending.clear()
-        for thread in threads:
-            thread.join()
-    missing = list(dict.fromkeys(name for (name, _), outcome in zip(items, outcomes) if outcome is None))
-    if missing:
-        raise RuntimeError(f"a suite thread died without computing the units of rows {missing}")
+    threads = len(items) if cfg.grid.size >= _THREADED_MIN_POINTS else 1
+    # costliest first: the costliest groups sit at the end of the table
+    outcomes = list(_in_order([part for _, part in reversed(items)], threads, len(items)))[::-1]
+    # a helper hands over whatever it caught; only an Exception fails just its unit
+    died = {
+        name: exc for (name, _), (_, exc) in zip(items, outcomes) if exc is not None and not isinstance(exc, Exception)
+    }
+    if died:
+        message = f"a suite thread died without computing the units of rows {list(died)}"
+        raise RuntimeError(message) from next(iter(died.values()))
     results = []
     done = iter(outcomes)
     for anchor, split, specs in units:

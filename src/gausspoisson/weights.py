@@ -48,10 +48,10 @@ class SpaceKind(enum.Enum):
 class SpaceSpec:
     """Declaration of a weighted space: weight exponent, base kind, and p.
 
-    The weight is ``w(x) = (1 + |x|)^k`` with finite ``k >= 0``.  BUC and C0
-    share the discrete sup norm; the kind only records which test fields a
-    verification suite admits.  Membership of a sampled field in the
-    declared base space is never checked.
+    The weight is ``w(x) = (1 + |x|)^k`` with finite ``k >= 0``; Lp needs a
+    finite ``p >= 1``.  BUC and C0 share the discrete sup norm; the kind only
+    records which test fields a verification suite admits.  Membership of a
+    sampled field in the declared base space is never checked.
     """
 
     k: float
@@ -61,8 +61,8 @@ class SpaceSpec:
     def __post_init__(self):
         _checked_exponent(self.k)
         if self.kind is SpaceKind.LP:
-            if self.p is None or not self.p >= 1:
-                raise ValueError(f"Lp spaces need p >= 1, got p={self.p}")
+            if self.p is None or not 1 <= self.p < math.inf:
+                raise ValueError(f"Lp spaces need a finite p >= 1, got p={self.p}")
         elif self.p is not None:
             raise ValueError(f"p is only meaningful for Lp spaces, got kind={self.kind}")
 
@@ -117,7 +117,15 @@ def weighted_norm(f: Field, s: SpaceSpec, margin: float = 0.0) -> float:
     quotient = mag / _weight(s.k, g.squared_norms[sl]) if s.k else mag
     if s.kind in (SpaceKind.BUC, SpaceKind.C0):
         return float(quotient.max())
-    return float(np.sum(quotient**s.p) * g.cell_volume) ** (1.0 / s.p)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(quotient**s.p) * g.cell_volume)
+    if np.finfo(float).tiny <= total < math.inf:
+        return total ** (1.0 / s.p)
+    # the sum overflowed or lost its digits below the normal range: scale by the peak
+    peak = float(quotient.max())
+    if peak == 0:
+        return 0.0
+    return peak * float(np.sum((quotient / peak) ** s.p) * g.cell_volume) ** (1.0 / s.p)
 
 
 def difference_norm(a: Field, b: Field, s: SpaceSpec, margin: float = 0.0) -> float:

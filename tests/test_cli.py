@@ -201,6 +201,16 @@ def test_verify_bad_config_exits_two(tmp_path):
     assert not (tmp_path / "empty" / "report.csv").exists()
 
 
+def test_verify_infinite_p_exits_two(tmp_path):
+    # every Lp norm read 1.0 at p=inf, so the semigroup-law and mild rows
+    # failed with residual 1; the paper's Lp spaces have a finite p
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FAST + "space.kind=Lp\nspace.p=inf\n")
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -419,6 +419,38 @@ def test_write_field_csv_raises_a_helpers_exception(monkeypatch, tmp_path):
     assert threading.active_count() == threads
 
 
+def test_write_field_csv_interrupt_propagates_before_another_block(monkeypatch, tmp_path):
+    f = several_block_field()
+    set_cpus(monkeypatch, 2)
+    caller = threading.current_thread()
+    exact = grid_field._csv_block_bytes
+    helper_formatting, joining = threading.Event(), threading.Event()
+    formatted = []
+
+    class Spy(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    def interrupted_on_the_caller(block, lead):
+        formatted.append(block)
+        if threading.current_thread() is caller:
+            assert helper_formatting.wait(timeout=60)  # a helper holds a block
+            raise KeyboardInterrupt
+        helper_formatting.set()
+        assert joining.wait(timeout=60)
+        return exact(block, lead)
+
+    monkeypatch.setattr(grid_field.threading, "Thread", Spy)
+    monkeypatch.setattr(grid_field, "_csv_block_bytes", interrupted_on_the_caller)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        write_field_csv(f, tmp_path / "f.csv")
+    # the caller's block and the helper's, and no further one
+    assert len(formatted) == 2
+    assert threading.active_count() == threads
+
+
 # an evolve-2d-csv field on a quarter of its grid (n=2, N=257, m=2)
 PEAK_MIXTURE = random_gaussian_mixture(2, m=2, terms=3, rng=np.random.default_rng(7))
 PEAK_GRID = make_grid(2, 12.0, 257)

@@ -449,34 +449,35 @@ def test_report_identical_whatever_the_thread_count(threaded_reports):
 
 
 def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_reports):
-    ran_on = []
+    caller = threading.current_thread()
     crashed = threading.Event()
-    law = verify.semigroup_law_residual
+    law, classical = verify.semigroup_law_residual, verify.classical_residual
 
-    def broken(*args, **kwargs):
-        ran_on.append(threading.current_thread())
-        crashed.set()
-        raise RuntimeError("classical broke")
+    def crashes_on_a_helper(original):
+        def patched(*args, **kwargs):
+            if threading.current_thread() is caller:
+                # the caller's units wait for the crash, so a helper reaches
+                # one of these two groups first
+                assert crashed.wait(timeout=30)
+                return original(*args, **kwargs)
+            crashed.set()
+            raise RuntimeError("helper broke")
 
-    def law_after_the_crash(*args, **kwargs):
-        # the calling thread's first unit: it waits for the helper's crash, so
-        # it cannot reach the coarse classical part first
-        crashed.wait(30)
-        return law(*args, **kwargs)
+        return patched
 
-    monkeypatch.setattr(verify, "classical_residual", broken)
-    monkeypatch.setattr(verify, "semigroup_law_residual", law_after_the_crash)
+    monkeypatch.setattr(verify, "semigroup_law_residual", crashes_on_a_helper(law))
+    monkeypatch.setattr(verify, "classical_residual", crashes_on_a_helper(classical))
     set_cpus(monkeypatch, 2)
-    report = run_suite(THREADED)
-    # the last unit is the first one a helper takes
-    assert ran_on and ran_on[0] is not threading.current_thread()
-    *rest, classical = report.results
-    assert classical.residual == math.inf and "classical broke" in classical.meta["error"]
-    expected = threaded_reports[1].results
-    assert classical.name == expected[-1].name
-    assert [(r.name, r.residual, r.passed, r.meta) for r in rest] == [
-        (r.name, r.residual, r.passed, r.meta) for r in expected[:-1]
-    ]
+    crashed_rows = []
+    for got, want in zip(run_suite(THREADED).results, threaded_reports[1].results, strict=True):
+        assert got.name == want.name
+        if "error" in got.meta:
+            crashed_rows.append(got.name)
+            assert got.residual == math.inf and not got.passed
+            assert got.meta == {"error": "RuntimeError('helper broke')"}
+        else:
+            assert (got.residual, got.passed, got.meta) == (want.residual, want.passed, want.meta)
+    assert crashed_rows and all(name.startswith(("semigroup-law", "classical")) for name in crashed_rows)
 
 
 @pytest.mark.parametrize("part, steps", [("coarse", 101), ("fine", 201)])
@@ -534,7 +535,8 @@ def test_helper_count_follows_grid_size_cpus_and_units(monkeypatch, spy_threads,
 
 
 def test_interrupt_empties_the_queue_and_joins_the_helpers(monkeypatch):
-    helper_took_its_unit, joining = threading.Event(), threading.Event()
+    caller = threading.current_thread()
+    helper_holds_a_unit, joining = threading.Event(), threading.Event()
     ran = []
 
     class Spy(threading.Thread):
@@ -542,30 +544,45 @@ def test_interrupt_empties_the_queue_and_joins_the_helpers(monkeypatch):
             joining.set()
             super().join(timeout)
 
-    def interrupted(z, g):  # kernel-mass, at the front: the calling thread
+    def unit(z, g):  # every unit of both groups
         ran.append(z)
-        assert helper_took_its_unit.wait(timeout=30)
-        raise KeyboardInterrupt
-
-    def finishes_after_the_interrupt(z, g):  # fourier-symbol, at the back: the helper
-        ran.append(z)
-        helper_took_its_unit.set()
+        if threading.current_thread() is caller:
+            assert helper_holds_a_unit.wait(timeout=30)
+            raise KeyboardInterrupt
+        helper_holds_a_unit.set()
         assert joining.wait(timeout=30)
         return 0.0
 
     monkeypatch.setattr(threading, "Thread", Spy)
-    monkeypatch.setattr(verify.kernelmod, "kernel_mass", interrupted)
-    monkeypatch.setattr(verify.kernelmod, "fourier_symbol_residual", finishes_after_the_interrupt)
+    monkeypatch.setattr(verify.kernelmod, "kernel_mass", unit)
+    monkeypatch.setattr(verify.kernelmod, "fourier_symbol_residual", unit)
     set_cpus(monkeypatch, 2)
     cfg = SuiteConfig(N=verify._THREADED_MIN_POINTS, checks=("kernel-mass", "fourier-symbol"))
     with pytest.raises(KeyboardInterrupt):
         run_suite(cfg)
-    # the helper finished its unit, then found the queue empty
-    assert sorted(ran, key=abs) == [0.25, 1 + 1j]
+    # the helper finished its unit, then took no further one
+    assert len(ran) == 2
     assert not [t for t in threading.enumerate() if isinstance(t, Spy)]
 
 
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_a_helper_that_fails_to_start_stops_the_others(monkeypatch):
+    started = []
+
+    class SecondFails(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", SecondFails)
+    set_cpus(monkeypatch, 4)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        run_suite(SuiteConfig(N=verify._THREADED_MIN_POINTS, checks=("kernel-mass",)))
+    # the first helper was stopped and joined before the error left run_suite
+    assert len(started) == 1 and not started[0].is_alive()
+
+
 def test_a_helper_that_dies_leaves_no_silent_gap(monkeypatch):
     class HelperDied(BaseException):
         pass

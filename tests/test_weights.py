@@ -1,5 +1,7 @@
 """Weight algebra: pointwise inequalities, slacks, and discrete norms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,20 @@ def test_space_spec_construction_and_validation():
         SpaceSpec.make(0, "Linfinity")
     with pytest.raises(ValueError):
         SpaceSpec.make(-1)
+
+
+def test_space_spec_rejects_infinite_p():
+    with pytest.raises(ValueError, match="finite p"):
+        SpaceSpec.make(0, "Lp", math.inf)
+
+
+@pytest.mark.parametrize("c, norm", [(10.0, 10.052511032879064), (1e-3, 1.0052511032879064e-3)])
+def test_lp_norm_at_large_p_neither_overflows_nor_underflows(c, norm):
+    # c^400 overflows at c=10 and underflows at c=1e-3; the norm of the
+    # constant is c times (sum of h over the 65 points)^(1/p) = c 8.125^(1/400)
+    g = make_grid(1, 4.0, 65)
+    f = sample(g, lambda x: np.full(x.shape[:-1], c))
+    assert weighted_norm(f, SpaceSpec.make(0, "Lp", 400)) == pytest.approx(norm, rel=1e-12)
 
 
 def test_sup_norm_of_gaussian_is_peak_value():
