@@ -47,6 +47,9 @@ class GaussianMixture:
                 f"term counts disagree: {amp.shape[0]} amplitudes, "
                 f"{wid.shape[0]} widths, {cen.shape[0]} centers"
             )
+        for name, arr in (("amplitudes", amp), ("widths", wid), ("centers", cen)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
         if np.any(wid.real <= 0):
             raise ValueError("every width must have positive real part")
         for arr in (amp, wid, cen):

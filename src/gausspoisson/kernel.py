@@ -159,7 +159,7 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
     _checked_sector(alpha)
     if not abs(ct.argument) < alpha:
         raise ValueError(f"zeta argument {ct.argument:.4f} outside the sector of angle {alpha:.4f}")
-    if R < 0:
+    if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     K = math.ceil(_checked_exponent(k))
     from scipy.special import gammaincc  # imported on use: it is most of the package's import time
@@ -195,6 +195,8 @@ def grid_for_time(zeta, n: int, tol: float = 1e-10) -> Grid:
     nonreal times, the local oscillation wavelength at the truncation radius.
     """
     ct = _require_positive(zeta)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     from scipy.special import gammainccinv
     alpha = default_sector_angle(ct)
     r = ct.modulus

@@ -31,6 +31,23 @@ def test_mixture_validation():
         GaussianMixture([[1.0], [1.0]], [1.0], [[0.0]])  # term count mismatch
 
 
+@pytest.mark.parametrize(
+    "amplitudes, widths, centers, name",
+    [
+        ([[1.0]], [np.nan], [[0.0]], "widths"),
+        ([[1.0]], [1.0 + 1j * np.inf], [[0.0]], "widths"),
+        ([[np.inf]], [1.0], [[0.0]], "amplitudes"),
+        ([[1.0 + 1j * np.nan]], [1.0], [[0.0]], "amplitudes"),
+        ([[1.0]], [1.0], [[np.nan]], "centers"),
+        ([[1.0], [1.0]], [1.0, 1.0], [[0.0, 0.0], [-np.inf, 0.0]], "centers"),
+    ],
+)
+def test_mixture_rejects_non_finite_parameters(amplitudes, widths, centers, name):
+    # caught when the mixture is made, not when it is sampled or evolved
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GaussianMixture(amplitudes, widths, centers)
+
+
 def test_mixture_evolution_closed_form_real_time():
     # c e^{-a x^2} evolves to c (1+4at)^{-1/2} e^{-a x^2/(1+4at)}
     mix = GaussianMixture([[1.0]], [2.0], [[0.0]])

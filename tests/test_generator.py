@@ -1,5 +1,7 @@
 """Laplacian discretizations, generator residuals, and the integral identity."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -317,6 +319,8 @@ def test_classical_residual_validation():
     assert classical_residual(ok.times, ok.states) < 1e-2
     with pytest.raises(ValueError):
         classical_residual(ok.times, ok.states[:-1])  # one state per time
+    with pytest.raises(ValueError, match="spaced by dt"):
+        classical_residual(ok.times, ok.states, dt=0.2)  # a step other than the times'
 
 
 def test_classical_residual_streams_states():
@@ -325,6 +329,24 @@ def test_classical_residual_streams_states():
     traj = trajectory(GAUSSIAN, times)
     streamed = classical_residual(times, apply_many(times, GAUSSIAN))
     assert streamed == classical_residual(traj.times, traj.states)
+
+
+def test_classical_residual_holds_no_state_it_has_moved_past():
+    # of each state only a copy of its halo window is kept, so when the next
+    # state is asked for, at most the current one is alive
+    times = 0.5 + 0.05 * np.arange(6)
+    given = []
+
+    def states():
+        for t in times:
+            assert all(ref() is None for ref in given[:-1])
+            state = apply(t, GAUSSIAN)
+            given.append(weakref.ref(state))
+            yield state
+            del state
+
+    assert classical_residual(times, states()) == classical_residual(times, trajectory(GAUSSIAN, times).states)
+    assert len(given) == len(times)
 
 
 def test_residuals_respect_weighted_space():

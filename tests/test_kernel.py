@@ -216,6 +216,12 @@ def test_tail_bound_rejects_time_outside_sector():
         kernel_tail_bound(np.exp(1j * 1.2), 1.0, 3.0, 1, 0)
 
 
+@pytest.mark.parametrize("R", [-1.0, np.nan])
+def test_tail_bound_rejects_a_radius_that_is_not_non_negative(R):
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        kernel_tail_bound(1.0, 1.0, R, 1, 0)
+
+
 def test_weighted_tail_bound_dominates_weighted_tail_mass():
     # oracle: quadrature of (1+|x|)^k times the kernel modulus
     zeta = np.exp(1j * np.pi / 4)
@@ -294,6 +300,12 @@ def test_grid_for_time_refines_for_oscillatory_kernels():
 def test_grid_for_time_rejects_zero_time():
     with pytest.raises(ValueError):
         grid_for_time(0.0, 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_grid_for_time_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        grid_for_time(1.0, 1, tol=tol)
 
 
 def test_sample_kernel_mass_and_symmetry():

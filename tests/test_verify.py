@@ -13,11 +13,14 @@ import pytest
 
 from gausspoisson import (
     CHECK_GROUPS,
+    Field,
     Method,
     SpaceSpec,
     SuiteConfig,
     VerificationReport,
     apply,
+    apply_many,
+    classical_residual,
     continuity_scan,
     contour_residual,
     format_complex,
@@ -480,15 +483,23 @@ def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_repo
     assert crashed_rows and all(name.startswith(("semigroup-law", "classical")) for name in crashed_rows)
 
 
-@pytest.mark.parametrize("part, steps", [("coarse", 101), ("fine", 201)])
-def test_a_crashing_classical_part_fails_only_its_row(monkeypatch, threaded_reports, part, steps):
-    # the coarse trajectory has 101 times, the fine one 201
+FINE_TIMES = np.arange(0.5, 1.5 + 5e-3 / 2, 5e-3)  # classical's fine run, dt = 5e-3
+
+
+@pytest.mark.parametrize("part", ["coarse", *(f"fine-{j}" for j in range(verify._FINE_PARTS))])
+def test_a_crashing_classical_part_fails_only_its_row(monkeypatch, threaded_reports, part):
+    # the coarse trajectory runs on THREADED's grid, every fine part on the
+    # fine grid (fine_N), each from the first time of its own chunk
+    fine_N = threaded_reports[1].results[-1].meta["fine_N"]
+    starts = [times[0] for times in verify._overlapping(FINE_TIMES, verify._FINE_PARTS)]
     original = verify.classical_residual
 
-    def breaks_one_part(times, states, margin):
-        if len(times) == steps:
+    def breaks_one_part(times, states, margin, dt=None):
+        first, *rest = states
+        here = f"fine-{starts.index(times[0])}" if first.grid.N == fine_N else "coarse"
+        if here == part:
             raise RuntimeError(f"{part} trajectory broke")
-        return original(times, states, margin)
+        return original(times, [first, *rest], margin, dt)
 
     monkeypatch.setattr(verify, "classical_residual", breaks_one_part)
     set_cpus(monkeypatch, 2)
@@ -500,6 +511,37 @@ def test_a_crashing_classical_part_fails_only_its_row(monkeypatch, threaded_repo
     assert [(r.name, r.residual, r.passed, r.meta) for r in rest] == [
         (r.name, r.residual, r.passed, r.meta) for r in expected
     ]
+
+
+@pytest.mark.parametrize("n, N", [(1, 65), (2, 17), (3, 9)])
+@pytest.mark.parametrize("source", ["evolved", "growing"])
+def test_overlapping_chunks_keep_the_classical_residual_bit_for_bit(n, N, source):
+    # every three-state window lies in one chunk and every chunk takes the
+    # whole run's step, so the max over the chunks is the whole run's residual.
+    # Evolved states are the same evolutions whichever chunk asks for them.
+    # Growing random states put the max in the last chunk, whose own first
+    # step differs from the whole run's in its last bits.
+    g = make_grid(n, 4.0, N)
+    f = verify._Inputs(SuiteConfig(n=n, N=N)).gaussian_field
+    rng = np.random.default_rng([n, N])
+    growing = [2.0**i * rng.standard_normal(g.shape + (2,)) for i in range(len(FINE_TIMES))]
+    fields = {t: Field(g, values) for t, values in zip(FINE_TIMES, growing)}
+
+    def states(times):
+        return apply_many(times, f) if source == "evolved" else [fields[t] for t in times]
+
+    whole = classical_residual(FINE_TIMES, states(FINE_TIMES), 0.25)
+    dt = FINE_TIMES[1] - FINE_TIMES[0]
+    for parts in (1, 2, 3, 7, len(FINE_TIMES) - 2):
+        chunks = verify._overlapping(FINE_TIMES, parts)
+        assert len(chunks) == parts and all(len(c) >= 3 for c in chunks)
+        # consecutive chunks share two times, and together they are the run
+        assert all(np.array_equal(a[-2:], b[:2]) for a, b in zip(chunks, chunks[1:]))
+        assert np.array_equal(np.concatenate([chunks[0], *(c[2:] for c in chunks[1:])]), FINE_TIMES)
+        residuals = [classical_residual(c, states(c), 0.25, dt) for c in chunks]
+        assert max(residuals) == whole
+        if source == "growing":
+            assert residuals[-1] == whole
 
 
 @pytest.fixture
@@ -523,7 +565,7 @@ def spy_threads(monkeypatch):
         (0, 1, ("fourier-symbol",), 0),  # one CPU
         (0, 8, ("fourier-symbol",), 1),  # two units
         (0, 4, ("kernel-mass",), 3),  # six units
-        (0, 2, ("classical",), 1),  # one unit in two parts
+        (0, 2, ("classical",), 1),  # one unit in 1 + verify._FINE_PARTS parts
     ],
 )
 def test_helper_count_follows_grid_size_cpus_and_units(monkeypatch, spy_threads, offset, cpus, checks, helpers):
