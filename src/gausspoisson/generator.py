@@ -231,14 +231,12 @@ def classical_residual(times, states, margin: float = DEFAULT_MARGIN, dt: float 
     """Pointwise heat-equation residual along uniformly spaced times.
 
     ``states`` holds the field at each of ``times``: any iterable, such as
-    ``apply_many(times, f)`` or a trajectory's states.  It is read once, in
-    order.  Of each state only a copy of the interior window plus the
-    stencil's one-point halo is kept, three such windows at a time.  The
-    state itself is released once the next one has been computed, not
-    before: freed first, its memory tends to go back to the operating system
-    and be faulted in again for the next state (the classical suite group at
-    n=2, N=129 then took 11-50% more CPU time on one thread).  States at
-    non-positive times are skipped.
+    ``apply_many(times, f)`` or a trajectory's states, with one state per
+    time.  It is read once, in order.  Of each state only a copy of the
+    interior window plus the stencil's one-point halo is kept, three such
+    windows at a time, and the state itself is released as soon as its
+    window is copied: no name here refers to it when the next one is asked
+    for.  States at non-positive times are skipped.
 
     Returns the max over interior times and interior grid points of the
     Euclidean component norm of ``central time difference - Delta u``, with
@@ -258,13 +256,19 @@ def classical_residual(times, states, margin: float = DEFAULT_MARGIN, dt: float 
         raise ValueError(f"positive times must be uniformly spaced by dt = {dt}")
     window = []  # halo copies of the last (up to) three positive-time states
     worst = 0.0
-    for t, state in zip(times, states, strict=True):
-        if not t > 0:
-            continue
-        if not window:
-            g = state.grid
-            halo, within = _halo(g, interior_slices(g, margin))
-        window.append(state.values[halo].copy())
+    states = iter(states)
+    # not zip(): its reused result tuple would hold the last state while the
+    # next one is computed
+    for t in times:
+        state = next(states, None)
+        if state is None:
+            raise ValueError(f"{len(times)} times but fewer states")
+        if t > 0:
+            if not window:
+                g = state.grid
+                halo, within = _halo(g, interior_slices(g, margin))
+            window.append(state.values[halo].copy())
+        del state
         if len(window) == 3:
             a, b, c = window
             dudt = (c[within] - a[within]) / (2.0 * dt)
@@ -272,4 +276,6 @@ def classical_residual(times, states, margin: float = DEFAULT_MARGIN, dt: float 
             pointwise = np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1))
             worst = max(worst, float(pointwise.max()))
             del window[0], a, dudt, lap, pointwise
+    if next(states, None) is not None:
+        raise ValueError(f"{len(times)} times but more states")
     return worst

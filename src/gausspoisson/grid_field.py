@@ -539,6 +539,9 @@ def read_field_csv(path) -> Field:
         b = min(a + _CSV_BLOCK_ROWS, rows)
         flat[a * width : b * width] = table[a:b, n:].ravel()
     del flat
-    table.resize(rows * width)
+    # no view of table is left (flat and the column slices are gone), so the
+    # reference check, which a profile hook holding a bound method of table
+    # trips, is off
+    table.resize(rows * width, refcheck=False)
     vals = table.view(complex)  # keeps the sign of a zero
     return Field(grid, vals.reshape(grid.shape + (m,)))

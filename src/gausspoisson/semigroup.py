@@ -116,22 +116,36 @@ def _flush_subnormals(values: np.ndarray) -> None:
     frequencies, and arithmetic on subnormals runs in slow microcode on x86,
     which makes the inverse FFT two to three times slower.  A flushed part
     lies far below half an ulp of the transform's outputs, which are sums of
-    normal terms, so they keep every bit.
+    normal terms, so they keep every bit.  One boolean mask is built and
+    narrowed in place, with one boolean temporary and no float one.
     """
     parts = values.view(float)
     tiny = np.finfo(float).tiny
-    # boolean masks only: no float temporary the size of the array
-    np.putmask(parts, (parts > -tiny) & (parts < tiny), 0.0)
+    mask = parts > -tiny
+    mask &= parts < tiny
+    np.putmask(parts, mask, 0.0)
 
 
 def _spectral_values(f: Field, multiplier: np.ndarray) -> np.ndarray:
     """The one spectral step: the inverse DFT over the grid axes of the
-    shared ``f.spectrum`` times ``multiplier``, after :func:`_flush_subnormals`."""
+    shared ``f.spectrum`` times ``multiplier``, after :func:`_flush_subnormals`.
+
+    The caller hands ``multiplier`` over.  For a scalar field (``m = 1``) and
+    a complex multiplier the product is formed in the multiplier's own
+    buffer, and the inverse transform runs in place on it, so that one array
+    becomes the state; with ``m > 1``, or a real multiplier (the Laplacian's
+    ``-|xi|^2``), the product is a fresh array.  ``f.spectrum`` is the first
+    operand either way: with fused multiply-adds, ``a*b`` and ``b*a`` of
+    complex numbers can differ in the last bit, and every state is pinned to
+    the bits of ``f.spectrum * multiplier``.
+    """
     from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-    product = f.spectrum * multiplier[..., np.newaxis]
+    multiplier = multiplier[..., np.newaxis]
+    in_place = f.m == 1 and multiplier.dtype == complex
+    product = np.multiply(f.spectrum, multiplier, out=multiplier if in_place else None)
     _flush_subnormals(product)
-    # the product is a temporary, so the inverse transform may overwrite it
-    return _fft.ifftn(product, axes=tuple(range(multiplier.ndim)), overwrite_x=True)
+    # the product is the caller's buffer or a temporary, so the inverse transform may overwrite it
+    return _fft.ifftn(product, axes=tuple(range(f.grid.n)), overwrite_x=True)
 
 
 def _path(z, g: Grid, method=None):
@@ -177,8 +191,10 @@ def apply_many(times, f: Field, method=None):
     """Yield ``apply(t, f, method)`` for each time in turn.
 
     The method is checked before the first time.  The spectral path reuses
-    ``f.spectrum``, ``f``'s one DFT.  States are produced one at a time, and
-    no name here refers to a state once it is yielded, so a caller holds only
+    ``f.spectrum``, ``f``'s one DFT, and forms each time's n-D multiplier
+    afresh; for a scalar field that array becomes the state
+    (:func:`_spectral_values`).  States are produced one at a time, and no
+    name here refers to a state once it is yielded, so a caller holds only
     the states it keeps.
     """
     g = f.grid

@@ -364,6 +364,22 @@ def test_import_loads_no_concurrent_futures():
     assert done.stdout.strip() == "False"
 
 
+def test_python_m_runs_the_cli(tmp_path):
+    # ``python -m gausspoisson`` is the console script without an install
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "gausspoisson", *args], env=_env(), capture_output=True, text=True, timeout=300
+        )
+
+    shown = run("--help")
+    assert shown.returncode == 0, shown.stderr
+    assert "evolve" in shown.stdout
+    bad = run("evolve", "--out", str(tmp_path / "out"), "--bogus")
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --bogus" in bad.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_demos_run(tmp_path):
     # the demos are the package's public-API callers outside the tests; all
     # five start at once, one BLAS thread each

@@ -319,6 +319,8 @@ def test_classical_residual_validation():
     assert classical_residual(ok.times, ok.states) < 1e-2
     with pytest.raises(ValueError):
         classical_residual(ok.times, ok.states[:-1])  # one state per time
+    with pytest.raises(ValueError):
+        classical_residual(ok.times, ok.states + ok.states[:1])
     with pytest.raises(ValueError, match="spaced by dt"):
         classical_residual(ok.times, ok.states, dt=0.2)  # a step other than the times'
 
@@ -332,14 +334,15 @@ def test_classical_residual_streams_states():
 
 
 def test_classical_residual_holds_no_state_it_has_moved_past():
-    # of each state only a copy of its halo window is kept, so when the next
-    # state is asked for, at most the current one is alive
-    times = 0.5 + 0.05 * np.arange(6)
+    # of each state only a copy of its halo window is kept, and the state is
+    # released once that is copied, so when the next state is asked for, no
+    # earlier one is alive
+    times = np.concatenate([[0.0], 0.5 + 0.05 * np.arange(6)])
     given = []
 
     def states():
         for t in times:
-            assert all(ref() is None for ref in given[:-1])
+            assert all(ref() is None for ref in given)
             state = apply(t, GAUSSIAN)
             given.append(weakref.ref(state))
             yield state

@@ -3,7 +3,6 @@
 import re
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from gausspoisson import (
 )
 from gausspoisson import grid_field
 
-from conftest import set_cpus
+from conftest import set_cpus, traced_peak
 
 FIELD_GOLDEN = Path(__file__).parent / "data" / "field_golden.csv"
 
@@ -334,18 +333,6 @@ def test_sampled_mixture_takes_the_fast_path(monkeypatch, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def traced_peak(call):
-    """``call()`` and the peak of the memory it allocated, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_csv_block_temporaries_stay_small():
     # one 4096x6 block (an evolve-2d-csv block) allocated about 11 MB when its
     # byte layouts were gathered through one index array for the whole block
@@ -482,6 +469,17 @@ def test_read_field_csv_holds_one_value_array(tmp_path):
     write_field_csv(f, tmp_path / "f.csv")
     back, peak = traced_peak(lambda: read_field_csv(tmp_path / "f.csv"))
     assert peak < 2.3 * f.values.nbytes
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_read_field_csv_runs_under_a_profiler(tmp_path):
+    # a profile hook holds the bound method table.resize while it runs, which
+    # the resize's reference check took for a view of the table
+    import cProfile
+
+    f = random_gaussian_mixture(2, m=2, rng=np.random.default_rng(5)).sampled(make_grid(2, 6.0, 33))
+    write_field_csv(f, tmp_path / "f.csv")
+    back = cProfile.Profile().runcall(read_field_csv, tmp_path / "f.csv")
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 

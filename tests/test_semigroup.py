@@ -2,6 +2,7 @@
 
 import sys
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from gausspoisson import (
 from gausspoisson import semigroup
 from gausspoisson.fields import random_gaussian_mixture
 from gausspoisson.generator import _graded_nodes
+
+from conftest import traced_peak
 
 GRID = make_grid(1, 12.0, 1025)
 GAUSSIAN = sample(GRID, lambda p: np.exp(-p[..., 0] ** 2))
@@ -382,6 +385,38 @@ def test_spectral_apply_flushes_subnormals_bit_for_bit(monkeypatch):
         seen.clear()
         np.testing.assert_array_equal(got.values.view(float), expect.view(float))
         assert np.array_equal(np.signbit(got.values.view(float)), np.signbit(expect.view(float)))
+
+
+@pytest.mark.parametrize("n, N", [(1, 257), (2, 65), (3, 17)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_spectral_states_keep_every_bit(n, N, m):
+    # a state is the inverse transform of f.spectrum * multiplier, flushed,
+    # with the spectrum as the first operand whether or not the product is
+    # formed in the multiplier's buffer (fused multiply-adds make a*b and a*b
+    # reversed differ in the last bit)
+    from scipy import fft
+
+    g = make_grid(n, 6.0, N)
+    f = random_gaussian_mixture(n, m=m, rng=np.random.default_rng(10 * n + m)).sampled(g)
+    times = [0.5, 1.0, 0.25 + 0.1j]
+    for t, state in zip(times, apply_many(times, f, method=Method.SPECTRAL)):
+        symbol = kernel_fourier(t, g.fourier_axis[:, np.newaxis])
+        product = f.spectrum * reduce(np.multiply.outer, (symbol,) * n)[..., np.newaxis]
+        semigroup._flush_subnormals(product)
+        expect = fft.ifftn(product, axes=tuple(range(n)))
+        assert np.array_equal(state.values.view(np.uint64), expect.view(np.uint64))
+
+
+def test_spectral_state_is_its_multiplier_buffer():
+    # a fresh multiplier and then a fresh product peaked at 2.4 states; the
+    # product formed in the multiplier's buffer, transformed in place, is the
+    # state, and the subnormal flush's boolean masks are the rest
+    g = make_grid(2, 8.0, 256)
+    f = sample(g, lambda p: np.exp(-np.sum(p**2, axis=-1)))
+    f.spectrum  # made once, outside the traced step
+    for t in (1.0, 0.3 + 0.2j):
+        state, peak = traced_peak(lambda: next(apply_many((t,), f, method=Method.SPECTRAL)))
+        assert peak < 1.3 * state.values.nbytes
 
 
 @pytest.mark.parametrize("N", [64, 1025])
