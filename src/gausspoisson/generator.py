@@ -227,35 +227,43 @@ def mild_identity_residual(
     return [difference_norm(discrete_laplacian(time_integral(f, t, n)), rhs, space, margin) for n in steps]
 
 
-def classical_residual(times, states, margin: float = DEFAULT_MARGIN, dt: float | None = None) -> float:
+def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:
     """Pointwise heat-equation residual along uniformly spaced times.
 
     ``states`` holds the field at each of ``times``: any iterable, such as
     ``apply_many(times, f)`` or a trajectory's states, with one state per
-    time.  It is read once, in order.  Of each state only a copy of the
-    interior window plus the stencil's one-point halo is kept, three such
-    windows at a time, and the state itself is released as soon as its
-    window is copied: no name here refers to it when the next one is asked
-    for.  States at non-positive times are skipped.
+    time.  It is read once, in order.  States at non-positive times are
+    skipped.
 
     Returns the max over interior times and interior grid points of the
     Euclidean component norm of ``central time difference - Delta u``, with
-    the finite-difference Laplacian, formed on the interior window only.
-    Needs at least 3 positive times, spaced by ``dt``; without ``dt``, by the
-    first step of the positive times.  A run cut into chunks that overlap by
-    two times, each given the whole run's ``dt``, has every three-time window
-    in one chunk, so the max over the chunks is the whole run's residual.
+    the finite-difference Laplacian, formed on the interior window only:
+    the max of :func:`_window_residuals`.  Needs at least 3 positive times,
+    spaced by their first step.
+    """
+    return max(_window_residuals(times, states, margin))
+
+
+def _window_residuals(times, states, margin: float = DEFAULT_MARGIN):
+    """Yield :func:`classical_residual`'s max for each three consecutive
+    positive times, in order: a residual profile over time.
+
+    Of each state only a copy of the interior window plus the stencil's
+    one-point halo is kept, three such windows at a time, and the state
+    itself is released as soon as its window is copied: no name here refers
+    to it when the next one is asked for.  The times are checked before the
+    first state is read, and a count of states other than of times raises
+    ``ValueError`` when the times run out.
     """
     times = np.asarray(times, dtype=float)
     positive = times[times > 0]
     if len(positive) < 3:
         raise ValueError("need at least 3 positive times")
     dts = np.diff(positive)
-    dt = float(dts[0]) if dt is None else float(dt)
+    dt = float(dts[0])
     if not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
         raise ValueError(f"positive times must be uniformly spaced by dt = {dt}")
     window = []  # halo copies of the last (up to) three positive-time states
-    worst = 0.0
     states = iter(states)
     # not zip(): its reused result tuple would hold the last state while the
     # next one is computed
@@ -273,9 +281,8 @@ def classical_residual(times, states, margin: float = DEFAULT_MARGIN, dt: float 
             a, b, c = window
             dudt = (c[within] - a[within]) / (2.0 * dt)
             lap = _stencil(b, g.n, 1.0 / (g.h * g.h))[within]
-            pointwise = np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1))
-            worst = max(worst, float(pointwise.max()))
-            del window[0], a, dudt, lap, pointwise
+            worst = float(np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1)).max())
+            del window[0], a, dudt, lap
+            yield worst
     if next(states, None) is not None:
         raise ValueError(f"{len(times)} times but more states")
-    return worst

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
-from operator import attrgetter, itemgetter
-from typing import Callable
+from operator import attrgetter
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from . import kernel as kernelmod
 from .fields import GaussianMixture, field_rule, random_gaussian_mixture
 from .generator import (
     DEFAULT_MARGIN,
+    _window_residuals,
     classical_residual,
     difference_quotient_residual,
     generator_residuals,
@@ -392,17 +392,7 @@ def contour_residual(
 # rows function yields units ``(compute, (name, tol_key), ...)``: the names
 # and tolerance keys of a unit's rows are known before anything runs, and
 # ``compute()`` does the unit's shared work once and returns one
-# ``(residual, meta)`` per row, in row order.  A unit whose work splits into
-# independent parts gives a ``_Split`` as its ``compute``.
-
-
-@dataclass(frozen=True)
-class _Split:
-    """A unit's work as independent parts, one suite task each; ``combine``
-    takes their results, in part order, to the unit's rows."""
-
-    parts: tuple
-    combine: Callable
+# ``(residual, meta)`` per row, in row order.
 
 
 def _relative(residual: float, scale: float) -> float:
@@ -628,46 +618,29 @@ def _operator_bound(inp: _Inputs):
             yield partial(norm_check, k, z), (name, "operator_bound")
 
 
-# The parts that cut classical's fine trajectory, the suite's longest run, so
-# that two CPUs share it.  At n=2, N=129 on a 2-vCPU VM (1 BLAS thread, 30
-# alternating in-process suites) the median suite took 0.666 s uncut, and
-# 0.620, 0.609 and 0.637 s with 2, 3 and 4 parts.
-_FINE_PARTS = 3
-
-
-def _overlapping(times: np.ndarray, parts: int) -> list:
-    """``times`` cut into ``parts`` runs that overlap by two times, so every
-    three consecutive times lie in one run."""
-    windows = len(times) - 2
-    return [times[j * windows // parts : (j + 1) * windows // parts + 2] for j in range(parts)]
+# classical's two runs.  The fine step halves the coarse one, so fine times
+# 2j .. 2j + 4 span coarse window j, the coarse times j .. j + 2.
+_COARSE_TIMES = np.arange(0.5, 1.5 + 1e-2 / 2, 1e-2)
+_FINE_TIMES = np.arange(0.5, 1.5 + 5e-3 / 2, 5e-3)
 
 
 def _classical(inp: _Inputs):
     # pointwise heat equation along streamed trajectories, refinement gain.
-    # The coarse run (on the shared field) is one part.  The fine run is
-    # _FINE_PARTS parts over time chunks that overlap by two states; each
-    # state is one evolution of the shared fine field at its own time, and
-    # each chunk takes the whole run's step, so the max over the chunks is
-    # the whole run's residual, bit for bit.
-    def residual(field, times, dt=None):
-        return classical_residual(times, apply_many(times, field(inp)), margin=inp.margin, dt=dt)
-
-    fine_times = np.arange(0.5, 1.5 + 5e-3 / 2, 5e-3)
-    fine_dt = float(fine_times[1] - fine_times[0])  # the whole run's step, as classical_residual takes it
-    coarse = partial(residual, attrgetter("gaussian_field"), np.arange(0.5, 1.5 + 1e-2 / 2, 1e-2))
-    fine = [
-        partial(residual, attrgetter("fine_gaussian_field"), times, fine_dt)
-        for times in _overlapping(fine_times, _FINE_PARTS)
-    ]
-
-    def refinement(results):
-        coarse, *fine = results
-        fine, fine_N = max(fine), inp.fine_gaussian_field.grid.N
-        meta = {"coarse": coarse, "fine": fine, "N": inp.cfg.N, "fine_N": fine_N, "dt": 1e-2, "fine_dt": 5e-3}
+    # The coarse run is dense: one residual per three-time window.  A heat
+    # solution's residual falls in t, so the fine run is evaluated only over
+    # the span of coarse window 0 and of every coarse window whose residual
+    # rises above the one before it, where a defect local in time shows.
+    def refinement():
+        profile = list(_window_residuals(_COARSE_TIMES, apply_many(_COARSE_TIMES, inp.gaussian_field), inp.margin))
+        refined = [j for j in range(len(profile)) if j == 0 or profile[j] > profile[j - 1]]
+        f = inp.fine_gaussian_field
+        spans = [_FINE_TIMES[2 * j : 2 * j + 5] for j in refined]
+        coarse, fine = max(profile), max(classical_residual(t, apply_many(t, f), inp.margin) for t in spans)
+        meta = {"coarse": coarse, "fine": fine, "N": inp.cfg.N, "fine_N": f.grid.N, "dt": 1e-2, "fine_dt": 5e-3}
+        meta["refined"] = refined  # coarse windows, not in the reports
         return [(max(0.0, 3.0 - _ratio(coarse, fine, 3.0)), meta)]
 
-    # the fine parts last: the suite takes them first
-    yield _Split((coarse, *fine), refinement), ("classical[gaussian;dt=1e-2]", "classical_refinement")
+    yield refinement, ("classical[gaussian;dt=1e-2]", "classical_refinement")
 
 
 # (group, anchor, rows) in report order
@@ -694,53 +667,52 @@ CHECK_GROUPS = tuple(group for group, _, _ in _GROUPS)
 
 # Helper threads start only on grids with at least this many points: below,
 # Python-level work dominates and threads contend for the interpreter lock.
-# Threaded/serial suite time on a 2-vCPU VM (1 BLAS thread, medians of 7,
-# two sweeps, classical in two parts): 1.06-1.56 on 2-D grids of 1089 to
-# 3969 points and at 1-D N=1025; 1-D N=2049 1.09 then 0.88, N=3073 0.86 then
-# 0.79 (the crossover depends on FFT lengths too); 0.99 and 1.23 at n=2,
-# N=64, 0.99-1.00 at N=65, and 0.69-0.71 at n=2, N=129.
+# Threaded/serial suite time on a 2-vCPU VM (1 BLAS thread, medians of 7
+# alternating, two sweeps, one task per unit): 0.97-1.43 on 2-D grids of 1089
+# to 4096 points; 1-D N=1025 0.87 then 1.01, N=2049 1.06 then 0.73, N=3073
+# 0.66 then 0.82 (the crossover depends on FFT lengths too); 0.89 then 1.17
+# at n=3, N=17, 0.87-0.92 at n=2, N=65, 0.61-0.74 at n=2, N=129 and
+# 0.55-0.65 at n=3, N=33.
 _THREADED_MIN_POINTS = 4096
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the configured check groups and assemble the deterministic report.
 
-    Units, and the parts of a unit that splits, share no mutable state, so
-    on a large enough grid with more than one CPU they run concurrently:
+    Units share no mutable state, so on a large enough grid with more than
+    one CPU they run concurrently, one task per unit:
     ``grid_field._in_order`` runs them on the calling thread and helper
     threads, costliest first, from the back of the table.  Rows are always
     reported in table order and randomness is seeded, so two runs from
     identical configurations produce byte-identical reports whatever the
-    thread count.  A crashing unit or part is recorded as failed (every row
-    of the unit gets residual ``inf`` and the error message of its first
-    failed part in its metadata) and the suite continues.
+    number of suite threads.  A crashing unit is recorded as failed (every
+    row of the unit gets residual ``inf`` and the error message in its
+    metadata) and the suite continues.
     """
     inputs = _Inputs(cfg)
     units = [
-        (anchor, compute if isinstance(compute, _Split) else _Split((compute,), itemgetter(0)), specs)
+        (anchor, compute, specs)
         for group, anchor, rows in _GROUPS
         if cfg.checks is None or group in cfg.checks
         for compute, *specs in rows(inputs)
     ]
-    items = [(specs[0][0], part) for _, split, specs in units for part in split.parts]
-    threads = len(items) if cfg.grid.size >= _THREADED_MIN_POINTS else 1
+    threads = len(units) if cfg.grid.size >= _THREADED_MIN_POINTS else 1
     # costliest first: the costliest groups sit at the end of the table
-    outcomes = list(_in_order([part for _, part in reversed(items)], threads, len(items)))[::-1]
+    outcomes = list(_in_order([compute for _, compute, _ in reversed(units)], threads, len(units)))[::-1]
     # a helper hands over whatever it caught; only an Exception fails just its unit
     died = {
-        name: exc for (name, _), (_, exc) in zip(items, outcomes) if exc is not None and not isinstance(exc, Exception)
+        specs[0][0]: exc
+        for (_, _, specs), (_, exc) in zip(units, outcomes)
+        if exc is not None and not isinstance(exc, Exception)
     }
     if died:
         message = f"a suite thread died without computing the units of rows {list(died)}"
         raise RuntimeError(message) from next(iter(died.values()))
     results = []
-    done = iter(outcomes)
-    for anchor, split, specs in units:
-        parts = [next(done) for _ in split.parts]
-        error = next((exc for _, exc in parts if exc is not None), None)
+    for (anchor, _, specs), (rows, error) in zip(units, outcomes):
         if error is None:
             try:
-                rows = [(float(residual), meta) for residual, meta in split.combine([r for r, _ in parts])]
+                rows = [(float(residual), meta) for residual, meta in rows]
             except Exception as exc:
                 error = exc
         if error is not None:

@@ -380,6 +380,16 @@ def test_python_m_runs_the_cli(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_python_m_on_the_cli_module_runs_it(tmp_path):
+    # ``python -m gausspoisson.cli`` runs the CLI too, as ``-m`` would
+    code = "import runpy; runpy.run_module('gausspoisson.cli', run_name='__main__', alter_sys=True)"
+    out = tmp_path / "out"
+    bad = _run_python(code, "evolve", "--out", str(out), "--bogus")
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --bogus" in bad.stderr
+    assert not out.exists()
+
+
 def test_demos_run(tmp_path):
     # the demos are the package's public-API callers outside the tests; all
     # five start at once, one BLAS thread each

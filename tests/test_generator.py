@@ -23,7 +23,7 @@ from gausspoisson import (
     time_integral,
     trajectory,
 )
-from gausspoisson.generator import _graded_nodes, _window_laplacian
+from gausspoisson.generator import _graded_nodes, _window_laplacian, _window_residuals
 
 GRID = make_grid(1, 12.0, 1025)
 GAUSSIAN = sample(GRID, lambda p: np.exp(-p[..., 0] ** 2))
@@ -321,8 +321,6 @@ def test_classical_residual_validation():
         classical_residual(ok.times, ok.states[:-1])  # one state per time
     with pytest.raises(ValueError):
         classical_residual(ok.times, ok.states + ok.states[:1])
-    with pytest.raises(ValueError, match="spaced by dt"):
-        classical_residual(ok.times, ok.states, dt=0.2)  # a step other than the times'
 
 
 def test_classical_residual_streams_states():
@@ -331,6 +329,9 @@ def test_classical_residual_streams_states():
     traj = trajectory(GAUSSIAN, times)
     streamed = classical_residual(times, apply_many(times, GAUSSIAN))
     assert streamed == classical_residual(traj.times, traj.states)
+    # the residual is the max of the per-window profile, one per three times
+    profile = list(_window_residuals(times, apply_many(times, GAUSSIAN)))
+    assert len(profile) == 4 and max(profile) == streamed
 
 
 def test_classical_residual_holds_no_state_it_has_moved_past():

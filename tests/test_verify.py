@@ -13,14 +13,11 @@ import pytest
 
 from gausspoisson import (
     CHECK_GROUPS,
-    Field,
     Method,
     SpaceSpec,
     SuiteConfig,
     VerificationReport,
     apply,
-    apply_many,
-    classical_residual,
     continuity_scan,
     contour_residual,
     format_complex,
@@ -31,7 +28,7 @@ from gausspoisson import (
     sample,
     semigroup_law_residual,
 )
-from gausspoisson import cli, generator, verify, weights
+from gausspoisson import cli, generator, semigroup, verify, weights
 from gausspoisson.fields import field_rule
 from gausspoisson.verify import CheckResult
 from gausspoisson.weights import difference_norm
@@ -483,25 +480,14 @@ def test_crash_on_a_helper_thread_fails_only_its_rows(monkeypatch, threaded_repo
     assert crashed_rows and all(name.startswith(("semigroup-law", "classical")) for name in crashed_rows)
 
 
-FINE_TIMES = np.arange(0.5, 1.5 + 5e-3 / 2, 5e-3)  # classical's fine run, dt = 5e-3
-
-
-@pytest.mark.parametrize("part", ["coarse", *(f"fine-{j}" for j in range(verify._FINE_PARTS))])
+@pytest.mark.parametrize("part", ["coarse", "fine-0"])
 def test_a_crashing_classical_part_fails_only_its_row(monkeypatch, threaded_reports, part):
-    # the coarse trajectory runs on THREADED's grid, every fine part on the
-    # fine grid (fine_N), each from the first time of its own chunk
-    fine_N = threaded_reports[1].results[-1].meta["fine_N"]
-    starts = [times[0] for times in verify._overlapping(FINE_TIMES, verify._FINE_PARTS)]
-    original = verify.classical_residual
+    # the one classical unit runs the dense coarse trajectory, then the fine
+    # one over the refined coarse windows' spans: here window 0's alone
+    def broken(*args, **kwargs):
+        raise RuntimeError(f"{part} trajectory broke")
 
-    def breaks_one_part(times, states, margin, dt=None):
-        first, *rest = states
-        here = f"fine-{starts.index(times[0])}" if first.grid.N == fine_N else "coarse"
-        if here == part:
-            raise RuntimeError(f"{part} trajectory broke")
-        return original(times, [first, *rest], margin, dt)
-
-    monkeypatch.setattr(verify, "classical_residual", breaks_one_part)
+    monkeypatch.setattr(verify, {"coarse": "_window_residuals", "fine-0": "classical_residual"}[part], broken)
     set_cpus(monkeypatch, 2)
     *rest, classical = run_suite(THREADED).results
     assert classical.name == "classical[gaussian;dt=1e-2]"
@@ -511,37 +497,6 @@ def test_a_crashing_classical_part_fails_only_its_row(monkeypatch, threaded_repo
     assert [(r.name, r.residual, r.passed, r.meta) for r in rest] == [
         (r.name, r.residual, r.passed, r.meta) for r in expected
     ]
-
-
-@pytest.mark.parametrize("n, N", [(1, 65), (2, 17), (3, 9)])
-@pytest.mark.parametrize("source", ["evolved", "growing"])
-def test_overlapping_chunks_keep_the_classical_residual_bit_for_bit(n, N, source):
-    # every three-state window lies in one chunk and every chunk takes the
-    # whole run's step, so the max over the chunks is the whole run's residual.
-    # Evolved states are the same evolutions whichever chunk asks for them.
-    # Growing random states put the max in the last chunk, whose own first
-    # step differs from the whole run's in its last bits.
-    g = make_grid(n, 4.0, N)
-    f = verify._Inputs(SuiteConfig(n=n, N=N)).gaussian_field
-    rng = np.random.default_rng([n, N])
-    growing = [2.0**i * rng.standard_normal(g.shape + (2,)) for i in range(len(FINE_TIMES))]
-    fields = {t: Field(g, values) for t, values in zip(FINE_TIMES, growing)}
-
-    def states(times):
-        return apply_many(times, f) if source == "evolved" else [fields[t] for t in times]
-
-    whole = classical_residual(FINE_TIMES, states(FINE_TIMES), 0.25)
-    dt = FINE_TIMES[1] - FINE_TIMES[0]
-    for parts in (1, 2, 3, 7, len(FINE_TIMES) - 2):
-        chunks = verify._overlapping(FINE_TIMES, parts)
-        assert len(chunks) == parts and all(len(c) >= 3 for c in chunks)
-        # consecutive chunks share two times, and together they are the run
-        assert all(np.array_equal(a[-2:], b[:2]) for a, b in zip(chunks, chunks[1:]))
-        assert np.array_equal(np.concatenate([chunks[0], *(c[2:] for c in chunks[1:])]), FINE_TIMES)
-        residuals = [classical_residual(c, states(c), 0.25, dt) for c in chunks]
-        assert max(residuals) == whole
-        if source == "growing":
-            assert residuals[-1] == whole
 
 
 @pytest.fixture
@@ -565,7 +520,7 @@ def spy_threads(monkeypatch):
         (0, 1, ("fourier-symbol",), 0),  # one CPU
         (0, 8, ("fourier-symbol",), 1),  # two units
         (0, 4, ("kernel-mass",), 3),  # six units
-        (0, 2, ("classical",), 1),  # one unit in 1 + verify._FINE_PARTS parts
+        (0, 2, ("classical",), 0),  # one unit
     ],
 )
 def test_helper_count_follows_grid_size_cpus_and_units(monkeypatch, spy_threads, offset, cpus, checks, helpers):
@@ -705,18 +660,52 @@ def test_operator_bound_rows_state_the_norm_they_check(cfg, sharp):
         assert ("column_norm" in meta) is (cfg.space.kind.value == "Lp")
 
 
-def test_classical_row_meta_names_both_runs():
-    cfg = SuiteConfig(n=2, N=33, checks=("classical",))
+@pytest.mark.parametrize("n, N", [(1, 257), (2, 33), (3, 17)])
+def test_classical_row_meta_names_both_runs(n, N):
+    # on a heat solution the residual falls in t, so only coarse window 0 is
+    # refined, and both sides equal the dense whole-run residuals bit for bit
+    cfg = SuiteConfig(n=n, N=N, checks=("classical",))
     (row,) = run_suite(cfg).results
     f = verify._Inputs(cfg).unit_gaussian
-    for key, N, dt in (("coarse", 33, 1e-2), ("fine", 64, 5e-3)):
+    for key, grid_N, dt in (("coarse", N, 1e-2), ("fine", 2 * N - 2, 5e-3)):
         times = np.arange(0.5, 1.5 + dt / 2, dt)
-        g = make_grid(2, cfg.L, N)
+        g = make_grid(n, cfg.L, grid_N)
         whole = verify.classical_residual(times, verify.apply_many(times, f.sampled(g)), cfg.margin)
         assert row.meta[key] == whole
-    grids = {k: row.meta[k] for k in ("N", "fine_N", "dt", "fine_dt")}
-    assert grids == {"N": 33, "fine_N": 64, "dt": 1e-2, "fine_dt": 5e-3}
+    grids = {k: row.meta[k] for k in ("N", "fine_N", "dt", "fine_dt", "refined")}
+    assert grids == {"N": N, "fine_N": 2 * N - 2, "dt": 1e-2, "fine_dt": 5e-3, "refined": [0]}
     assert row.passed
+
+
+@pytest.mark.parametrize(
+    "n, N, eps, lo, hi",
+    [
+        *((n, N, 1e-3, lo, hi) for n, N in ((1, 257), (2, 33)) for lo, hi in ((0.8, 0.9), (0.82, 0.88), (1.234, 1.5))),
+        (1, 257, 3e-5, 0.82, 0.88),  # at n=2, N=33 even 1e-4 passes, as with the whole fine run
+    ],
+)
+def test_time_local_symbol_mutant_fails_the_classical_row(monkeypatch, n, N, eps, lo, hi):
+    # the symbol times 1 + eps at real times in (lo, hi) on both grids,
+    # through the one path decision.  The coarse residual rises where the
+    # defect starts and ends, and that sends the fine run there.
+    path = semigroup._path
+
+    def mutated(z, g, method=None):
+        m, factor = path(z, g, method)
+        t = complex(z)
+        if m is Method.SPECTRAL and t.imag == 0 and lo < t.real < hi:
+            factor = factor * (1 + eps) ** (1 / g.n)
+        return m, factor
+
+    row = lambda: run_suite(SuiteConfig(n=n, N=N, checks=("classical",))).results
+    (unmutated,) = row()
+    assert unmutated.passed and unmutated.meta["refined"] == [0]
+    monkeypatch.setattr(semigroup, "_path", mutated)
+    (mutated_row,) = row()
+    assert mutated_row.name == "classical[gaussian;dt=1e-2]" and not mutated_row.passed
+    # coarse window j spans [0.5 + 0.01 j, 0.52 + 0.01 j]
+    refined = mutated_row.meta["refined"]
+    assert refined[0] == 0 and any(lo < 0.52 + 0.01 * j and 0.5 + 0.01 * j < hi for j in refined[1:])
 
 
 def test_traced_functions_resolve_on_the_package():
