@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .grid_field import Field, Grid, squared_norm
+from .grid_field import Field, Grid, sample, squared_norm
 from .kernel import as_time
 
 __all__ = [
@@ -31,7 +31,7 @@ class GaussianMixture:
 
     ``amplitudes`` has shape (terms, m) complex, ``widths`` shape (terms,)
     with ``Re a_t > 0``, ``centers`` shape (terms, n) real.  Instances are
-    callable point rules, directly usable with :func:`~gausspoisson.grid_field.sample`.
+    rules, directly usable with :func:`~gausspoisson.grid_field.sample`.
     """
 
     amplitudes: np.ndarray
@@ -70,12 +70,17 @@ class GaussianMixture:
     def m(self) -> int:
         return self.amplitudes.shape[1]
 
-    def __call__(self, points) -> np.ndarray:
-        x = np.asarray(points, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.m,), dtype=complex)
+    def __call__(self, X) -> np.ndarray:
+        """The mixture at per-axis coordinates ``X``, ``n`` arrays that
+        broadcast together (the open mesh :func:`sample` passes), with the
+        components along a trailing axis.  Each term is the product of its
+        1-D factors ``e^{-a (x_j - mu_j)^2}``, added into the output in place,
+        one component at a time."""
+        out = np.zeros(np.broadcast_shapes(*map(np.shape, X)) + (self.m,), dtype=complex)
         for c, a, mu in zip(self.amplitudes, self.widths, self.centers):
-            sq = np.sum((x - mu) ** 2, axis=-1)
-            out = out + np.exp(-a * sq)[..., np.newaxis] * c
+            term = reduce(np.multiply, [np.exp(-a * (x - mu_j) ** 2) for x, mu_j in zip(X, mu, strict=True)])
+            for j, c_j in enumerate(c):
+                out[..., j] += term * c_j
         return out
 
     def evolved(self, zeta) -> "GaussianMixture":
@@ -94,16 +99,10 @@ class GaussianMixture:
         return GaussianMixture(amp, self.widths / denom, self.centers)
 
     def sampled(self, grid: Grid) -> Field:
-        """The mixture on a grid, built by axis: each term is the outer
-        product of its 1-D factors ``e^{-a (x_j - mu_j)^2}``."""
+        """The mixture on a grid: :func:`sample` with the mixture as the rule."""
         if grid.n != self.n:
             raise ValueError(f"mixture is {self.n}-dimensional, grid is {grid.n}-dimensional")
-        out = np.zeros(grid.shape + (self.m,), dtype=complex)
-        for c, a, mu in zip(self.amplitudes, self.widths, self.centers):
-            term = reduce(np.multiply.outer, [np.exp(-a * (grid.axis - mu_j) ** 2) for mu_j in mu])
-            for j, c_j in enumerate(c):  # in place, one component at a time
-                out[..., j] += term * c_j
-        return Field(grid, out)
+        return sample(grid, self)
 
 
 def random_gaussian_mixture(n: int, m: int = 1, terms: int = 3, rng=None) -> GaussianMixture:
@@ -124,13 +123,14 @@ def random_gaussian_mixture(n: int, m: int = 1, terms: int = 3, rng=None) -> Gau
 
 
 # named analytic rules for configuration files and the command line; each maps
-# a point array (..., n) to scalar values (...)
+# per-axis coordinates (as sample passes them) to scalar values that broadcast
+# to the lattice
 FIELD_RULES = {
-    "constant": lambda X: np.ones(np.asarray(X).shape[:-1], dtype=complex),
+    "constant": lambda X: 1.0,
     "gaussian": lambda X: np.exp(-squared_norm(X)),
     "wide_gaussian": lambda X: np.exp(-squared_norm(X) / 4.0),
-    "modulated_gaussian": lambda X: np.cos(3.0 * np.asarray(X, float)[..., 0]) * np.exp(-squared_norm(X)),
-    "cosine": lambda X: np.cos(np.asarray(X, float)[..., 0]),
+    "modulated_gaussian": lambda X: np.cos(3.0 * X[0]) * np.exp(-squared_norm(X)),
+    "cosine": lambda X: np.cos(X[0]),
 }
 
 

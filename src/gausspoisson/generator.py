@@ -42,21 +42,6 @@ def discrete_laplacian(f: Field) -> Field:
     return Field(f.grid, _spectral_values(f, -f.grid.fourier_squared_norms))
 
 
-def _window_laplacian(f: Field, inner) -> np.ndarray:
-    """The finite-difference Laplacian of ``f`` on the window ``inner``.
-
-    It is the second-order central stencil
-    ``sum_j (f(x+h e_j) - 2 f(x) + f(x-h e_j)) / h^2`` with zero-fill off the
-    grid, self-adjoint for the quadrature pairing on interior-supported
-    fields.  It is formed only on the window plus a one-point halo, clipped at
-    the grid edge, where the zero-fill is the grid's own, so it equals the
-    full-grid stencil sliced to the window.
-    """
-    g = f.grid
-    halo, within = _halo(g, inner)
-    return _stencil(f.values[halo], g.n, 1.0 / (g.h * g.h))[within]
-
-
 def _halo(g, inner) -> tuple:
     """The window ``inner`` widened by the central stencil's one-point halo,
     clipped at the grid edge, and the window's place within that halo."""
@@ -238,10 +223,10 @@ def classical_residual(times, states, margin: float = DEFAULT_MARGIN) -> float:
     Returns the max over interior times and interior grid points of the
     Euclidean component norm of ``central time difference - Delta u``, with
     the finite-difference Laplacian, formed on the interior window only:
-    the max of :func:`_window_residuals`.  Needs at least 3 positive times,
-    spaced by their first step.
+    the max of :func:`_window_residuals`, NaN if any window's is.  Needs at
+    least 3 positive times, spaced by their first step.
     """
-    return max(_window_residuals(times, states, margin))
+    return float(np.max(list(_window_residuals(times, states, margin))))
 
 
 def _window_residuals(times, states, margin: float = DEFAULT_MARGIN):

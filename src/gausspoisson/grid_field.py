@@ -72,13 +72,6 @@ class Grid:
         return ax
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """All lattice points, shape ``(N,)*n + (n,)``, row-major order."""
-        pts = np.stack(np.meshgrid(*(self.axis,) * self.n, indexing="ij"), axis=-1)
-        pts.setflags(write=False)
-        return pts
-
-    @cached_property
     def squared_norms(self) -> np.ndarray:
         """``|x|^2`` at every lattice point, shape ``(N,)*n``."""
         out = reduce(np.add.outer, (self.axis**2,) * self.n)
@@ -106,8 +99,12 @@ def make_grid(n: int, L: float, N: int) -> Grid:
 
 
 def squared_norm(x) -> np.ndarray:
-    """``|x|^2`` of one point (a scalar is a 1-D point) or of an array of
-    points with coordinates along the last axis."""
+    """``|x|^2`` of one point (a scalar is a 1-D point), of an array of
+    points with coordinates along the last axis, or of a tuple of per-axis
+    coordinates that broadcast together, such as the open mesh :func:`sample`
+    passes to a rule."""
+    if isinstance(x, tuple):
+        return reduce(np.add, (np.asarray(c, dtype=float) ** 2 for c in x))
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return x**2
@@ -162,15 +159,19 @@ class Field:
         return Field(self.grid, values)
 
 
-def sample(grid: Grid, rule: Callable[[np.ndarray], np.ndarray]) -> Field:
+def sample(grid: Grid, rule: Callable[[tuple], np.ndarray]) -> Field:
     """Sample a pointwise rule at every lattice point.
 
-    The rule receives the point array of shape ``(N,)*n + (n,)`` and must
-    return values of shape ``(N,)*n`` (scalar) or ``(N,)*n + (m,)``.
+    The rule receives the coordinates per axis as an open mesh,
+    ``np.ix_(*(grid.axis,) * grid.n)``: ``n`` arrays, the ``j``-th holding
+    the axis along dimension ``j`` and of length 1 along the others.  Its
+    values are broadcast to ``grid.shape`` (scalar), or to
+    ``grid.shape + (m,)`` when they have one more axis than the grid.
     Non-finite outputs are rejected with the offending point reported.
     """
-    vals = np.asarray(rule(grid.points), dtype=complex)
-    return Field(grid, vals)
+    vals = np.asarray(rule(np.ix_(*(grid.axis,) * grid.n)), dtype=complex)
+    shape = grid.shape + vals.shape[grid.n :]
+    return Field(grid, vals if vals.shape == shape else np.broadcast_to(vals, shape))
 
 
 def interior_slices(grid: Grid, margin: float) -> tuple[slice, ...]:

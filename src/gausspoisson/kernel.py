@@ -106,8 +106,9 @@ def default_sector_angle(zeta) -> float:
 def kernel_eval(zeta, x, n: int):
     """Evaluate the kernel at points ``x``.
 
-    ``x`` is one point (scalar for n=1, or a length-n vector) or an array of
-    points with coordinates along the last axis; the result drops that axis.
+    ``x`` is one point (scalar for n=1, or a length-n vector), an array of
+    points with coordinates along the last axis, which the result drops, or
+    a tuple of per-axis coordinates as :func:`squared_norm` takes them.
     """
     z = _require_positive(zeta).value
     sq = squared_norm(x)

@@ -400,7 +400,15 @@ def _relative(residual: float, scale: float) -> float:
 
 
 def _ratio(coarse: float, fine: float, fallback: float) -> float:
+    if math.isnan(coarse) or math.isnan(fine):
+        return math.nan
     return coarse / fine if fine > 0 else fallback
+
+
+def _worst(*terms: float) -> float:
+    """``max(0, *terms)``, or NaN if any term is NaN: Python's ``max`` skips
+    a NaN unless it comes first, and a NaN residual must fail its row."""
+    return math.nan if any(map(math.isnan, terms)) else max((0.0, *terms))
 
 
 class _Inputs:
@@ -454,8 +462,7 @@ def _weights(inp: _Inputs):
         # per k, 200 pairs (x, y): the draws of one pair at a time, in one call
         pairs = rng.normal(0.0, 3.0, size=(4, 200, 2, inp.cfg.n))
         slacks = (weight_inequality_check(k, p[:, 0], p[:, 1]) for k, p in zip((0.0, 1.0, 2.0, 3.5), pairs))
-        worst = min(s.min() for s in slacks)
-        return [(max(0.0, -worst), {"pairs": 800})]
+        return [(_worst(*(-s.min() for s in slacks)), {"pairs": 800})]
 
     yield pointwise, ("weights[pointwise]", "weights")
 
@@ -532,7 +539,7 @@ def _continuity(inp: _Inputs):
             inp.continuity_field, inp.s, inp.cfg.alpha, [ray], inp.cfg.radii, margin=inp.margin
         )
         rises = [later - earlier for earlier, later in zip(residuals, residuals[1:])]
-        return [(residuals[-1], {"radii": len(residuals)}), (max([0.0, *rises]), {})]
+        return [(residuals[-1], {"radii": len(residuals)}), (_worst(*rises), {})]
 
     for ray in inp.cfg.rays:
         final, monotone = f"continuity-final[ray={ray:g}]", f"continuity-monotone[ray={ray:g}]"
@@ -569,11 +576,8 @@ def _quotient_order(inp: _Inputs):
     def order():
         hs = (1e-2, 5e-3, 2.5e-3)
         residuals = difference_quotient_residual(inp.gaussian_field, hs, space=inp.s, margin=inp.margin)
-        violation = 0.0
-        for a, b in zip(residuals, residuals[1:]):
-            ratio = _ratio(a, b, 2.0)
-            violation = max(violation, 1.5 - ratio, ratio - 2.5)
-        return [(max(0.0, violation), {"residuals": residuals})]
+        ratios = [_ratio(a, b, 2.0) for a, b in zip(residuals, residuals[1:])]
+        return [(_worst(*(t for r in ratios for t in (1.5 - r, r - 2.5))), {"residuals": residuals})]
 
     yield order, ("quotient-order[h=1e-2..2.5e-3]", "quotient_order")
 
@@ -583,7 +587,7 @@ def _mild(inp: _Inputs):
     def identity():
         f = inp.gaussian_field
         coarse, fine = mild_identity_residual(f, 1.0, (256, 512), space=inp.s, margin=inp.margin)
-        refinement = max(0.0, 2.0 - _ratio(coarse, fine, 2.0))
+        refinement = _worst(2.0 - _ratio(coarse, fine, 2.0))
         return [(coarse, {}), (refinement, {"coarse": coarse, "fine": fine})]
 
     yield identity, ("mild[t=1;steps=256]", "mild"), ("mild-refinement[steps=256->512]", "mild_refinement")
@@ -610,7 +614,7 @@ def _operator_bound(inp: _Inputs):
             # Riesz-Thorin bounds the Lp norm by T^(1-1/p) C^(1/p)
             terms.append(norm ** (1.0 - 1.0 / inp.s.p) * column ** (1.0 / inp.s.p) / bound - 1.0)
             meta["column_norm"] = column
-        return [(max(0.0, *terms), meta)]
+        return [(_worst(*terms), meta)]
 
     for k in (0.0, 1.0, 2.0):
         for z in (1.0, complex(np.exp(1j * np.pi / 4))):
@@ -635,10 +639,10 @@ def _classical(inp: _Inputs):
         refined = [j for j in range(len(profile)) if j == 0 or profile[j] > profile[j - 1]]
         f = inp.fine_gaussian_field
         spans = [_FINE_TIMES[2 * j : 2 * j + 5] for j in refined]
-        coarse, fine = max(profile), max(classical_residual(t, apply_many(t, f), inp.margin) for t in spans)
+        coarse, fine = _worst(*profile), _worst(*(classical_residual(t, apply_many(t, f), inp.margin) for t in spans))
         meta = {"coarse": coarse, "fine": fine, "N": inp.cfg.N, "fine_N": f.grid.N, "dt": 1e-2, "fine_dt": 5e-3}
         meta["refined"] = refined  # coarse windows, not in the reports
-        return [(max(0.0, 3.0 - _ratio(coarse, fine, 3.0)), meta)]
+        return [(_worst(3.0 - _ratio(coarse, fine, 3.0)), meta)]
 
     yield refinement, ("classical[gaussian;dt=1e-2]", "classical_refinement")
 

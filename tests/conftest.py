@@ -3,6 +3,8 @@
 import os
 import tracemalloc
 
+import numpy as np
+
 
 def set_cpus(mp, cpus: int) -> None:
     """Make ``os.sched_getaffinity`` report ``cpus`` CPUs, through the
@@ -20,3 +22,9 @@ def traced_peak(call):
         return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def lattice_points(grid):
+    """All lattice points of ``grid``, shape ``(N,)*n + (n,)``, row-major:
+    the dense reference for rules, which are given per-axis coordinates."""
+    return np.stack(np.meshgrid(*(grid.axis,) * grid.n, indexing="ij"), axis=-1)

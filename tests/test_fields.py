@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausspoisson import (
+    FIELD_RULES,
     GaussianMixture,
     Method,
     apply,
@@ -11,7 +12,10 @@ from gausspoisson import (
     make_grid,
     random_gaussian_mixture,
     sample,
+    sample_kernel,
 )
+
+from conftest import lattice_points
 
 
 def test_mixture_evaluates_sum_of_terms():
@@ -19,9 +23,9 @@ def test_mixture_evaluates_sum_of_terms():
         amplitudes=[[1.0], [2.0j]], widths=[1.0, 0.5], centers=[[0.0], [1.0]]
     )
     assert mix.terms == 2 and mix.n == 1 and mix.m == 1
-    x = np.array([[0.5]])
+    X = (np.array([0.5]),)
     expect = np.exp(-0.25) + 2.0j * np.exp(-0.5 * 0.25)
-    assert np.isclose(mix(x)[0, 0], expect)
+    assert np.isclose(mix(X)[0, 0], expect)
 
 
 def test_mixture_validation():
@@ -139,6 +143,65 @@ def test_sampled_by_axis_matches_point_rule(n):
         centers=np.linspace(-1.0, 1.0, 2 * n).reshape(2, n),
     )
     got = mix.sampled(g).values
-    expect = sample(g, mix).values
+    # sum_t c_t e^{-a_t |x - mu_t|^2} written out over every lattice point
+    points = lattice_points(g)
+    terms = zip(mix.amplitudes, mix.widths, mix.centers)
+    expect = sum(np.exp(-a * np.sum((points - mu) ** 2, axis=-1))[..., None] * c for c, a, mu in terms)
     assert got.shape == expect.shape == g.shape + (2,)
     assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+# each named rule's formula written out over a dense point array, with the
+# coordinates along its last axis
+POINT_FORMULAS = {
+    "constant": lambda P: np.ones(P.shape[:-1]),
+    "gaussian": lambda P: np.exp(-np.sum(P**2, axis=-1)),
+    "wide_gaussian": lambda P: np.exp(-np.sum(P**2, axis=-1) / 4.0),
+    "modulated_gaussian": lambda P: np.cos(3.0 * P[..., 0]) * np.exp(-np.sum(P**2, axis=-1)),
+    "cosine": lambda P: np.cos(P[..., 0]),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rules_on_per_axis_coordinates_match_the_point_array(n):
+    # rules are given an open mesh; each must keep the bits of its formula
+    # evaluated on the dense point array
+    g = make_grid(n, 4.0, 17)
+    points = lattice_points(g)
+    assert set(POINT_FORMULAS) == set(FIELD_RULES)
+    for name, formula in POINT_FORMULAS.items():
+        assert same_bits(sample(g, field_rule(name)).values[..., 0], formula(points)), name
+    zeta = 0.5 + 0.2j
+    kernel = (4.0 * np.pi * zeta) ** (-n / 2.0) * np.exp(-np.sum(points**2, axis=-1) / (4.0 * zeta))
+    assert same_bits(sample_kernel(zeta, g).values[..., 0], kernel)
+    # a mixture term is the product of its 1-D factors, added in per component
+    mix = random_gaussian_mixture(n, m=2, rng=np.random.default_rng(n))
+    expect = np.zeros(g.shape + (2,), dtype=complex)
+    for c, a, mu in zip(mix.amplitudes, mix.widths, mix.centers):
+        term = np.exp(-a * (points[..., 0] - mu[0]) ** 2)
+        for j in range(1, n):
+            term = term * np.exp(-a * (points[..., j] - mu[j]) ** 2)
+        for k, c_k in enumerate(c):
+            expect[..., k] += term * c_k
+    assert same_bits(mix(np.ix_(*(g.axis,) * n)), expect)
+    assert same_bits(mix.sampled(g).values, expect)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rules_broadcast_to_the_grid(n):
+    # a rule's values broadcast to the lattice (the test above checks the
+    # constant and cosine rules' shapes too), with one more axis for the
+    # components of a vector rule; the field owns a contiguous copy
+    g = make_grid(n, 3.0, 9)
+    points = lattice_points(g)
+    const = sample(g, field_rule("constant"))
+    assert const.values.shape == g.shape + (1,) and const.values.flags.c_contiguous
+    assert np.all(const.values == 1.0)
+    vector = sample(g, lambda X: X[-1][..., np.newaxis] * np.array([1.0, -2.0]))
+    assert vector.values.shape == g.shape + (2,)
+    assert np.array_equal(vector.values, points[..., -1:] * np.array([1.0, -2.0]))

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from gausspoisson import (
     Field,
+    field_rule,
     interior_slices,
     make_grid,
     random_gaussian_mixture,
@@ -22,7 +23,7 @@ from gausspoisson import (
 )
 from gausspoisson import grid_field
 
-from conftest import set_cpus, traced_peak
+from conftest import lattice_points, set_cpus, traced_peak
 
 FIELD_GOLDEN = Path(__file__).parent / "data" / "field_golden.csv"
 
@@ -34,10 +35,11 @@ def test_grid_geometry():
     assert g.shape == (7, 7)
     assert g.size == 49
     np.testing.assert_allclose(g.axis, np.arange(-3.0, 4.0))
-    assert g.points.shape == (7, 7, 2)
-    assert g.points[0, 0].tolist() == [-3.0, -3.0]
-    assert g.points[6, 3].tolist() == [3.0, 0.0]
-    np.testing.assert_allclose(g.squared_norms, np.sum(g.points**2, axis=-1))
+    points = lattice_points(g)
+    assert points.shape == (7, 7, 2)
+    assert points[0, 0].tolist() == [-3.0, -3.0]
+    assert points[6, 3].tolist() == [3.0, 0.0]
+    np.testing.assert_allclose(g.squared_norms, np.sum(points**2, axis=-1))
 
 
 def test_grid_validation():
@@ -63,7 +65,7 @@ def test_grid_requires_finite_half_extent(tmp_path):
 def test_grid_arrays_are_read_only():
     for n in (1, 2, 3):
         g = make_grid(n, 1.0, 3)
-        for arr in (g.axis, g.points, g.squared_norms, g.fourier_axis, g.fourier_squared_norms):
+        for arr in (g.axis, g.squared_norms, g.fourier_axis, g.fourier_squared_norms):
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
@@ -124,18 +126,27 @@ def test_spectrum_is_the_read_only_dft_over_the_grid_axes(n):
         f.spectrum[(0,) * (n + 1)] = 1.0
 
 
-def test_sample_passes_point_array():
+def test_sample_passes_per_axis_coordinates():
     g = make_grid(2, 2.0, 5)
-    f = sample(g, lambda p: p[..., 0] + 1j * p[..., 1])
+    f = sample(g, lambda X: X[0] + 1j * X[1])
     assert f.values[0, 0, 0] == -2.0 - 2.0j
     assert f.values[4, 2, 0] == 2.0 + 0.0j
 
 
 def test_sample_vector_rule():
     g = make_grid(1, 1.0, 3)
-    f = sample(g, lambda p: np.stack([p[..., 0], p[..., 0] ** 2], axis=-1))
+    f = sample(g, lambda X: np.stack([X[0], X[0] ** 2], axis=-1))
     assert f.m == 2
     np.testing.assert_allclose(f.values[..., 1], f.values[..., 0] ** 2)
+
+
+def test_sample_builds_no_point_array():
+    # the rule was given an (N,)*n + (n,) point array, cached on the grid:
+    # 3.5 state sizes at n=3
+    g = make_grid(3, 12.0, 65)
+    f, peak = traced_peak(lambda: sample(g, field_rule("gaussian")))
+    assert peak < 2.5 * f.values.nbytes
+    assert set(vars(g)) <= {"n", "L", "N", "axis"}
 
 
 def test_interior_slices():
@@ -229,7 +240,7 @@ def reference_write_field_csv(f: Field, path) -> None:
     """The ``%``-template writer that ``write_field_csv`` replaced."""
     g = f.grid
     header = [f"x{i + 1}" for i in range(g.n)] + [f"{part}_{c + 1}" for c in range(f.m) for part in ("re", "im")]
-    table = np.concatenate([g.points.reshape(-1, g.n), f.values.reshape(-1, f.m).view(float)], axis=1)
+    table = np.concatenate([lattice_points(g).reshape(-1, g.n), f.values.reshape(-1, f.m).view(float)], axis=1)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode() + reference_csv_rows(table))
 
@@ -458,7 +469,7 @@ def test_write_field_csv_builds_no_point_array(tmp_path):
     write_field_csv(PEAK_MIXTURE.sampled(PEAK_GRID), path)
     back = read_field_csv(path)
     write_field_csv(back, tmp_path / "again.csv")
-    assert "points" not in back.grid.__dict__
+    assert set(vars(back.grid)) <= {"n", "L", "N", "axis"}  # no lattice-sized array is cached
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 

@@ -33,16 +33,16 @@ from gausspoisson import semigroup
 from gausspoisson.fields import random_gaussian_mixture
 from gausspoisson.generator import _graded_nodes
 
-from conftest import traced_peak
+from conftest import lattice_points, traced_peak
 
 GRID = make_grid(1, 12.0, 1025)
-GAUSSIAN = sample(GRID, lambda p: np.exp(-p[..., 0] ** 2))
+GAUSSIAN = sample(GRID, lambda X: np.exp(-X[0] ** 2))
 
 
 def evolved_gaussian(zeta):
     # closed form for the evolution of exp(-x^2): width 1/(1+4 zeta)
     d = 1.0 + 4.0 * zeta
-    return sample(GRID, lambda p: d**-0.5 * np.exp(-p[..., 0] ** 2 / d))
+    return sample(GRID, lambda X: d**-0.5 * np.exp(-X[0] ** 2 / d))
 
 
 def test_zero_time_is_identity():
@@ -95,7 +95,7 @@ def test_every_evolution_takes_its_path_from_one_decision(monkeypatch):
         return calls[:]
 
     g = make_grid(2, 4.0, 17)
-    f = sample(g, lambda p: np.exp(-np.sum(p**2, axis=-1)))
+    f = sample(g, lambda X: np.exp(-sum(x**2 for x in X)))
     assert methods(lambda: apply(1.0, f)) == [None]
     assert methods(lambda: apply(1.0 + 0.5j, f)) == [None]
     for forced in Method:
@@ -125,7 +125,7 @@ def test_spectral_matches_gaussian_closed_form():
 
 
 def test_paths_agree_on_interior():
-    f = sample(GRID, lambda p: np.cos(3.0 * p[..., 0]) * np.exp(-p[..., 0] ** 2))
+    f = sample(GRID, lambda X: np.cos(3.0 * X[0]) * np.exp(-X[0] ** 2))
     for zeta in (0.5, 1.0 + 1.0j):
         a = apply(zeta, f, method=Method.QUADRATURE)
         b = apply(zeta, f, method=Method.SPECTRAL)
@@ -147,7 +147,7 @@ def test_apply_attaches_tail_metadata():
     assert out.meta["tail_bound"] < 1e-10
     assert out.meta["tail_warning"] is False
     small = make_grid(1, 2.0, 65)
-    f = sample(small, lambda p: np.exp(-p[..., 0] ** 2))
+    f = sample(small, lambda X: np.exp(-X[0] ** 2))
     warn = apply(4.0, f)
     assert warn.meta["tail_warning"] is True
 
@@ -157,7 +157,7 @@ def test_apply_tail_is_the_kernel_tail_at_its_own_argument():
     # under the budget, though a wider sector's majorant exceeds it
     zeta = np.exp(1j * np.pi / 4)
     grid = make_grid(2, 12.0, 33)
-    out = apply(zeta, sample(grid, lambda p: np.exp(-np.sum(p**2, axis=-1))))
+    out = apply(zeta, sample(grid, lambda X: np.exp(-sum(x**2 for x in X))))
     # in 2-D, |chi_zeta| has mass exp(-R^2 cos(arg)/(4|zeta|)) / cos(arg) beyond R
     c = np.cos(np.pi / 4)
     assert out.meta["tail_bound"] == pytest.approx(np.exp(-144.0 * c / 4.0) / c, rel=1e-12)
@@ -219,7 +219,7 @@ def test_operator_norms_match_the_dense_matrix(n, N):
     # the quadrature path as a dense matrix K[x, y] = chi(x-y) h^n, weighted:
     # T is its largest weighted row sum, C its largest weighted column sum
     g = make_grid(n, 3.0, N)
-    points = g.points.reshape(-1, n)
+    points = lattice_points(g).reshape(-1, n)
     w = (1.0 + np.sqrt(np.sum(points**2, axis=-1))) ** 2.0
     for zeta in (1.0, np.exp(1j * np.pi / 4)):
         chi = kernel_eval(zeta, points[:, None, :] - points[None, :, :], n)
@@ -248,7 +248,7 @@ def test_trajectory_validation():
         trajectory(GAUSSIAN, [0.5, 0.5])
     with pytest.raises(ValueError):
         trajectory(GAUSSIAN, [-0.1, 0.5])
-    other = sample(make_grid(1, 6.0, 65), lambda p: np.zeros(p.shape[:-1]))
+    other = sample(make_grid(1, 6.0, 65), lambda X: 0.0)
     with pytest.raises(ValueError):
         Trajectory((0.0, 1.0), (GAUSSIAN, other))
 
@@ -308,7 +308,7 @@ def _difference_lattice_sum(zeta, f, dzeta=False):
     # library, summed against the field with cell volume h^n
     g = f.grid
     z = complex(zeta)
-    pts = g.points.reshape(-1, g.n)
+    pts = lattice_points(g).reshape(-1, g.n)
     sq = np.sum((pts[:, np.newaxis, :] - pts[np.newaxis, :, :]) ** 2, axis=-1)
     chi = (4.0 * np.pi * z) ** (-g.n / 2.0) * np.exp(-sq / (4.0 * z))
     if dzeta:
@@ -412,7 +412,7 @@ def test_spectral_state_is_its_multiplier_buffer():
     # product formed in the multiplier's buffer, transformed in place, is the
     # state, and the subnormal flush's boolean masks are the rest
     g = make_grid(2, 8.0, 256)
-    f = sample(g, lambda p: np.exp(-np.sum(p**2, axis=-1)))
+    f = sample(g, lambda X: np.exp(-sum(x**2 for x in X)))
     f.spectrum  # made once, outside the traced step
     for t in (1.0, 0.3 + 0.2j):
         state, peak = traced_peak(lambda: next(apply_many((t,), f, method=Method.SPECTRAL)))

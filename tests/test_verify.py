@@ -629,6 +629,26 @@ def test_negated_stencil_fails_the_classical_row(monkeypatch, n, N):
     assert mutated.residual > 1  # against a tolerance of 1e-9
 
 
+@pytest.mark.parametrize(
+    "name, nan, check, failing",
+    [
+        ("classical_residual", lambda *args: math.nan, "classical", 1),
+        ("_window_residuals", lambda times, states, margin: [math.nan] * (len(times) - 2), "classical", 1),
+        ("mild_identity_residual", lambda f, t, steps, **kw: [math.nan] * len(steps), "mild", 2),
+        ("holomorphy_residuals", lambda f, z, hs, s, **kw: [[math.nan] * 2] * len(hs), "holomorphy", 2),
+        ("difference_quotient_residual", lambda f, hs, **kw: [math.nan] * len(hs), "quotient-order", 1),
+    ],
+    ids=["classical-fine", "classical-coarse", "mild", "holomorphy", "quotient-order"],
+)
+def test_a_nan_residual_fails_its_rows(monkeypatch, name, nan, check, failing):
+    # max(0, nan), Python's max over a NaN that is not first, and a ratio's
+    # fallback for a NaN step all read 0 and passed the refinement rows
+    monkeypatch.setattr(verify, name, nan)
+    rows = run_suite(SuiteConfig(n=1, N=129, checks=(check,))).results
+    assert len(rows) == failing
+    assert all(math.isnan(row.residual) and not row.passed for row in rows), [r.residual for r in rows]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weight_without_its_one_fails_the_pointwise_row(monkeypatch, n):
     # |x|^k in place of (1 + |x|)^k, through the package's one weight formula
@@ -724,3 +744,12 @@ def test_traced_functions_resolve_on_the_package():
     with tracing.Tracer() as tracer:
         gausspoisson.kernel.kernel_tail_bound(1.0, 0.5, 2.0, 1, 0)
     assert [span.name for span in tracer.spans] == ["kernel.tail_bound"]
+    # the tracer patches the class's own __call__: without one it would be
+    # handed type.__call__
+    assert "__call__" in vars(gausspoisson.fields.GaussianMixture)
+    mix = gausspoisson.random_gaussian_mixture(2, rng=1)
+    with tracing.Tracer() as tracer:
+        mix.sampled(make_grid(2, 3.0, 9))
+    outer, inner = tracer.spans
+    assert (outer.name, inner.name) == ("grid_field.sample", "fields.mixture_eval")
+    assert inner.parent is outer

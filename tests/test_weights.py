@@ -98,13 +98,13 @@ def test_lp_norm_at_large_p_neither_overflows_nor_underflows(c, norm):
     # c^400 overflows at c=10 and underflows at c=1e-3; the norm of the
     # constant is c times (sum of h over the 65 points)^(1/p) = c 8.125^(1/400)
     g = make_grid(1, 4.0, 65)
-    f = sample(g, lambda x: np.full(x.shape[:-1], c))
+    f = sample(g, lambda X: c)
     assert weighted_norm(f, SpaceSpec.make(0, "Lp", 400)) == pytest.approx(norm, rel=1e-12)
 
 
 def test_sup_norm_of_gaussian_is_peak_value():
     g = make_grid(1, 10.0, 501)
-    f = sample(g, lambda p: np.exp(-p[..., 0] ** 2))
+    f = sample(g, lambda X: np.exp(-X[0] ** 2))
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0)), 1.0)
     # with weight k the quotient is still maximal at the origin
     assert np.isclose(weighted_norm(f, SpaceSpec.make(2)), 1.0)
@@ -112,10 +112,10 @@ def test_sup_norm_of_gaussian_is_peak_value():
 
 def test_weighted_sup_norm_divides_by_weight():
     g = make_grid(1, 4.0, 9)
-    f = sample(g, lambda p: np.ones(p.shape[:-1]))
+    f = sample(g, lambda X: 1.0)
     # max of 1/(1+|x|)^1 over the lattice is at x = 0
     assert np.isclose(weighted_norm(f, SpaceSpec.make(1)), 1.0)
-    shifted = sample(g, lambda p: np.where(np.abs(p[..., 0] - 4.0) < 1e-9, 1.0, 0.0))
+    shifted = sample(g, lambda X: np.where(np.abs(X[0] - 4.0) < 1e-9, 1.0, 0.0))
     # only the boundary point is nonzero, so the quotient is 1/(1+4)
     assert np.isclose(weighted_norm(shifted, SpaceSpec.make(1)), 0.2)
 
@@ -123,7 +123,7 @@ def test_weighted_sup_norm_divides_by_weight():
 def test_l2_norm_of_gaussian_matches_closed_form():
     # integral of e^{-2x^2} is sqrt(pi/2), so the L2 norm is (pi/2)^{1/4}
     g = make_grid(1, 12.0, 1025)
-    f = sample(g, lambda p: np.exp(-p[..., 0] ** 2))
+    f = sample(g, lambda X: np.exp(-X[0] ** 2))
     norm = weighted_norm(f, SpaceSpec.make(0, "Lp", 2))
     assert abs(norm - (np.pi / 2.0) ** 0.25) < 1e-12
     assert abs(norm - 1.1195151349) < 1e-9
@@ -131,7 +131,7 @@ def test_l2_norm_of_gaussian_matches_closed_form():
 
 def test_l1_norm_riemann_sum():
     g = make_grid(1, 12.0, 1025)
-    f = sample(g, lambda p: np.exp(-np.abs(p[..., 0])))
+    f = sample(g, lambda X: np.exp(-np.abs(X[0])))
     # integral of e^{-|x|} is 2, trapezoid-level accuracy on this grid
     assert abs(weighted_norm(f, SpaceSpec.make(0, "Lp", 1)) - 2.0) < 1e-3
 
@@ -141,7 +141,7 @@ def test_vector_valued_norm_uses_euclidean_magnitude():
     vals = np.zeros(g.shape + (2,), dtype=complex)
     vals[2, 0] = 3.0
     vals[2, 1] = 4.0j
-    f = sample(g, lambda p: np.zeros(p.shape[:-1])).with_values(vals)
+    f = sample(g, lambda X: 0.0).with_values(vals)
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0)), 5.0)
 
 
@@ -150,7 +150,7 @@ def test_margin_restricts_norm_window():
     vals = np.zeros(g.shape)
     vals[0] = 100.0  # boundary spike
     vals[4] = 1.0
-    f = sample(g, lambda p: np.zeros(p.shape[:-1])).with_values(vals)
+    f = sample(g, lambda X: 0.0).with_values(vals)
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0)), 100.0)
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0), margin=0.25), 1.0)
 
