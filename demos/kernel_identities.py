@@ -35,7 +35,7 @@ for R in (2.0, 4.0, 8.0):
     bound = kernel_tail_bound(zeta, alpha, R, n=1, k=0)
     # brute-force the actual tail on a fine grid
     x = np.linspace(R, R + 40, 200001)
-    tail = 2 * np.trapezoid(np.abs(kernel_eval(zeta, x[:, None], 1)), x)
+    tail = 2 * np.trapezoid(np.abs(kernel_eval(zeta, (x,))), x)
     print(f"  R = {R}: measured tail {tail:.3e} <= bound {bound:.3e}")
 
 print("\nFourier symbol exp(-zeta |xi|^2) against the rescaled DFT")

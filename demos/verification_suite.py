@@ -9,7 +9,8 @@ counts how many checks object.
 import numpy as np
 
 import gausspoisson.kernel
-from gausspoisson import SuiteConfig, run_suite
+from gausspoisson import SuiteConfig, as_time, run_suite
+from gausspoisson.grid_field import squared_norm
 
 cfg = SuiteConfig()
 report = run_suite(cfg)
@@ -19,11 +20,8 @@ print("corrupting the spectral multiplier to exp(-2 zeta |xi|^2) ...")
 original = gausspoisson.kernel.kernel_fourier
 
 
-def wrong_symbol(zeta, xi):
-    z = zeta.value if hasattr(zeta, "value") else complex(zeta)
-    xi = np.asarray(xi, dtype=float)
-    sq = xi**2 if xi.ndim == 0 else np.sum(xi**2, axis=-1)
-    return np.exp(-2.0 * z * sq)
+def wrong_symbol(zeta, Xi):
+    return np.exp(-2.0 * as_time(zeta).value * squared_norm(Xi))
 
 
 gausspoisson.kernel.kernel_fourier = wrong_symbol

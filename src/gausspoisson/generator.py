@@ -172,7 +172,10 @@ def _node_sum(weights: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
     a weighted sum of per-axis outer products, contracted axis by axis."""
     if n == 1:
         return weights @ table
-    return np.stack([_node_sum(weights * column, table, n - 1) for column in table.T])
+    out = np.empty((table.shape[1],) * n, dtype=table.dtype)
+    for row, column in zip(out, table.T):
+        row[...] = _node_sum(weights * column, table, n - 1)
+    return out
 
 
 def time_integral(f: Field, t: float, steps: int = 256) -> Field:

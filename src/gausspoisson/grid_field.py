@@ -74,7 +74,7 @@ class Grid:
     @cached_property
     def squared_norms(self) -> np.ndarray:
         """``|x|^2`` at every lattice point, shape ``(N,)*n``."""
-        out = reduce(np.add.outer, (self.axis**2,) * self.n)
+        out = squared_norm(np.ix_(*(self.axis,) * self.n))
         out.setflags(write=False)
         return out
 
@@ -88,7 +88,7 @@ class Grid:
     @cached_property
     def fourier_squared_norms(self) -> np.ndarray:
         """``|xi|^2`` over the DFT frequency lattice, shape ``(N,)*n``."""
-        out = reduce(np.add.outer, (self.fourier_axis**2,) * self.n)
+        out = squared_norm(np.ix_(*(self.fourier_axis,) * self.n))
         out.setflags(write=False)
         return out
 
@@ -98,17 +98,11 @@ def make_grid(n: int, L: float, N: int) -> Grid:
     return Grid(n=int(n), L=float(L), N=int(N))
 
 
-def squared_norm(x) -> np.ndarray:
-    """``|x|^2`` of one point (a scalar is a 1-D point), of an array of
-    points with coordinates along the last axis, or of a tuple of per-axis
-    coordinates that broadcast together, such as the open mesh :func:`sample`
-    passes to a rule."""
-    if isinstance(x, tuple):
-        return reduce(np.add, (np.asarray(c, dtype=float) ** 2 for c in x))
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return x**2
-    return np.sum(x**2, axis=-1)
+def squared_norm(X) -> np.ndarray:
+    """``|x|^2`` of per-axis coordinates: ``X`` holds ``n`` arrays that
+    broadcast together, such as the open mesh :func:`sample` passes to a
+    rule (an array whose first axis runs over the coordinates is one too)."""
+    return reduce(np.add, (np.asarray(c, dtype=float) ** 2 for c in X))
 
 
 @dataclass(frozen=True)

@@ -103,27 +103,24 @@ def default_sector_angle(zeta) -> float:
     return min(max(1.05 * phi + 0.05, 0.1), phi / 2 + math.pi / 4)
 
 
-def kernel_eval(zeta, x, n: int):
-    """Evaluate the kernel at points ``x``.
-
-    ``x`` is one point (scalar for n=1, or a length-n vector), an array of
-    points with coordinates along the last axis, which the result drops, or
-    a tuple of per-axis coordinates as :func:`squared_norm` takes them.
-    """
+def kernel_eval(zeta, X):
+    """The kernel at per-axis coordinates ``X``, ``n = len(X)`` arrays that
+    broadcast together, formed in place as one complex array.  The prefactor
+    stays the first operand of the product: with fused multiply-adds,
+    ``a*b`` and ``b*a`` can differ in the last bit."""
     z = _require_positive(zeta).value
-    sq = squared_norm(x)
-    pref = (4.0 * np.pi * z) ** (-n / 2.0)
-    return pref * np.exp(-sq / (4.0 * z))
+    pref = (4.0 * np.pi * z) ** (-len(X) / 2.0)
+    out = np.asarray(-squared_norm(X) / (4.0 * z))
+    np.exp(out, out=out)
+    return np.multiply(pref, out, out=out)
 
 
-def kernel_dzeta(zeta, x, n: int):
-    """Time derivative of the kernel, which equals its spatial Laplacian.
-
-    The shared closed form is ``chi_zeta(x) (|x|^2/(4 zeta^2) - n/(2 zeta))``.
-    """
+def kernel_dzeta(zeta, X):
+    """Time derivative of the kernel at ``X``, which equals its spatial
+    Laplacian: ``chi_zeta(x) (|x|^2/(4 zeta^2) - n/(2 zeta))``."""
     z = _require_positive(zeta).value
-    sq = squared_norm(x)
-    return kernel_eval(z, x, n) * (sq / (4.0 * z * z) - n / (2.0 * z))
+    sq = squared_norm(X)
+    return kernel_eval(z, X) * (sq / (4.0 * z * z) - len(X) / (2.0 * z))
 
 
 def kernel_mass(zeta, g: Grid) -> complex:
@@ -132,16 +129,16 @@ def kernel_mass(zeta, g: Grid) -> complex:
     quadrature (aliasing) error."""
     # the kernel is a product of 1-D kernels, so its lattice sum is the n-th
     # power of the sum along one axis
-    return complex(np.sum(kernel_eval(zeta, g.axis[:, np.newaxis], 1)) ** g.n * g.cell_volume)
+    return complex(np.sum(kernel_eval(zeta, (g.axis,))) ** g.n * g.cell_volume)
 
 
-def kernel_fourier(zeta, xi):
+def kernel_fourier(zeta, Xi):
     """The Fourier symbol ``exp(-zeta |xi|^2)``, the spectral multiplier of
-    the evolution operator.  ``xi`` follows the same point convention as
-    :func:`kernel_eval`.  Unlike the kernel itself the symbol extends to
-    ``zeta = 0``, where it is identically 1."""
+    the evolution operator, at per-axis frequencies ``Xi`` as
+    :func:`kernel_eval` takes coordinates.  Unlike the kernel itself the
+    symbol extends to ``zeta = 0``, where it is identically 1."""
     z = as_time(zeta).value
-    return np.exp(-z * squared_norm(xi))
+    return np.exp(-z * squared_norm(Xi))
 
 
 def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
@@ -183,8 +180,7 @@ def _own_tail(zeta, R: float, n: int, k: float) -> float:
 
 def sample_kernel(zeta, g: Grid) -> Field:
     """The kernel sampled on a grid as a scalar field."""
-    z = _require_positive(zeta).value
-    return sample(g, lambda X: kernel_eval(z, X, g.n))
+    return sample(g, lambda X: kernel_eval(zeta, X))
 
 
 def grid_for_time(zeta, n: int, tol: float = 1e-10) -> Grid:
@@ -225,5 +221,5 @@ def fourier_symbol_residual(zeta, g: Grid) -> float:
     phase = reduce(np.multiply.outer, (np.exp(1j * freq * g.L),) * g.n)
     keep = reduce(np.logical_and.outer, (np.abs(freq) <= 0.5 * np.abs(freq).max(),) * g.n)
     approx = sample_kernel(zeta, g).spectrum[..., 0] * phase * g.cell_volume  # checks Re zeta > 0
-    exact = reduce(np.multiply.outer, (kernel_fourier(zeta, freq[:, np.newaxis]),) * g.n)
+    exact = reduce(np.multiply.outer, (kernel_fourier(zeta, (freq,)),) * g.n)
     return float(np.abs(approx - exact)[keep].max())

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernel as _kernel
-from .grid_field import Field, Grid, read_field_csv, write_field_csv
+from .grid_field import Field, Grid, read_field_csv, squared_norm, write_field_csv
 from .kernel import _own_tail, _require_positive, as_time
 from .weights import _weight
 
@@ -72,8 +72,8 @@ def _checked_method(method):
 
 def _difference_axis(g: Grid) -> np.ndarray:
     """One axis of the difference lattice of the grid: all pairwise
-    point differences ``k h`` with ``|k| <= N-1``, as a column of 1-D points."""
-    return ((np.arange(2 * g.N - 1) - (g.N - 1)) * g.h)[:, np.newaxis]
+    point differences ``k h`` with ``|k| <= N-1``."""
+    return (np.arange(2 * g.N - 1) - (g.N - 1)) * g.h
 
 
 def _riemann_sum(factors, f: Field) -> np.ndarray:
@@ -157,8 +157,8 @@ def _path(z, g: Grid, method=None):
     if method is None:
         method = Method.SPECTRAL if as_time(z).value.imag == 0.0 else Method.QUADRATURE
     if method is Method.QUADRATURE:
-        return method, _kernel.kernel_eval(z, _difference_axis(g), 1)
-    return method, _kernel.kernel_fourier(z, g.fourier_axis[:, np.newaxis])
+        return method, _kernel.kernel_eval(z, (_difference_axis(g),))
+    return method, _kernel.kernel_fourier(z, (g.fourier_axis,))
 
 
 def _tail_meta(z: complex, g: Grid, method: str) -> dict:
@@ -223,7 +223,7 @@ def apply_dzeta(zeta, f: Field) -> Field:
     z = _require_positive(zeta).value
     g = f.grid
     _, factor = _path(z, g, Method.QUADRATURE)
-    dfactor = _kernel.kernel_dzeta(z, _difference_axis(g), 1)
+    dfactor = _kernel.kernel_dzeta(z, (_difference_axis(g),))
     values = sum(
         _riemann_sum([dfactor if a == j else factor for a in range(g.n)], f) for j in range(g.n)
     )
@@ -244,8 +244,7 @@ def operator_bound(zeta, k: float, g: Grid) -> float:
     weight does not factor by axis, so this stays an n-D sum.
     """
     z = _require_positive(zeta).value
-    d = _difference_axis(g)
-    w = _weight(k, reduce(np.add.outer, (d[:, 0] ** 2,) * g.n))
+    w = _weight(k, squared_norm(np.ix_(*(_difference_axis(g),) * g.n)))
     absker = reduce(np.multiply.outer, (np.abs(_path(z, g, Method.QUADRATURE)[1]),) * g.n)
     return float(np.sum(w * absker) * g.cell_volume)
 

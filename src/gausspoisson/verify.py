@@ -396,7 +396,7 @@ def contour_residual(
 
 
 def _relative(residual: float, scale: float) -> float:
-    return residual / scale if scale > 0 else residual
+    return residual / scale if scale != 0 else residual
 
 
 def _ratio(coarse: float, fine: float, fallback: float) -> float:
@@ -461,7 +461,7 @@ def _weights(inp: _Inputs):
         rng = np.random.default_rng([inp.cfg.seed, 0])
         # per k, 200 pairs (x, y): the draws of one pair at a time, in one call
         pairs = rng.normal(0.0, 3.0, size=(4, 200, 2, inp.cfg.n))
-        slacks = (weight_inequality_check(k, p[:, 0], p[:, 1]) for k, p in zip((0.0, 1.0, 2.0, 3.5), pairs))
+        slacks = (weight_inequality_check(k, p[:, 0].T, p[:, 1].T) for k, p in zip((0.0, 1.0, 2.0, 3.5), pairs))
         return [(_worst(*(-s.min() for s in slacks)), {"pairs": 800})]
 
     yield pointwise, ("weights[pointwise]", "weights")

@@ -76,20 +76,17 @@ class SpaceSpec:
         return SpaceSpec(float(k), kind_map[key], None if p is None else float(p))
 
 
-def weight_eval(k: float, x) -> np.ndarray | float:
-    """Evaluate ``(1 + |x|_2)^k`` at one point or an array of points.
-
-    ``x`` is a single point (1-d array of coordinates, or a scalar for n=1)
-    or an array of points with coordinates along the last axis.
-    """
-    return _weight(k, squared_norm(x))
+def weight_eval(k: float, X) -> np.ndarray | float:
+    """Evaluate ``(1 + |x|_2)^k`` at per-axis coordinates ``X``, as
+    :func:`squared_norm` takes them (one point is a vector of coordinates)."""
+    return _weight(k, squared_norm(X))
 
 
 def weight_inequality_check(k: float, x, y) -> np.ndarray:
     """Signed slacks of the four pointwise weight inequalities at point pairs.
 
-    ``x`` and ``y`` are points as :func:`weight_eval` takes them, one pair
-    or arrays of pairs.  The slacks lie along a trailing axis of 4, each
+    ``x`` and ``y`` are coordinate-first arrays, one pair or pairs along the
+    trailing axes.  The slacks lie along a trailing axis of 4, each
     nonnegative exactly when its relation holds, in this order:
 
     * lower: ``w(x+y) - 1``

@@ -1,6 +1,7 @@
 """Command line: config parsing, subcommands, exit codes, reproducibility."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,17 @@ def test_demos_run(tmp_path):
         for process in running:
             process.kill()
             process.wait()
+
+
+def test_readme_python_blocks_run():
+    # the README's examples call the public API too, so a signature change
+    # cannot leave a stale one behind; they run in order, in one namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def _env(**extra):

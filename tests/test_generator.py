@@ -25,7 +25,10 @@ from gausspoisson import (
     time_integral,
     trajectory,
 )
-from gausspoisson.generator import _graded_nodes, _stencil, _window_residuals
+from gausspoisson.generator import _graded_nodes, _node_sum, _stencil, _window_residuals
+from gausspoisson.grid_field import squared_norm
+
+from conftest import traced_peak
 
 GRID = make_grid(1, 12.0, 1025)
 GAUSSIAN = sample(GRID, lambda X: np.exp(-X[0] ** 2))
@@ -255,6 +258,30 @@ def test_time_integral_makes_one_inverse_transform(monkeypatch, steps):
     monkeypatch.setattr(scipy.fft, "ifftn", spy)
     time_integral(f, 1.0, steps=steps)
     assert len(calls) == 1  # whatever the number of nodes
+
+
+def test_time_integral_sums_its_nodes_into_one_array():
+    # the node sum was a list of per-row arrays stacked into a second
+    # full-size one: 3.1 state sizes at n=2; rows written in place, 2.3
+    g = make_grid(2, 8.0, 256)
+    f = sample(g, lambda X: np.exp(-squared_norm(X)))
+    f.spectrum  # made once, outside the traced integral
+    out, peak = traced_peak(lambda: time_integral(f, 1.0))
+    assert peak < 2.6 * out.values.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_node_sum_rows_keep_every_bit(n):
+    # the list of per-row sums stacked into one array, the form the
+    # preallocated rows replaced, is the reference
+    rng = np.random.default_rng(n)
+    weights = rng.random(5)
+    table = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+
+    def stacked(w, k):
+        return w @ table if k == 1 else np.stack([stacked(w * column, k - 1) for column in table.T])
+
+    assert np.array_equal(_node_sum(weights, table, n).view(np.uint64), stacked(weights, n).view(np.uint64))
 
 
 def test_spectral_operators_share_one_forward_transform_per_field(monkeypatch):

@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,18 @@ def test_fourier_squared_norms_match_points():
         for axis, norms in ((g.axis, g.squared_norms), (g.fourier_axis, g.fourier_squared_norms)):
             mesh = np.meshgrid(*(axis,) * n, indexing="ij")
             np.testing.assert_array_equal(norms, sum(c**2 for c in mesh))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_squared_norm_of_the_open_mesh_is_the_grid_norms_bit_for_bit(n):
+    # a rule's |x|^2 of the mesh sample passes, the grid's cached norms and
+    # the outer sum of the squared axes are one array, bit for bit
+    g = make_grid(n, 4.0, 9)
+    mesh = grid_field.squared_norm(np.ix_(*(g.axis,) * n))
+    outer = reduce(np.add.outer, (g.axis**2,) * n)
+    for norms in (g.squared_norms, outer):
+        assert np.array_equal(mesh.view(np.uint64), norms.view(np.uint64))
+    assert grid_field.squared_norm(np.array([3.0, 4.0])) == 25.0  # one point, coordinates first
 
 
 def test_field_coerces_scalar_values_to_one_component():

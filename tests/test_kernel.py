@@ -1,6 +1,7 @@
 """Kernel closed forms: mass, symbol, derivative, tail bounds, grid sizing."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from gausspoisson import (
 )
 from gausspoisson.generator import _stencil
 
-from conftest import lattice_points
+from conftest import lattice_points, traced_peak
 
 
 def test_complex_time_accessors():
@@ -80,19 +81,19 @@ def test_default_sector_angle_brackets_argument():
 def test_kernel_eval_matches_high_precision_reference():
     # 40-digit evaluations of (4 pi zeta)^{-n/2} exp(-|x|^2/(4 zeta)),
     # principal branch
-    v = kernel_eval(1 + 1j, np.array([2.0]), 1)
+    v = kernel_eval(1 + 1j, np.array([2.0]))
     ref = 0.1430491869909778405510545 + 0.01540848971535632614981164j
     assert abs(v - ref) < 1e-16 * abs(ref) * 10
-    v2 = kernel_eval(0.5 * np.exp(1j * np.pi / 3), np.array([1.0, -1.0]), 2)
+    v2 = kernel_eval(0.5 * np.exp(1j * np.pi / 3), np.array([1.0, -1.0]))
     ref2 = 0.09495242382418328237537704 - 0.01739345607421787138063207j
     assert abs(v2 - ref2) < 1e-15 * abs(ref2) * 10
 
 
 def test_kernel_eval_real_time_is_gaussian_density():
     t = 0.7
-    x = np.array([[0.3], [1.1], [-2.0]])
-    expect = np.exp(-x[:, 0] ** 2 / (4 * t)) / np.sqrt(4 * np.pi * t)
-    np.testing.assert_allclose(kernel_eval(t, x, 1), expect, rtol=1e-14)
+    x = np.array([0.3, 1.1, -2.0])
+    expect = np.exp(-(x**2) / (4 * t)) / np.sqrt(4 * np.pi * t)
+    np.testing.assert_allclose(kernel_eval(t, (x,)), expect, rtol=1e-14)
 
 
 def test_kernel_modulus_formula():
@@ -100,16 +101,27 @@ def test_kernel_modulus_formula():
     zeta = 0.8 * np.exp(1j * 1.1)
     r, phi = 0.8, 1.1
     x = np.array([1.3, -0.4])
-    got = abs(kernel_eval(zeta, x, 2))
+    got = abs(kernel_eval(zeta, x))
     expect = (4 * np.pi * r) ** -1 * np.exp(-np.sum(x**2) * np.cos(phi) / (4 * r))
     assert np.isclose(got, expect, rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_eval_on_the_mesh_is_the_product_of_its_1d_factors(n):
+    # chi_zeta(x) = prod_j chi_zeta(x_j) with the 1-D kernel on each axis
+    g = make_grid(n, 4.0, 9)
+    zeta = 0.6 + 0.3j
+    mesh = kernel_eval(zeta, np.ix_(*(g.axis,) * n))
+    factor = kernel_eval(zeta, (g.axis,))
+    assert mesh.shape == g.shape
+    np.testing.assert_allclose(mesh, reduce(np.multiply.outer, (factor,) * n), rtol=1e-13)
+
+
 def test_kernel_eval_rejects_bad_time():
     with pytest.raises(ValueError):
-        kernel_eval(0.0, np.array([1.0]), 1)
+        kernel_eval(0.0, np.array([1.0]))
     with pytest.raises(ValueError):
-        kernel_eval(-0.5 + 1j, np.array([1.0]), 1)
+        kernel_eval(-0.5 + 1j, np.array([1.0]))
 
 
 def test_kernel_mass_is_one():
@@ -138,7 +150,7 @@ def test_kernel_fourier_is_gaussian_symbol():
 
 
 def test_kernel_fourier_multiplicative_in_time():
-    xi = np.linspace(-3.0, 3.0, 7)[:, None]
+    xi = (np.linspace(-3.0, 3.0, 7),)
     z1, z2 = 0.4 + 0.1j, 0.7 - 0.3j
     np.testing.assert_allclose(
         kernel_fourier(z1, xi) * kernel_fourier(z2, xi),
@@ -159,8 +171,8 @@ def test_kernel_dzeta_matches_central_difference():
     x = np.array([1.2])
 
     def diff(h):
-        num = (kernel_eval(zeta + h, x, 1) - kernel_eval(zeta - h, x, 1)) / (2 * h)
-        return abs(num - kernel_dzeta(zeta, x, 1))
+        num = (kernel_eval(zeta + h, x) - kernel_eval(zeta - h, x)) / (2 * h)
+        return abs(num - kernel_dzeta(zeta, x))
 
     e1, e2 = diff(1e-3), diff(5e-4)
     assert e1 / e2 == pytest.approx(4.0, rel=0.05)
@@ -175,7 +187,7 @@ def test_kernel_dzeta_equals_spatial_laplacian():
 
     def stencil_error(g):
         lap = _stencil(sample_kernel(zeta, g).values, 1, 1.0 / (g.h * g.h))
-        expect = sample(g, lambda X: kernel_dzeta(zeta, X, 1))
+        expect = sample(g, lambda X: kernel_dzeta(zeta, X))
         inner = slice(g.N // 4, 3 * g.N // 4)
         return np.max(np.abs(lap[inner] - expect.values[inner]))
 
@@ -316,3 +328,11 @@ def test_sample_kernel_mass_and_symmetry():
     total = np.sum(f.values) * g.cell_volume
     assert abs(total - 1.0) < 1e-8
     np.testing.assert_allclose(f.values, f.values[::-1, ::-1], rtol=0, atol=1e-300)
+
+
+def test_sample_kernel_forms_one_complex_array():
+    # |x|^2, the exponent, its exp and the product with the prefactor were
+    # separate full-size arrays: 2.5 state sizes at n=3; formed in place, 1.5
+    g = make_grid(3, 12.0, 65)
+    f, peak = traced_peak(lambda: sample_kernel(0.7 + 0.3j, g))
+    assert peak < 2.0 * f.values.nbytes

@@ -221,8 +221,9 @@ def test_operator_norms_match_the_dense_matrix(n, N):
     g = make_grid(n, 3.0, N)
     points = lattice_points(g).reshape(-1, n)
     w = (1.0 + np.sqrt(np.sum(points**2, axis=-1))) ** 2.0
+    diff = points[:, None, :] - points[None, :, :]
     for zeta in (1.0, np.exp(1j * np.pi / 4)):
-        chi = kernel_eval(zeta, points[:, None, :] - points[None, :, :], n)
+        chi = kernel_eval(zeta, np.moveaxis(diff, -1, 0))
         dense = np.abs(chi) * g.cell_volume * w[None, :] / w[:, None]
         T, extremal, C = semigroup._operator_norms(zeta, 2.0, g)
         assert T == pytest.approx(dense.sum(axis=1).max(), rel=1e-13)
@@ -374,7 +375,7 @@ def test_spectral_apply_flushes_subnormals_bit_for_bit(monkeypatch):
 
     spectrum = fft.fftn(f.values, axes=(0, 1))
     for t in (0.5, 1.0):
-        symbol = kernel_fourier(t, g.fourier_axis[:, np.newaxis])
+        symbol = kernel_fourier(t, (g.fourier_axis,))
         product = spectrum * np.multiply.outer(symbol, symbol)[..., np.newaxis]
         assert subnormal_parts(product) > 0  # the flush has work to do here
         expect = inverse(product, axes=(0, 1))
@@ -400,7 +401,7 @@ def test_spectral_states_keep_every_bit(n, N, m):
     f = random_gaussian_mixture(n, m=m, rng=np.random.default_rng(10 * n + m)).sampled(g)
     times = [0.5, 1.0, 0.25 + 0.1j]
     for t, state in zip(times, apply_many(times, f, method=Method.SPECTRAL)):
-        symbol = kernel_fourier(t, g.fourier_axis[:, np.newaxis])
+        symbol = kernel_fourier(t, (g.fourier_axis,))
         product = f.spectrum * reduce(np.multiply.outer, (symbol,) * n)[..., np.newaxis]
         semigroup._flush_subnormals(product)
         expect = fft.ifftn(product, axes=tuple(range(n)))
@@ -429,6 +430,6 @@ def test_one_dimensional_quadrature_is_fftconvolve_bit_for_bit(N):
     f = random_gaussian_mixture(1, m=2, rng=np.random.default_rng(N)).sampled(g)
     zeta = 0.5 + 0.4j
     d = (np.arange(2 * N - 1) - (N - 1)) * g.h
-    k = kernel_eval(zeta, d[:, np.newaxis], 1)
+    k = kernel_eval(zeta, (d,))
     expect = np.stack([fftconvolve(k, f.values[:, c], mode="valid") for c in range(2)], axis=-1) * g.h
     np.testing.assert_array_equal(apply(zeta, f, method=Method.QUADRATURE).values, expect)

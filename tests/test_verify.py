@@ -649,6 +649,14 @@ def test_a_nan_residual_fails_its_rows(monkeypatch, name, nan, check, failing):
     assert all(math.isnan(row.residual) and not row.passed for row in rows), [r.residual for r in rows]
 
 
+def test_a_nan_scale_fails_the_relative_rows(monkeypatch):
+    # a NaN field norm left the residual unscaled (scale > 0 is false for
+    # NaN), so the semigroup-law rows passed as if the field had norm 1
+    monkeypatch.setattr(verify, "weighted_norm", lambda *args, **kw: math.nan)
+    rows = run_suite(SuiteConfig(n=1, N=129, checks=("semigroup-law",))).results
+    assert rows and all(math.isnan(row.residual) and not row.passed for row in rows), [r.residual for r in rows]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weight_without_its_one_fails_the_pointwise_row(monkeypatch, n):
     # |x|^k in place of (1 + |x|)^k, through the package's one weight formula

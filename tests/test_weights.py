@@ -22,12 +22,13 @@ from gausspoisson.semigroup import _operator_norms
 
 
 def test_weight_eval_matches_definition():
-    assert weight_eval(0.0, 3.7) == 1.0
-    assert weight_eval(2.0, 3.0) == 16.0
+    assert weight_eval(0.0, [3.7]) == 1.0
+    assert weight_eval(2.0, [3.0]) == 16.0
     # |x| is the Euclidean norm of the point, not per-coordinate
     assert np.isclose(weight_eval(1.0, [3.0, 4.0]), 6.0)
+    # three points, coordinates first
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(weight_eval(3.0, pts), [1.0, 8.0, 27.0])
+    np.testing.assert_allclose(weight_eval(3.0, pts.T), [1.0, 8.0, 27.0])
 
 
 def test_weight_rejects_negative_exponent():
@@ -35,7 +36,7 @@ def test_weight_rejects_negative_exponent():
     g = make_grid(1, 4.0, 9)
     users = [
         lambda k: SpaceSpec.make(k),
-        lambda k: weight_eval(k, 0.0),
+        lambda k: weight_eval(k, [0.0]),
         lambda k: operator_bound(1.0, k, g),
         lambda k: _operator_norms(1.0, k, g),
         lambda k: kernel_tail_bound(1.0, 0.5, 4.0, 1, k),
@@ -51,7 +52,7 @@ def test_weight_inequalities_hold_on_random_pairs():
     rng = np.random.default_rng(11)
     ks = (0.0, 0.5, 1.0, 2.0, 3.5)
     pairs = rng.uniform(-8.0, 8.0, size=(len(ks), 500, 2, 3))
-    worst = min(weight_inequality_check(k, p[:, 0], p[:, 1]).min() for k, p in zip(ks, pairs))
+    worst = min(weight_inequality_check(k, p[:, 0].T, p[:, 1].T).min() for k, p in zip(ks, pairs))
     assert worst >= -1e-12
 
 
@@ -62,10 +63,11 @@ def test_weight_inequality_slacks_are_signed():
     assert lower > 0.0
     # w(x-y) w(x) - w(y) at x=1, y=0 is 4*4 - 1; ratio is 1*0 - |4/4 - 1|
     assert (translation, ratio) == (15.0, 0.0)
-    # pairs along leading axes give one row of slacks each
+    # pairs along the trailing axis of coordinate-first arrays give one row
+    # of slacks each
     x = np.array([[1.0, 0.0], [-2.0, 3.0], [0.5, 0.5]])
     y = np.array([[0.0, 0.0], [1.0, -1.0], [4.0, 0.0]])
-    rows = weight_inequality_check(1.5, x, y)
+    rows = weight_inequality_check(1.5, x.T, y.T)
     assert rows.shape == (3, 4)
     for row, a, b in zip(rows, x, y):
         np.testing.assert_allclose(row, weight_inequality_check(1.5, a, b), rtol=1e-14, atol=1e-14)
