@@ -355,6 +355,14 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_no_orjson():
+    # the field-CSV reader imports orjson on its first read
+    code = "import sys, gausspoisson; print('orjson' in sys.modules)"
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_import_loads_no_concurrent_futures():
     # the CSV writer's and the suite's threads use ``threading``; importing
     # ``concurrent.futures`` with the package would add about 16 ms to every

@@ -552,11 +552,14 @@ def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
         (lambda ls: ls[:4097] + [_short(line) for line in ls[4097:]], "changed from 4 to 3 at row 4097;"),
         (lambda ls: ls[:3] + [b""] + ls[3:4098] + [_short(ls[4098])] + ls[4099:], "changed from 4 to 3 at row 4098;"),
         (lambda ls: ls[:5] + [ls[5] + b",1"] + ls[6:], "changed from 4 to 5 at row 5;"),
+        # the same number of values in all, one too many on row 5
+        (lambda ls: ls[:5] + [ls[5] + b",1", _short(ls[6])] + ls[7:], "changed from 4 to 5 at row 5;"),
         (lambda ls: ls[:1] + [_short(line) for line in ls[1:]], "changed from 4 to 3 at row 1;"),
         # loadtxt counts the rows of a conversion error from 0
         (lambda ls: ls[:4098] + [ls[4098].replace(b",", b",x", 1)] + ls[4099:], "at row 4097, column 2"),
     ],
-    ids=["short-row-4098", "short-row-4097", "short-block", "blank-then-short", "long-row", "all-short", "text-cell"],
+    ids=["short-row-4098", "short-row-4097", "short-block", "blank-then-short", "long-row", "long-then-short",
+         "all-short", "text-cell"],
 )
 def test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, message):
     path = tmp_path / "f.csv"
@@ -647,3 +650,88 @@ def test_read_field_csv_rejects_bad_body(tmp_path, body):
     path.write_text("x1,re_1,im_1\n" + body)
     with pytest.raises(ValueError):
         read_field_csv(path)
+
+
+# cells the writer writes for some doubles, and JSON numbers it never writes
+JSON_CELLS = [b"0", b"-0", b"5e-324", b"2.2250738585072009e-308", b"1.7976931348623157e308",
+              b"-1.7976931348623157e308", b"-12", b"1E5", b"1e+05", b"-0.0", b"1e-400", b"-1e-400"]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_json_table_matches_loadtxt_bit_for_bit(tmp_path_factory, data):
+    table = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 7)), elements=finite_doubles))
+    rows, cols = table.shape
+    lines = [line.split(b",") for line in grid_field._csv_block_bytes(table).split(b"\r\n")[:-1]]
+    for r, c, cell in data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                                                   st.sampled_from(JSON_CELLS)), max_size=10)):
+        lines[r][c] = cell
+    line_end = data.draw(st.sampled_from([b"\r\n", b"\n"]))
+    body = line_end.join(b",".join(line) for line in lines) + data.draw(st.sampled_from([line_end, b""]))
+    header = ",".join(f"c{j}" for j in range(cols))
+    path = tmp_path_factory.mktemp("json") / "f.csv"
+    path.write_bytes(header.encode() + line_end + body)
+    fast = grid_field._json_table(path, header)
+    assert fast is not None
+    expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    assert np.array_equal(fast.view(np.uint64), expected.view(np.uint64))
+
+
+def test_json_table_reads_pieces_at_line_ends(monkeypatch, tmp_path):
+    # lines cut by a piece's end are read whole with the next piece; a line
+    # longer than a piece sends the file to loadtxt
+    monkeypatch.setattr(grid_field, "_READ_PIECE", 4096)
+    f, _ = edge_file_lines(tmp_path / "f.csv")
+    back = read_field_csv(tmp_path / "f.csv")
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+    monkeypatch.setattr(grid_field, "_READ_PIECE", 64)
+    assert grid_field._json_table(tmp_path / "f.csv", "x1,x2,re_1,im_1") is None
+
+
+def _read_outcome(path):
+    """What ``read_field_csv`` gives: the bits of the values or the error's
+    type and message."""
+    try:
+        return read_field_csv(path).values.ravel().view(np.uint64).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "row, outcome",
+    [
+        (b"0,+1,0", [1.0, 1.0, 1.0]),
+        (b"0,1.,0", [1.0, 1.0, 1.0]),
+        (b"0,.5,0", [1.0, 0.5, 1.0]),
+        (b"0,01,0", [1.0, 1.0, 1.0]),
+        (b"0,inf,0", "non-finite field value"),
+        (b"0,nan,0", "non-finite field value"),
+        (b"0, 1 ,0", [1.0, 1.0, 1.0]),
+        (b"0,\t1,0", [1.0, 1.0, 1.0]),
+        (b"\r\n0,1,0", [1.0, 1.0, 1.0]),  # a blank line
+        (b"#0,1,0", "could not convert string '#0' to float64 at row 1, column 1."),
+        (b"0,1", "changed from 3 to 2 at row 2;"),
+        (b"0,one,0", "could not convert string 'one' to float64 at row 1, column 2."),
+        (b"0,1e400,0", "non-finite field value"),
+        (b"0,\r1,0", "changed from 3 to 2 at row 2;"),  # loadtxt ends a line at a lone CR
+    ],
+    ids=["plus", "trailing-point", "leading-point", "leading-zero", "inf", "nan", "spaces", "tab", "blank-line",
+         "comment", "ragged", "text-cell", "overflow", "lone-cr"],
+)
+def test_read_field_csv_leaves_other_bodies_to_loadtxt(monkeypatch, tmp_path, row, outcome):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"x1,re_1,im_1\r\n-1,1,0\r\n" + row + b"\r\n1,1,0\r\n")
+    assert grid_field._json_table(path, "x1,re_1,im_1") is None
+    calls = []
+    loadtxt = np.loadtxt
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "loadtxt", lambda *args, **kw: calls.append(args) or loadtxt(*args, **kw))
+        got = _read_outcome(path)
+    assert calls == [(path,)]
+    with monkeypatch.context() as mp:  # loadtxt as the only reader
+        mp.setattr(grid_field, "_json_table", lambda path, header: None)
+        assert got == _read_outcome(path)
+    if isinstance(outcome, str):
+        assert outcome in got[1]
+    else:
+        assert got == np.array(outcome, dtype=complex).view(np.uint64).tolist()
