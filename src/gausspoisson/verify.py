@@ -9,6 +9,8 @@ randomness), serializable as CSV and as readable text.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from operator import attrgetter
@@ -25,7 +27,7 @@ from .generator import (
     generator_residuals,
     mild_identity_residual,
 )
-from .grid_field import Field, Grid, _in_order, interior_slices, make_grid, sample
+from .grid_field import Field, Grid, interior_slices, make_grid, sample
 from .kernel import _checked_sector, _require_positive, as_time
 from .semigroup import Method, _operator_norms, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceKind, SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
@@ -669,6 +671,52 @@ _GROUPS = (
 CHECK_GROUPS = tuple(group for group, _, _ in _GROUPS)
 
 
+def _run_all(tasks, threads) -> list:
+    """``(result, error)`` of each zero-argument task in ``tasks``, in task order.
+
+    The calling thread and ``min(cpus, tasks, threads) - 1`` helper threads
+    take tasks in index order; ``error`` is the exception a task raised, or
+    None.  A non-``Exception`` raised on the calling thread propagates; the
+    helpers catch everything and hand it over.  On exit no further task is
+    handed out and every helper started is joined, after its current task.
+    """
+    try:  # the CPUs this process may run on
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    helpers = min(cpus, len(tasks), threads) - 1
+    outcomes = [None] * len(tasks)
+    lock = threading.Lock()
+    taken = 0
+
+    def work(catch):
+        nonlocal taken
+        while True:
+            with lock:
+                i = taken
+                if i == len(tasks):
+                    return
+                taken += 1
+            try:
+                outcomes[i] = (tasks[i](), None)
+            except catch as exc:
+                outcomes[i] = (None, exc)
+
+    started = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=work, args=(BaseException,), daemon=True)
+            thread.start()
+            started.append(thread)
+        work(Exception)
+    finally:
+        with lock:
+            taken = len(tasks)  # the helpers take no further task
+        for thread in started:
+            thread.join()
+    return outcomes
+
+
 # Helper threads start only on grids with at least this many points: below,
 # Python-level work dominates and threads contend for the interpreter lock.
 # Threaded/serial suite time on a 2-vCPU VM (1 BLAS thread, medians of 7
@@ -684,14 +732,13 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run the configured check groups and assemble the deterministic report.
 
     Units share no mutable state, so on a large enough grid with more than
-    one CPU they run concurrently, one task per unit:
-    ``grid_field._in_order`` runs them on the calling thread and helper
-    threads, costliest first, from the back of the table.  Rows are always
-    reported in table order and randomness is seeded, so two runs from
-    identical configurations produce byte-identical reports whatever the
-    number of suite threads.  A crashing unit is recorded as failed (every
-    row of the unit gets residual ``inf`` and the error message in its
-    metadata) and the suite continues.
+    one CPU they run concurrently, one task per unit: ``_run_all`` runs them
+    on the calling thread and helper threads, costliest first, from the back
+    of the table.  Rows are always reported in table order and randomness is
+    seeded, so two runs from identical configurations produce byte-identical
+    reports whatever the number of suite threads.  A crashing unit is
+    recorded as failed (every row of the unit gets residual ``inf`` and the
+    error message in its metadata) and the suite continues.
     """
     inputs = _Inputs(cfg)
     units = [
@@ -702,7 +749,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     ]
     threads = len(units) if cfg.grid.size >= _THREADED_MIN_POINTS else 1
     # costliest first: the costliest groups sit at the end of the table
-    outcomes = list(_in_order([compute for _, compute, _ in reversed(units)], threads, len(units)))[::-1]
+    outcomes = _run_all([compute for _, compute, _ in reversed(units)], threads)[::-1]
     # a helper hands over whatever it caught; only an Exception fails just its unit
     died = {
         specs[0][0]: exc

@@ -364,7 +364,7 @@ def test_import_loads_no_orjson():
 
 
 def test_import_loads_no_concurrent_futures():
-    # the CSV writer's and the suite's threads use ``threading``; importing
+    # the suite's threads use ``threading``; importing
     # ``concurrent.futures`` with the package would add about 16 ms to every
     # command's start
     code = "import sys, gausspoisson; print('concurrent.futures' in sys.modules)"

@@ -1,8 +1,6 @@
 """Grid geometry, field containers, interior windows, and CSV round trips."""
 
 import re
-import sys
-import threading
 from functools import reduce
 from pathlib import Path
 
@@ -24,9 +22,12 @@ from gausspoisson import (
 )
 from gausspoisson import grid_field
 
-from conftest import lattice_points, set_cpus, traced_peak
+from conftest import lattice_points, traced_peak
 
+# the golden field as written by earlier versions, with 17 significant
+# digits, and as written now, with the shortest round-trip digits
 FIELD_GOLDEN = Path(__file__).parent / "data" / "field_golden.csv"
+SHORTEST_GOLDEN = Path(__file__).parent / "data" / "field_golden_shortest.csv"
 
 
 def test_grid_geometry():
@@ -217,7 +218,7 @@ def test_field_csv_header_shape(tmp_path):
 
 
 def golden_field() -> Field:
-    """2-D, m=2, N=5 field whose values need all 17 digits, plus -0.0, the
+    """2-D, m=2, N=5 field whose values need up to 17 digits, plus -0.0, the
     smallest subnormal, 1e300 and an exact integer."""
     g = make_grid(2, 0.7, 5)
     k = np.arange(g.size * 2, dtype=float).reshape(g.shape + (2,))
@@ -230,12 +231,21 @@ def golden_field() -> Field:
 
 
 def test_write_field_csv_matches_golden_bytes(tmp_path):
-    """The file layout (17 significant digits, CRLF line ends) is pinned by
-    bytes written by the per-value ``format(x, ".17g")`` writer."""
+    """The file layout (shortest round-trip digits, CRLF line ends) is pinned
+    by bytes of the orjson writer."""
     f = golden_field()
     path = tmp_path / "field.csv"
     write_field_csv(f, path)
-    assert path.read_bytes() == FIELD_GOLDEN.read_bytes()
+    assert path.read_bytes() == SHORTEST_GOLDEN.read_bytes()
+    back = read_field_csv(SHORTEST_GOLDEN)
+    assert back.grid == f.grid
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_read_field_csv_reads_percent_g17_files_bit_for_bit():
+    # files written with 17 significant digits ("%.17g" % x) by earlier
+    # versions keep their values
+    f = golden_field()
     back = read_field_csv(FIELD_GOLDEN)
     assert back.grid == f.grid
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
@@ -243,19 +253,37 @@ def test_write_field_csv_matches_golden_bytes(tmp_path):
 
 def reference_csv_rows(table: np.ndarray) -> bytes:
     """Rows of a float table as the ``%``-template writer formatted them:
-    ``"%.17g" % x`` per value, CRLF line ends.  The oracle for the bytes of
-    ``write_field_csv``."""
+    ``"%.17g" % x`` per value, CRLF line ends: the digits of files written
+    by earlier versions."""
     row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     return ((row * len(table)) % tuple(table.ravel().tolist())).encode()
 
 
-def reference_write_field_csv(f: Field, path) -> None:
-    """The ``%``-template writer that ``write_field_csv`` replaced."""
+def written_rows(table: np.ndarray, path) -> bytes:
+    """Rows of a float table with each cell as ``write_field_csv`` writes it,
+    CRLF line ends; ``path`` is a scratch file."""
+    rows, cols = table.shape
+    parts = np.zeros((max(rows, 2), cols + cols % 2))  # a grid has 2 points at least
+    parts[:rows, :cols] = table
+    write_field_csv(Field(make_grid(1, 1.0, len(parts)), parts.view(complex)), path)
+    lines = Path(path).read_bytes().split(b"\r\n")[1 : rows + 1]
+    return b"".join(b",".join(line.split(b",")[1 : cols + 1]) + b"\r\n" for line in lines)
+
+
+def reference_header(n: int, m: int) -> str:
+    return ",".join([f"x{i + 1}" for i in range(n)] + [f"{part}_{c + 1}" for c in range(m) for part in ("re", "im")])
+
+
+def reference_table(f: Field) -> np.ndarray:
+    """The lattice points of ``f`` next to its values as floats, one row each."""
     g = f.grid
-    header = [f"x{i + 1}" for i in range(g.n)] + [f"{part}_{c + 1}" for c in range(f.m) for part in ("re", "im")]
-    table = np.concatenate([lattice_points(g).reshape(-1, g.n), f.values.reshape(-1, f.m).view(float)], axis=1)
+    return np.concatenate([lattice_points(g).reshape(-1, g.n), f.values.reshape(-1, f.m).view(float)], axis=1)
+
+
+def reference_write_field_csv(f: Field, path) -> None:
+    """The ``%``-template writer of earlier versions."""
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode() + reference_csv_rows(table))
+        fh.write((reference_header(f.grid.n, f.m) + "\r\n").encode() + reference_csv_rows(reference_table(f)))
 
 
 # arbitrary finite doubles; hypothesis favours 0, -0, the extremes and
@@ -263,15 +291,10 @@ def reference_write_field_csv(f: Field, path) -> None:
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=100, deadline=None, database=None)
-@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 6)), elements=finite_doubles))
-def test_csv_rows_match_percent_formatting(table):
-    assert grid_field._csv_block_bytes(table) == reference_csv_rows(table)
-
-
 @settings(max_examples=15, deadline=None, database=None)
 @given(st.data())
-def test_write_field_csv_matches_reference_writer(tmp_path_factory, data):
+def test_write_field_csv_reads_back_like_the_reference_writer(tmp_path_factory, data):
+    # this writer's file and the %.17g writer's read back to the same bits
     n, m = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
     g = make_grid(n, data.draw(st.floats(0.1, 1e3)), data.draw(st.integers(2, 9)))
     parts = data.draw(hnp.arrays(np.float64, g.shape + (m, 2), elements=finite_doubles))
@@ -279,14 +302,51 @@ def test_write_field_csv_matches_reference_writer(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("csv")
     write_field_csv(f, out / "new.csv")
     reference_write_field_csv(f, out / "old.csv")
-    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+    for path in (out / "new.csv", out / "old.csv"):
+        back = read_field_csv(path)
+        assert back.grid == g
+        assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def significant_digits(cell: str) -> str:
+    """The significant digits of a decimal, without leading or trailing zeros."""
+    return re.split("[eE]", cell)[0].lstrip("-").replace(".", "").strip("0")
+
+
+def assert_cells_round_trip(f: Field, path) -> None:
+    """The file at ``path`` is ``f`` as the writer lays it out: the header,
+    then one CRLF-ended line of ``n + 2m`` cells per lattice point, each cell
+    reading back to its double's bits with as many significant digits as
+    ``repr`` gives."""
+    g = f.grid
+    header, *lines, last = path.read_bytes().decode().split("\r\n")
+    assert header == reference_header(g.n, f.m)
+    assert last == "" and len(lines) == g.size
+    cells = [line.split(",") for line in lines]
+    assert all(len(row) == g.n + 2 * f.m for row in cells)
+    expected = reference_table(f)
+    got = np.array([[float(c) for c in row] for row in cells])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    for cell, x in zip((c for row in cells for c in row), expected.ravel().tolist()):
+        assert len(significant_digits(cell)) == len(significant_digits(repr(x))), (cell, x)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data())
+def test_write_field_csv_cells_are_shortest_round_trip(tmp_path_factory, data):
+    n, m = data.draw(st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1)]))
+    g = make_grid(n, data.draw(st.floats(0.1, 1e3)), data.draw(st.integers(2, 9 if n < 3 else 4)))
+    parts = data.draw(hnp.arrays(np.float64, g.shape + (m, 2), elements=finite_doubles))
+    f = Field(g, parts[..., 0] + 1j * parts[..., 1])
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    write_field_csv(f, path)
+    assert_cells_round_trip(f, path)
 
 
 def edge_values() -> np.ndarray:
-    """Signed zeros, extremes, powers of ten with both neighbours, and the
-    notation and exponent-width boundaries of ``%.17g``."""
-    vals = [0.0, 5e-324, np.finfo(float).max, 1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0]
-    vals += [1e99, 1e100, 1e-99, 1e-100]
+    """Signed zeros, the smallest subnormal, the largest double, and the
+    powers of ten with both neighbours."""
+    vals = [0.0, 5e-324, np.finfo(float).max]
     for k in range(-300, 301):
         p = float(f"1e{k}")
         vals += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
@@ -294,172 +354,20 @@ def edge_values() -> np.ndarray:
     return np.concatenate([vals, -vals])
 
 
-def edge_mismatches() -> list[int]:
-    """Column counts 1-6 for which the formatter and ``%`` disagree on the
-    edge values."""
+def edge_field() -> Field:
+    """A 1-D, m=1 field whose real and imaginary parts are the edge values."""
     vals = edge_values()
-    bad = []
-    for cols in range(1, 7):
-        table = vals[: len(vals) // cols * cols].reshape(-1, cols)
-        if grid_field._csv_block_bytes(table) != reference_csv_rows(table):
-            bad.append(cols)
-    return bad
+    return Field(make_grid(1, 1.0, len(vals) // 2), vals.view(complex))
 
 
-def test_csv_rows_match_percent_formatting_on_edge_values():
-    assert edge_mismatches() == []
-
-
-@pytest.mark.parametrize("bound, shift", [("_FIXED_MIN_EXP", -1), ("_FIXED_MIN_EXP", 1), ("_FIXED_MAX_EXP", -1), ("_FIXED_MAX_EXP", 1)])
-def test_edge_values_catch_a_moved_notation_boundary(monkeypatch, bound, shift):
-    monkeypatch.setattr(grid_field, bound, getattr(grid_field, bound) + shift)
-    grid_field._csv_tables.cache_clear()
-    try:
-        assert edge_mismatches() == [1, 2, 3, 4, 5, 6]
-    finally:
-        grid_field._csv_tables.cache_clear()  # rebuilt unmutated on next use
-
-
-def _count_fallback(monkeypatch) -> list[int]:
-    """Count the values sent to the ``%`` fallback."""
-    seen = [0]
-    exact = grid_field._percent_g17
-
-    def spy(values):
-        seen[0] += len(values)
-        return exact(values)
-
-    monkeypatch.setattr(grid_field, "_percent_g17", spy)
-    return seen
-
-
-def test_near_ties_take_the_fallback_and_match(monkeypatch):
-    # 17 digits and a 5: at these magnitudes the double nearest such a
-    # decimal is sometimes the tie itself, which only the exact conversion
-    # decides
-    rng = np.random.default_rng(5)
-    digits = rng.integers(10**16, 10**17, size=1200).tolist()
-    exps = rng.integers(-5, 6, size=1200).tolist()
-    table = np.array([float(f"{d}5e{k}") for d, k in zip(digits, exps)]).reshape(-1, 4)
-    seen = _count_fallback(monkeypatch)
-    assert grid_field._csv_block_bytes(table) == reference_csv_rows(table)
-    assert seen[0] > 0
-
-
-def test_sampled_mixture_takes_the_fast_path(monkeypatch, tmp_path):
-    # the evolve input: the write's speed must not rest on the fallback
-    g = make_grid(2, 12.0, 65)
-    f = random_gaussian_mixture(2, m=2, terms=3, rng=np.random.default_rng(7)).sampled(g)
-    seen = _count_fallback(monkeypatch)
-    write_field_csv(f, tmp_path / "new.csv")
-    assert seen[0] == 0
-    reference_write_field_csv(f, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def test_csv_block_temporaries_stay_small():
-    # one 4096x6 block (an evolve-2d-csv block) allocated about 11 MB when its
-    # byte layouts were gathered through one index array for the whole block
-    block = np.random.default_rng(11).standard_normal((grid_field._CSV_BLOCK_ROWS, 6))
-    expected = grid_field._csv_block_bytes(block)  # builds the cached tables
-    text, peak = traced_peak(lambda: grid_field._csv_block_bytes(block))
-    assert text == expected
-    assert peak < 6e6
-
-
-def several_block_field() -> Field:
-    """A 2-D field of five full CSV blocks and a partial sixth (22500 rows),
-    with a value for the ``%`` fallback in every block."""
-    g = make_grid(2, 12.0, 150)
-    f = random_gaussian_mixture(2, m=1, terms=3, rng=np.random.default_rng(13)).sampled(g)
-    vals = f.values.copy().reshape(-1)
-    vals[7 :: grid_field._CSV_BLOCK_ROWS] = 1e300 - 2.5j  # the real part is outside the fast range
-    return Field(g, vals.reshape(f.values.shape))
-
-
-def test_write_field_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
-    f = several_block_field()
-    assert f.grid.size % grid_field._CSV_BLOCK_ROWS and f.grid.size // grid_field._CSV_BLOCK_ROWS == 5
-    seen = _count_fallback(monkeypatch)
-    reference_write_field_csv(f, tmp_path / "reference.csv")
-    expected = (tmp_path / "reference.csv").read_bytes()
-    interval = sys.getswitchinterval()
-    for cpus in (1, 2, 4):
-        set_cpus(monkeypatch, cpus)
-        sys.setswitchinterval(1e-5 if cpus == 4 else interval)  # frequent thread switches
-        try:
-            write_field_csv(f, tmp_path / f"cpus{cpus}.csv")
-        finally:
-            sys.setswitchinterval(interval)
-        assert (tmp_path / f"cpus{cpus}.csv").read_bytes() == expected, cpus
-    assert seen[0] == 3 * 6  # one value per block, three writes
-
-
-def test_write_field_csv_starts_one_helper_at_most(monkeypatch, tmp_path):
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(grid_field.threading, "Thread", Counted)
-    set_cpus(monkeypatch, 8)
-    write_field_csv(several_block_field(), tmp_path / "f.csv")
-    assert len(started) == grid_field._CSV_THREADS - 1 == 1
-
-
-def test_write_field_csv_raises_a_helpers_exception(monkeypatch, tmp_path):
-    f = several_block_field()
-    set_cpus(monkeypatch, 2)
-    caller = threading.current_thread()
-    exact = grid_field._csv_block_bytes
-    helper_formatting = threading.Event()
-
-    def helpers_fail(block, lead):
-        if threading.current_thread() is caller:
-            assert helper_formatting.wait(timeout=60)  # a helper takes a block
-            return exact(block, lead)
-        helper_formatting.set()
-        raise RuntimeError("helper broke")
-
-    monkeypatch.setattr(grid_field, "_csv_block_bytes", helpers_fail)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="helper broke"):
-        write_field_csv(f, tmp_path / "f.csv")
-    assert threading.active_count() == threads
-
-
-def test_write_field_csv_interrupt_propagates_before_another_block(monkeypatch, tmp_path):
-    f = several_block_field()
-    set_cpus(monkeypatch, 2)
-    caller = threading.current_thread()
-    exact = grid_field._csv_block_bytes
-    helper_formatting, joining = threading.Event(), threading.Event()
-    formatted = []
-
-    class Spy(threading.Thread):
-        def join(self, timeout=None):
-            joining.set()
-            super().join(timeout)
-
-    def interrupted_on_the_caller(block, lead):
-        formatted.append(block)
-        if threading.current_thread() is caller:
-            assert helper_formatting.wait(timeout=60)  # a helper holds a block
-            raise KeyboardInterrupt
-        helper_formatting.set()
-        assert joining.wait(timeout=60)
-        return exact(block, lead)
-
-    monkeypatch.setattr(grid_field.threading, "Thread", Spy)
-    monkeypatch.setattr(grid_field, "_csv_block_bytes", interrupted_on_the_caller)
-    threads = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        write_field_csv(f, tmp_path / "f.csv")
-    # the caller's block and the helper's, and no further one
-    assert len(formatted) == 2
-    assert threading.active_count() == threads
+def test_write_field_csv_edge_values_are_shortest_round_trip(tmp_path):
+    f = edge_field()
+    path = tmp_path / "edge.csv"
+    write_field_csv(f, path)
+    assert_cells_round_trip(f, path)
+    text = path.read_bytes()
+    for cell in (b"-0.0", b"0.0", b"5e-324", b"-1.7976931348623157e308", b"1e16", b"1e-300"):
+        assert b"," + cell + b"," in text or b"," + cell + b"\r\n" in text, cell
 
 
 # an evolve-2d-csv field on a quarter of its grid (n=2, N=257, m=2)
@@ -467,12 +375,11 @@ PEAK_MIXTURE = random_gaussian_mixture(2, m=2, terms=3, rng=np.random.default_rn
 PEAK_GRID = make_grid(2, 12.0, 257)
 
 
-def test_write_field_csv_holds_no_whole_table(monkeypatch, tmp_path):
+def test_write_field_csv_holds_no_whole_table(tmp_path):
     # concatenating the lattice points with the values peaked at 3.4 times the
     # value array; the blocks' own temporaries do not grow with the grid
-    set_cpus(monkeypatch, 1)  # one block in flight, whatever the thread timing
     f = PEAK_MIXTURE.sampled(PEAK_GRID)
-    write_field_csv(f, tmp_path / "f.csv")  # builds the cached tables
+    write_field_csv(f, tmp_path / "f.csv")  # imports orjson
     _, peak = traced_peak(lambda: write_field_csv(f, tmp_path / "f.csv"))
     assert peak < 2.5 * f.values.nbytes
 
@@ -662,14 +569,17 @@ JSON_CELLS = [b"0", b"-0", b"5e-324", b"2.2250738585072009e-308", b"1.7976931348
 def test_json_table_matches_loadtxt_bit_for_bit(tmp_path_factory, data):
     table = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 7)), elements=finite_doubles))
     rows, cols = table.shape
-    lines = [line.split(b",") for line in grid_field._csv_block_bytes(table).split(b"\r\n")[:-1]]
+    out = tmp_path_factory.mktemp("json")
+    # the digits of earlier versions' files, or of this writer's
+    text = reference_csv_rows(table) if data.draw(st.booleans()) else written_rows(table, out / "written.csv")
+    lines = [line.split(b",") for line in text.split(b"\r\n")[:-1]]
     for r, c, cell in data.draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
                                                    st.sampled_from(JSON_CELLS)), max_size=10)):
         lines[r][c] = cell
     line_end = data.draw(st.sampled_from([b"\r\n", b"\n"]))
     body = line_end.join(b",".join(line) for line in lines) + data.draw(st.sampled_from([line_end, b""]))
     header = ",".join(f"c{j}" for j in range(cols))
-    path = tmp_path_factory.mktemp("json") / "f.csv"
+    path = out / "f.csv"
     path.write_bytes(header.encode() + line_end + body)
     fast = grid_field._json_table(path, header)
     assert fast is not None
@@ -686,6 +596,22 @@ def test_json_table_reads_pieces_at_line_ends(monkeypatch, tmp_path):
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
     monkeypatch.setattr(grid_field, "_READ_PIECE", 64)
     assert grid_field._json_table(tmp_path / "f.csv", "x1,x2,re_1,im_1") is None
+
+
+def test_written_files_never_reach_loadtxt(monkeypatch, tmp_path):
+    # every file the writer writes is plain JSON numbers, the edge values too
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt read a written file")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    rng = np.random.default_rng(17)
+    fields = [edge_field(), golden_field(), Field(make_grid(1, 2.0, 3), np.zeros(3))]
+    fields += [random_gaussian_mixture(n, m=m, rng=rng).sampled(make_grid(n, 6.0, N)) for n, m, N in
+               ((1, 1, 4097), (2, 2, 65), (3, 1, 17))]
+    for f in fields:
+        write_field_csv(f, tmp_path / "f.csv")
+        back = read_field_csv(tmp_path / "f.csv")
+        assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 
 def _read_outcome(path):
