@@ -43,6 +43,8 @@ class Grid:
             raise ValueError(f"grid dimension must be >= 1, got {self.n}")
         if not 0 < self.L < np.inf:
             raise ValueError(f"grid half-extent must be positive and finite, got {self.L}")
+        if not np.isfinite(self.n * self.L * self.L):
+            raise ValueError(f"grid half-extent {self.L} is too large: n*L^2 overflows at n={self.n}")
         if self.N < 2:
             raise ValueError(f"grid needs at least 2 points per axis, got {self.N}")
 
@@ -141,8 +143,7 @@ class Field:
     def spectrum(self) -> np.ndarray:
         """The DFT of ``values`` over the grid axes, read-only, made on first
         use: every spectral operator on this field shares this one transform."""
-        from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-        out = _fft.fftn(self.values, axes=tuple(range(self.grid.n)))
+        out = np.fft.fftn(self.values, axes=tuple(range(self.grid.n)))
         out.setflags(write=False)
         return out
 
@@ -163,6 +164,20 @@ def sample(grid: Grid, rule: Callable[[tuple], np.ndarray]) -> Field:
     vals = np.asarray(rule(np.ix_(*(grid.axis,) * grid.n)), dtype=complex)
     shape = grid.shape + vals.shape[grid.n :]
     return Field(grid, vals if vals.shape == shape else np.broadcast_to(vals, shape))
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 11-smooth integer ``>= target``, a fast length for the
+    pocketfft behind ``numpy.fft`` (``scipy.fft.next_fast_len(target, False)``)."""
+    size = max(target, 1)
+    while True:
+        rest = size
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
 
 
 def interior_slices(grid: Grid, margin: float) -> tuple[slice, ...]:

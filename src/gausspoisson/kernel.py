@@ -160,15 +160,55 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     K = math.ceil(_checked_exponent(k))
-    from scipy.special import gammaincc  # imported on use: it is most of the package's import time
     a = math.cos(alpha) / (4.0 * ct.modulus)
 
     def moment(j):  # the majorant's tail integral of |x|^j
         s = (n + j) / 2.0
         ratio = math.gamma(s) / math.gamma(n / 2.0)
-        return math.cos(alpha) ** (-n / 2.0) * ratio * a ** (-j / 2.0) * float(gammaincc(s, a * R * R))
+        return math.cos(alpha) ** (-n / 2.0) * ratio * a ** (-j / 2.0) * _gammaincc(s, a * R * R)
 
     return moment(0) + sum(math.comb(K, j) * moment(j) for j in range(1, K + 1))
+
+
+def _gammaincc(s: float, x: float) -> float:
+    """The regularized upper incomplete gamma ``Q(s, x)`` at an order ``s`` in
+    ``{1/2, 1, 3/2, ...}``, the orders of the Gaussian's radial moments, in
+    closed form (DLMF §8.4 and §8.8): ``Q(1/2, x) = erfc(sqrt(x))``,
+    ``Q(1, x) = e^{-x}`` and ``Q(t+1, x) = Q(t, x) + x^t e^{-x} / Gamma(t+1)``.
+    Every added term is positive, formed as ``exp(t log x - x - lgamma(t+1))``."""
+    if not (s > 0 and float(2 * s).is_integer()):
+        raise ValueError(f"order must be a positive multiple of 1/2, got {s}")
+    if not x >= 0:
+        raise ValueError(f"argument must be >= 0, got {x}")
+    if x == 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    t = 0.5 if s % 1 else 1.0
+    q = math.erfc(math.sqrt(x)) if t == 0.5 else math.exp(-x)
+    while t < s:
+        q += math.exp(t * math.log(x) - x - math.lgamma(t + 1.0))
+        t += 1.0
+    return q
+
+
+def _gammainccinv(s: float, q: float) -> float:
+    """The ``x >= 0`` with ``Q(s, x) = q`` for ``0 < q <= 1``: bisection on
+    :func:`_gammaincc`, which falls from 1 at ``x = 0``, down to adjacent
+    floats; the end returned is the one with ``Q(s, x) <= q``."""
+    if not 0 < q <= 1:
+        raise ValueError(f"q must lie in (0, 1], got {q}")
+    if q == 1:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while _gammaincc(s, hi) > q:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _gammaincc(s, mid) > q:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _own_tail(zeta, R: float, n: int, k: float) -> float:
@@ -194,12 +234,11 @@ def grid_for_time(zeta, n: int, tol: float = 1e-10) -> Grid:
     ct = _require_positive(zeta)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    from scipy.special import gammainccinv
     alpha = default_sector_angle(ct)
     r = ct.modulus
     a = math.cos(alpha) / (4.0 * r)
     target = (tol / 10.0) * math.cos(alpha) ** (n / 2.0)
-    R = math.sqrt(float(gammainccinv(n / 2.0, min(target, 1.0))) / a)
+    R = math.sqrt(_gammainccinv(n / 2.0, min(target, 1.0)) / a)
     sigma = math.sqrt(2.0 * r / math.cos(alpha))
     h = sigma / 12.0
     s = abs(math.sin(ct.argument))

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernel as _kernel
-from .grid_field import Field, Grid, read_field_csv, squared_norm, write_field_csv
+from .grid_field import Field, Grid, _next_fast_len, read_field_csv, squared_norm, write_field_csv
 from .kernel import _own_tail, _require_positive, as_time
 from .weights import _weight
 
@@ -84,19 +84,19 @@ def _riemann_sum(factors, f: Field) -> np.ndarray:
     ``sum_j kernel[i-j+N-1] f[j] h^n``, the Riemann sum of the convolution at
     grid point ``i`` with zero extension, for every grid parity.  One
     dimension takes the padding and transforms of ``scipy.signal.fftconvolve``
-    in 'valid' mode, bit for bit, one transform per component (so components
-    that are exact multiples of each other stay so); from two dimensions on,
+    in 'valid' mode, bit for bit, through ``numpy.fft``, whose 1-D transforms
+    are scipy's; one transform per component (so components that are exact
+    multiples of each other stay so); from two dimensions on,
     each axis is one product with the dense Toeplitz matrix
     ``T[i, j] = factor[i-j+N-1] h``, faster than FFTs at these sizes.
     """
     g = f.grid
     if g.n == 1:
-        from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
-        size = _fft.next_fast_len(3 * g.N - 2, False)
-        kernel_spectrum = _fft.fft(factors[0], size)
+        size = _next_fast_len(3 * g.N - 2)
+        kernel_spectrum = np.fft.fft(factors[0], size)
         out = np.empty(f.values.shape, dtype=complex)
         for c in range(f.m):
-            full = _fft.ifft(kernel_spectrum * _fft.fft(f.values[:, c], size))
+            full = np.fft.ifft(kernel_spectrum * np.fft.fft(f.values[:, c], size))
             out[:, c] = full[g.N - 1 : 2 * g.N - 1]
         return out * g.h
     lag = np.subtract.outer(np.arange(g.N), np.arange(g.N)) + (g.N - 1)
@@ -139,13 +139,12 @@ def _spectral_values(f: Field, multiplier: np.ndarray) -> np.ndarray:
     complex numbers can differ in the last bit, and every state is pinned to
     the bits of ``f.spectrum * multiplier``.
     """
-    from scipy import fft as _fft  # imported on use: it loads scipy.special (slow to import)
     multiplier = multiplier[..., np.newaxis]
     in_place = f.m == 1 and multiplier.dtype == complex
     product = np.multiply(f.spectrum, multiplier, out=multiplier if in_place else None)
     _flush_subnormals(product)
     # the product is the caller's buffer or a temporary, so the inverse transform may overwrite it
-    return _fft.ifftn(product, axes=tuple(range(f.grid.n)), overwrite_x=True)
+    return np.fft.ifftn(product, axes=tuple(range(f.grid.n)), out=product)
 
 
 def _path(z, g: Grid, method=None):

@@ -27,7 +27,7 @@ from .generator import (
     generator_residuals,
     mild_identity_residual,
 )
-from .grid_field import Field, Grid, interior_slices, make_grid, sample
+from .grid_field import Field, Grid, _next_fast_len, interior_slices, make_grid, sample
 from .kernel import _checked_sector, _require_positive, as_time
 from .semigroup import Method, _operator_norms, apply, apply_dzeta, apply_many, operator_bound
 from .weights import SpaceKind, SpaceSpec, difference_norm, weight_inequality_check, weighted_norm
@@ -439,9 +439,7 @@ class _Inputs:
         """The unit Gaussian on ``classical``'s fine grid: about half the
         spacing, on a fast FFT length.  The grids need not nest, since each
         classical residual is a max over its own grid's points."""
-        from scipy.fft import next_fast_len  # imported on use: it loads scipy.special (slow to import)
-
-        return self.unit_gaussian.sampled(make_grid(self.cfg.n, self.cfg.L, next_fast_len(2 * self.cfg.N - 2)))
+        return self.unit_gaussian.sampled(make_grid(self.cfg.n, self.cfg.L, _next_fast_len(2 * self.cfg.N - 2)))
 
     @cached_property
     def mixture_field(self) -> Field:

@@ -1,5 +1,6 @@
 """Command line: config parsing, subcommands, exit codes, reproducibility."""
 
+import json
 import os
 import re
 import subprocess
@@ -202,6 +203,16 @@ def test_verify_bad_config_exits_two(tmp_path):
     assert not (tmp_path / "empty" / "report.csv").exists()
 
 
+def test_verify_overflowing_half_extent_exits_two(tmp_path):
+    # n*L^2 overflowed at run time: continuity-final read inf and
+    # continuity-monotone nan
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(FAST + "grid.L=1e160\n")
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "report.csv").exists()
+
+
 def test_verify_infinite_p_exits_two(tmp_path):
     # every Lp norm read 1.0 at p=inf, so the semigroup-law and mild rows
     # failed with residual 1; the paper's Lp spaces have a finite p
@@ -346,13 +357,30 @@ def test_verify_report_identical_across_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_import_loads_no_scipy():
-    # scipy.fft and scipy.special are imported where they are used; importing
-    # either with the package would add about 0.3 s to every command's start
-    code = "import sys, gausspoisson; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def test_no_run_loads_scipy(tmp_path):
+    # the transforms are numpy.fft and the incomplete gammas closed forms;
+    # importing scipy.fft or scipy.special adds about 0.3 s and 25 MB to a run
+    one_d = tmp_path / "1d.cfg"
+    one_d.write_text("grid.N=129\n")
+    two_d = tmp_path / "2d.cfg"
+    two_d.write_text("grid.n=2\ngrid.N=17\n")
+    runs = [
+        ["verify", "--config", str(one_d), "--out", str(tmp_path / "v1")],
+        ["verify", "--config", str(two_d), "--out", str(tmp_path / "v2")],
+        ["evolve", "--config", str(two_d), "--rule", "gaussian", "--zeta", "1+0.5i", "--out", str(tmp_path / "q")],
+        ["evolve", "--config", str(two_d), "--rule", "gaussian", "--times", "0.5,1", "--out", str(tmp_path / "s")],
+        ["table", "--config", str(one_d), "--check", "mild", "--out", str(tmp_path / "t")],
+    ]
+    code = (
+        "import json, sys; from gausspoisson.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))"
+    )
     done = _run_python(code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    codes, modules = json.loads(done.stdout.splitlines()[-1])
+    assert all(code in (0, 1) for code in codes[:2]) and codes[2:] == [0, 0, 0]  # verify exits 1 on a FAIL row
+    assert modules == []
 
 
 def test_import_loads_no_orjson():

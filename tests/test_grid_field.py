@@ -64,6 +64,18 @@ def test_grid_requires_finite_half_extent(tmp_path):
         read_field_csv(path)
 
 
+def test_grid_rejects_a_half_extent_whose_squared_norms_overflow():
+    for n, L in ((1, 1e160), (3, 1e154)):
+        with pytest.raises(ValueError, match="overflows"):
+            make_grid(n, L, 5)
+    assert np.isfinite(make_grid(1, 1e154, 5).squared_norms).all()
+
+
+def test_next_fast_len_is_scipys_complex_fast_length():
+    fft = pytest.importorskip("scipy.fft")
+    assert all(grid_field._next_fast_len(t) == fft.next_fast_len(t, False) for t in range(1, 20000))
+
+
 def test_grid_arrays_are_read_only():
     for n in (1, 2, 3):
         g = make_grid(n, 1.0, 3)
@@ -129,11 +141,9 @@ def test_field_values_are_frozen():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_spectrum_is_the_read_only_dft_over_the_grid_axes(n):
-    from scipy import fft
-
     g = make_grid(n, 3.0, 9)
     f = random_gaussian_mixture(n, m=2, rng=np.random.default_rng(n)).sampled(g)
-    expect = fft.fftn(f.values, axes=tuple(range(n)))
+    expect = np.fft.fftn(f.values, axes=tuple(range(n)))
     np.testing.assert_array_equal(f.spectrum.view(float), expect.view(float))
     assert f.spectrum is f.spectrum  # made once per field
     with pytest.raises(ValueError):

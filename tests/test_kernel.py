@@ -23,6 +23,8 @@ from gausspoisson import (
     sample_kernel,
 )
 from gausspoisson.generator import _stencil
+from gausspoisson.kernel import _gammaincc, _gammainccinv
+from gausspoisson.verify import DEFAULT_ZETAS
 
 from conftest import lattice_points, traced_peak
 
@@ -254,13 +256,53 @@ def test_weighted_tail_bound_dominates_weighted_tail_mass():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tail_bound_at_k0_is_the_incomplete_gamma(n):
-    # the unweighted tail of the majorant, to the bit: every apply's tail_bound
-    from scipy.special import gammaincc
-
+    # the unweighted tail of the majorant: every apply's tail_bound
+    mpmath = pytest.importorskip("mpmath")
     for zeta, alpha, R in ((1.0, 0.1, 6.0), (np.exp(1j * np.pi / 4), 0.9, 12.0), (0.25, 0.3, 1.0)):
         a = math.cos(alpha) / (4.0 * abs(complex(zeta)))
-        closed_form = math.cos(alpha) ** (-n / 2.0) * float(gammaincc(n / 2.0, a * R * R))
-        assert kernel_tail_bound(zeta, alpha, R, n, 0) == closed_form
+        with mpmath.workdps(30):
+            q = float(mpmath.gammainc(n / 2.0, a * R * R, regularized=True))
+        closed_form = math.cos(alpha) ** (-n / 2.0) * q
+        assert kernel_tail_bound(zeta, alpha, R, n, 0) == pytest.approx(closed_form, rel=1e-12)
+
+
+def test_gammaincc_closed_form_against_mpmath():
+    # Q(s, x) at every order the tail bound meets up to n + K = 11; below the
+    # smallest normal float the value is within one subnormal step
+    mpmath = pytest.importorskip("mpmath")
+    xs = [0.0, *np.logspace(-6, 3, 61)]
+    for s in np.arange(1, 12) / 2:
+        got = [_gammaincc(s, x) for x in xs]
+        with mpmath.workdps(30):
+            expect = [float(mpmath.gammainc(s, x, regularized=True)) for x in xs]
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=np.finfo(float).tiny)
+    assert _gammaincc(2.5, math.inf) == 0.0
+    for s, x in ((0.0, 1.0), (0.75, 1.0), (1.0, -1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            _gammaincc(s, x)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_gammainccinv_round_trips(s):
+    for q in (1e-300, 1e-12, 1e-11 * math.cos(1.2) ** 1.5, 0.3, 1 - 1e-9):
+        x = _gammainccinv(s, q)
+        assert _gammaincc(s, x) == pytest.approx(q, rel=1e-12)
+        assert _gammaincc(s, x) <= q < _gammaincc(s, math.nextafter(x, 0.0))  # the end at or below q
+    assert _gammainccinv(s, 1.0) == 0.0
+    for q in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            _gammainccinv(s, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_for_time_keeps_the_grids_of_scipys_inverse(monkeypatch, n):
+    special = pytest.importorskip("scipy.special")
+    grids = [grid_for_time(z, n) for z in DEFAULT_ZETAS]
+    monkeypatch.setattr("gausspoisson.kernel._gammainccinv", lambda s, q: float(special.gammainccinv(s, q)))
+    for z, g in zip(DEFAULT_ZETAS, grids):
+        expect = grid_for_time(z, n)
+        assert g.N == expect.N
+        assert g.L == pytest.approx(expect.L, rel=1e-12)
 
 
 def test_weighted_tail_bound_monotone_in_radius_and_exponent():

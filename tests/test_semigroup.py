@@ -356,8 +356,6 @@ def test_spectral_apply_flushes_subnormals_bit_for_bit(monkeypatch):
     # the symbol underflows through the subnormal range in a ring of
     # frequencies; apply zeroes those parts of spectrum * symbol before the
     # inverse transform, and its states keep every bit of the unflushed one
-    from scipy import fft
-
     g = make_grid(2, 3.0, 129)
     f = random_gaussian_mixture(2, m=2, rng=np.random.default_rng(8)).sampled(g)
     tiny = np.finfo(float).tiny
@@ -366,21 +364,21 @@ def test_spectral_apply_flushes_subnormals_bit_for_bit(monkeypatch):
         parts = x.view(float)
         return int(np.count_nonzero((parts != 0) & (np.abs(parts) < tiny)))
 
-    inverse = fft.ifftn
+    inverse = np.fft.ifftn
     seen = []
 
     def checked_ifftn(x, *args, **kwargs):
         seen.append(subnormal_parts(x))
         return inverse(x, *args, **kwargs)
 
-    spectrum = fft.fftn(f.values, axes=(0, 1))
+    spectrum = np.fft.fftn(f.values, axes=(0, 1))
     for t in (0.5, 1.0):
         symbol = kernel_fourier(t, (g.fourier_axis,))
         product = spectrum * np.multiply.outer(symbol, symbol)[..., np.newaxis]
         assert subnormal_parts(product) > 0  # the flush has work to do here
         expect = inverse(product, axes=(0, 1))
         with monkeypatch.context() as patch:
-            patch.setattr(fft, "ifftn", checked_ifftn)
+            patch.setattr(np.fft, "ifftn", checked_ifftn)
             got = apply(t, f, method=Method.SPECTRAL)
         assert seen == [0]
         seen.clear()
@@ -395,8 +393,6 @@ def test_spectral_states_keep_every_bit(n, N, m):
     # with the spectrum as the first operand whether or not the product is
     # formed in the multiplier's buffer (fused multiply-adds make a*b and a*b
     # reversed differ in the last bit)
-    from scipy import fft
-
     g = make_grid(n, 6.0, N)
     f = random_gaussian_mixture(n, m=m, rng=np.random.default_rng(10 * n + m)).sampled(g)
     times = [0.5, 1.0, 0.25 + 0.1j]
@@ -404,7 +400,7 @@ def test_spectral_states_keep_every_bit(n, N, m):
         symbol = kernel_fourier(t, (g.fourier_axis,))
         product = f.spectrum * reduce(np.multiply.outer, (symbol,) * n)[..., np.newaxis]
         semigroup._flush_subnormals(product)
-        expect = fft.ifftn(product, axes=tuple(range(n)))
+        expect = np.fft.ifftn(product, axes=tuple(range(n)))
         assert np.array_equal(state.values.view(np.uint64), expect.view(np.uint64))
 
 
