@@ -141,6 +141,11 @@ def kernel_fourier(zeta, Xi):
     return np.exp(-z * squared_norm(Xi))
 
 
+# the kernel tail mass beyond the half-extent that grid_for_time sizes grids
+# to by default, and above which an evolution flags its grid as too small
+_TAIL_BUDGET = 1e-10
+
+
 def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
     """Upper bound for the weighted kernel tail ``∫_{|x|>R} (1+|x|)^k |chi| dx``.
 
@@ -159,8 +164,13 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
         raise ValueError(f"zeta argument {ct.argument:.4f} outside the sector of angle {alpha:.4f}")
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
-    K = math.ceil(_checked_exponent(k))
-    a = math.cos(alpha) / (4.0 * ct.modulus)
+    return _majorant_tail(ct.modulus, alpha, R, n, math.ceil(_checked_exponent(k)))
+
+
+def _majorant_tail(r: float, alpha: float, R: float, n: int, K: int) -> float:
+    """The closed form behind :func:`kernel_tail_bound`, unchecked: the tail
+    of the majorant at modulus ``r``, weighted by ``(1+|x|)^K``."""
+    a = math.cos(alpha) / (4.0 * r)
 
     def moment(j):  # the majorant's tail integral of |x|^j
         s = (n + j) / 2.0
@@ -192,25 +202,6 @@ def _gammaincc(s: float, x: float) -> float:
     return q
 
 
-def _gammainccinv(s: float, q: float) -> float:
-    """The ``x >= 0`` with ``Q(s, x) = q`` for ``0 < q <= 1``: bisection on
-    :func:`_gammaincc`, which falls from 1 at ``x = 0``, down to adjacent
-    floats; the end returned is the one with ``Q(s, x) <= q``."""
-    if not 0 < q <= 1:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
-    if q == 1:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while _gammaincc(s, hi) > q:
-        lo, hi = hi, 2.0 * hi
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _gammaincc(s, mid) > q:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _own_tail(zeta, R: float, n: int, k: float) -> float:
     """:func:`kernel_tail_bound` at the angle just above ``|arg zeta|``, where
     the sector majorant is ``|chi_zeta|`` itself: the kernel's own tail."""
@@ -223,22 +214,30 @@ def sample_kernel(zeta, g: Grid) -> Field:
     return sample(g, lambda X: kernel_eval(zeta, X))
 
 
-def grid_for_time(zeta, n: int, tol: float = 1e-10) -> Grid:
+def grid_for_time(zeta, n: int, tol: float = _TAIL_BUDGET) -> Grid:
     """Pick a grid just large and fine enough for kernel quadrature at ``zeta``.
 
-    The half-extent comes from inverting the tail bound at ``tol / 10`` in
-    the sector of angle ``alpha = default_sector_angle(zeta)``; the spacing
-    resolves both the modulus width ``sqrt(2 r / cos(alpha))`` and, for
-    nonreal times, the local oscillation wavelength at the truncation radius.
+    The half-extent is the smallest float ``R`` at which
+    :func:`kernel_tail_bound` in the sector of angle
+    ``alpha = default_sector_angle(zeta)`` is at most ``tol / 10``: an upper
+    end is doubled, then the bound is bisected down to adjacent floats.  The
+    spacing resolves both the modulus width ``sqrt(2 r / cos(alpha))`` and,
+    for nonreal times, the local oscillation wavelength at that radius.
     """
     ct = _require_positive(zeta)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     alpha = default_sector_angle(ct)
     r = ct.modulus
-    a = math.cos(alpha) / (4.0 * r)
-    target = (tol / 10.0) * math.cos(alpha) ** (n / 2.0)
-    R = math.sqrt(_gammainccinv(n / 2.0, min(target, 1.0)) / a)
+
+    def too_short(R):  # the kernel_tail_bound beyond R is above tol / 10
+        return _majorant_tail(r, alpha, R, n, 0) > tol / 10.0
+
+    lo, R = 0.0, 1.0
+    while too_short(R):
+        lo, R = R, 2.0 * R
+    while lo < (mid := 0.5 * (lo + R)) < R:
+        lo, R = (mid, R) if too_short(mid) else (lo, mid)
     sigma = math.sqrt(2.0 * r / math.cos(alpha))
     h = sigma / 12.0
     s = abs(math.sin(ct.argument))

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernel as _kernel
 from .grid_field import Field, Grid, _next_fast_len, read_field_csv, squared_norm, write_field_csv
-from .kernel import _own_tail, _require_positive, as_time
+from .kernel import _TAIL_BUDGET, _own_tail, _require_positive, as_time
 from .weights import _weight
 
 __all__ = [
@@ -47,12 +47,6 @@ __all__ = [
     "write_trajectory",
     "read_trajectory",
 ]
-
-# tail mass beyond the grid half-extent above which apply() flags the grid as
-# too small in the result metadata (never an error: callers may want the
-# degraded result anyway)
-_TAIL_BUDGET = 1e-10
-
 
 class Method(enum.Enum):
     """Numerical path for applying the evolution operator."""
@@ -85,7 +79,8 @@ def _riemann_sum(factors, f: Field) -> np.ndarray:
     grid point ``i`` with zero extension, for every grid parity.  One
     dimension takes the padding and transforms of ``scipy.signal.fftconvolve``
     in 'valid' mode, bit for bit, through ``numpy.fft``, whose 1-D transforms
-    are scipy's; one transform per component (so components that are exact
+    are scipy's: one batched transform along the grid axis, which transforms
+    each component's column on its own (so components that are exact
     multiples of each other stay so); from two dimensions on,
     each axis is one product with the dense Toeplitz matrix
     ``T[i, j] = factor[i-j+N-1] h``, faster than FFTs at these sizes.
@@ -93,12 +88,8 @@ def _riemann_sum(factors, f: Field) -> np.ndarray:
     g = f.grid
     if g.n == 1:
         size = _next_fast_len(3 * g.N - 2)
-        kernel_spectrum = np.fft.fft(factors[0], size)
-        out = np.empty(f.values.shape, dtype=complex)
-        for c in range(f.m):
-            full = np.fft.ifft(kernel_spectrum * np.fft.fft(f.values[:, c], size))
-            out[:, c] = full[g.N - 1 : 2 * g.N - 1]
-        return out * g.h
+        product = np.fft.fft(factors[0], size)[:, None] * np.fft.fft(f.values, size, axis=0)
+        return np.fft.ifft(product, axis=0)[g.N - 1 : 2 * g.N - 1] * g.h
     lag = np.subtract.outer(np.arange(g.N), np.arange(g.N)) + (g.N - 1)
     out = f.values
     for axis, factor in enumerate(factors):

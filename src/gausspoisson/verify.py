@@ -185,6 +185,11 @@ class SuiteConfig:
                 raise ValueError("zeta samples must be nonzero: the kernel is undefined at zeta = 0")
             if ct.value.imag != 0 and not ct.in_sector(self.alpha):
                 raise ValueError(f"zeta sample {z} lies outside the sector of angle {self.alpha}")
+        # each sample names its own report rows, so two that print alike would share them
+        for kind, names in (("zeta", [format_complex(z) for z in self.zetas]), ("ray", [f"{r:g}" for r in self.rays])):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ValueError(f"{kind} samples must have distinct row names; repeated: {repeated}")
         if self.checks is not None:
             unknown = [c for c in self.checks if c not in CHECK_GROUPS]
             if unknown:

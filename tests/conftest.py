@@ -1,9 +1,11 @@
 """Helpers shared by the test modules."""
 
 import os
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 
 def set_cpus(mp, cpus: int) -> None:
@@ -28,3 +30,17 @@ def lattice_points(grid):
     """All lattice points of ``grid``, shape ``(N,)*n + (n,)``, row-major:
     the dense reference for rules, which are given per-axis coordinates."""
     return np.stack(np.meshgrid(*(grid.axis,) * grid.n, indexing="ij"), axis=-1)
+
+
+@pytest.fixture(autouse=True)
+def _mpmath_precision_restored():
+    """Fail a test that leaves mpmath's working precision changed, which
+    would carry over to every later test; mpmath is read only if loaded."""
+
+    def dps():
+        mpmath = sys.modules.get("mpmath")
+        return mpmath.mp.dps if mpmath else 15  # mpmath's default precision
+
+    before = dps()
+    yield
+    assert dps() == before, "the test left mpmath.mp.dps changed"

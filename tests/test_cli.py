@@ -186,12 +186,13 @@ def test_verify_bad_config_exits_two(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert main(["verify", "--config", str(tmp_path / "none.cfg"), "--out", str(tmp_path / "r")]) == 2
     # continuity geometry, the interior margin, the grid, the seed, the time
-    # samples, the weight exponent and the tolerances are rejected when the
-    # config is parsed, before any check runs
+    # samples, samples that would name the same report rows, the weight
+    # exponent and the tolerances are rejected when the config is parsed,
+    # before any check runs
     for bad in (
         "rays=1.3", "radii=0.25,0.5", "radii=", "margin=0.6", "grid.N=1", "grid.L=0", "grid.L=inf",
         "seed=-1", "zetas=0,1", "zetas=1,inf", "radii=inf,0.5", "tol.contour=nan", "tol.contour=-1",
-        "zetas=", "rays=", "space.k=inf",
+        "zetas=", "rays=", "space.k=inf", "zetas=1,1,0.25", "rays=0,0", "rays=0.1,0.1000001",
     ):
         cfg.write_text(FAST + bad + "\n")
         out = tmp_path / "bad"

@@ -523,6 +523,9 @@ def test_read_field_csv_rejects_malformed(tmp_path):
     path.write_text("x1,re_1,im_1\n0,1,0\n1,1,0\n")  # lattice not centered
     with pytest.raises(ValueError):
         read_field_csv(path)
+    path.write_text("x1,x2,re_1,im_1\n" + "0,0,1,0\n" * 5)  # 5 rows are no N^2 lattice
+    with pytest.raises(ValueError, match="5 rows do not form an N\\^2 lattice"):
+        read_field_csv(path)
 
 
 def test_read_field_csv_rejects_empty_files(tmp_path):

@@ -23,7 +23,7 @@ from gausspoisson import (
     sample_kernel,
 )
 from gausspoisson.generator import _stencil
-from gausspoisson.kernel import _gammaincc, _gammainccinv
+from gausspoisson.kernel import _gammaincc
 from gausspoisson.verify import DEFAULT_ZETAS
 
 from conftest import lattice_points, traced_peak
@@ -282,27 +282,28 @@ def test_gammaincc_closed_form_against_mpmath():
             _gammaincc(s, x)
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
-def test_gammainccinv_round_trips(s):
-    for q in (1e-300, 1e-12, 1e-11 * math.cos(1.2) ** 1.5, 0.3, 1 - 1e-9):
-        x = _gammainccinv(s, q)
-        assert _gammaincc(s, x) == pytest.approx(q, rel=1e-12)
-        assert _gammaincc(s, x) <= q < _gammaincc(s, math.nextafter(x, 0.0))  # the end at or below q
-    assert _gammainccinv(s, 1.0) == 0.0
-    for q in (0.0, 1.5, math.nan):
-        with pytest.raises(ValueError):
-            _gammainccinv(s, q)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_for_time_keeps_the_grids_of_scipys_inverse(n):
+    # the grids of the closed-form inversion, R = sqrt(Q^-1(n/2, tol/10 cos^(n/2)) / a)
+    special = pytest.importorskip("scipy.special")
+    for z in DEFAULT_ZETAS:
+        alpha, r = default_sector_angle(z), abs(complex(z))
+        a = math.cos(alpha) / (4.0 * r)
+        R = math.sqrt(float(special.gammainccinv(n / 2.0, 1e-11 * math.cos(alpha) ** (n / 2.0))) / a)
+        h = math.sqrt(2.0 * r / math.cos(alpha)) / 12.0
+        if complex(z).imag:
+            h = min(h, math.pi * r / (2.0 * R * abs(math.sin(as_time(z).argument))))
+        g = grid_for_time(z, n)
+        assert g.N == 2 * math.ceil(R / h) + 1
+        assert g.L == pytest.approx(R, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_grid_for_time_keeps_the_grids_of_scipys_inverse(monkeypatch, n):
-    special = pytest.importorskip("scipy.special")
-    grids = [grid_for_time(z, n) for z in DEFAULT_ZETAS]
-    monkeypatch.setattr("gausspoisson.kernel._gammainccinv", lambda s, q: float(special.gammainccinv(s, q)))
-    for z, g in zip(DEFAULT_ZETAS, grids):
-        expect = grid_for_time(z, n)
-        assert g.N == expect.N
-        assert g.L == pytest.approx(expect.L, rel=1e-12)
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-6])
+def test_grid_for_time_takes_the_smallest_half_extent_within_the_budget(n, tol):
+    for z in DEFAULT_ZETAS:
+        L, alpha = grid_for_time(z, n, tol=tol).L, default_sector_angle(z)
+        assert kernel_tail_bound(z, alpha, L, n, 0) <= tol / 10 < kernel_tail_bound(z, alpha, math.nextafter(L, 0), n, 0)
 
 
 def test_weighted_tail_bound_monotone_in_radius_and_exponent():
@@ -320,14 +321,14 @@ def test_weighted_tail_bound_against_mpmath(n, k):
     # |S^(n-1)| (4 pi r)^(-n/2) ∫_R^inf (1+rho)^k rho^(n-1) e^(-a rho^2) d rho;
     # exact for integer k, above it for others
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
     for zeta, alpha, R in ((1.0, 0.1, 6.0), (np.exp(1j * np.pi / 4), 0.9, 12.0), (0.25, 0.3, 1.0)):
-        r = mpmath.mpf(abs(zeta))
-        a = mpmath.cos(alpha) / (4 * r)
-        sphere = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
-        density = lambda rho: (1 + rho) ** k * rho ** (n - 1) * mpmath.exp(-a * rho**2)
-        radial = mpmath.quad(density, [R, R + 10, mpmath.inf])
-        exact = float(sphere * (4 * mpmath.pi * r) ** (-mpmath.mpf(n) / 2) * radial)
+        with mpmath.workdps(30):
+            r = mpmath.mpf(abs(zeta))
+            a = mpmath.cos(alpha) / (4 * r)
+            sphere = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+            density = lambda rho: (1 + rho) ** k * rho ** (n - 1) * mpmath.exp(-a * rho**2)
+            radial = mpmath.quad(density, [R, R + 10, mpmath.inf])
+            exact = float(sphere * (4 * mpmath.pi * r) ** (-mpmath.mpf(n) / 2) * radial)
         bound = kernel_tail_bound(zeta, alpha, R, n, k)
         if float(k).is_integer():
             assert bound == pytest.approx(exact, rel=1e-12)

@@ -252,6 +252,8 @@ def test_trajectory_validation():
     other = sample(make_grid(1, 6.0, 65), lambda X: 0.0)
     with pytest.raises(ValueError):
         Trajectory((0.0, 1.0), (GAUSSIAN, other))
+    with pytest.raises(ValueError, match="2 times but 1 states"):
+        Trajectory((0.0, 1.0), (GAUSSIAN,))
 
 
 def test_trajectory_checks_times_before_evolving(monkeypatch):
@@ -277,7 +279,8 @@ def test_trajectory_round_trip(tmp_path):
     assert back.times == traj.times
     for a, b in zip(back.states, traj.states):
         assert np.array_equal(a.values, b.values)
-    # reading the directory finds the index
+    # reading the directory finds the index; a blank line in it is skipped
+    index.write_text(index.read_text().replace("\n", "\n\n", 1))
     again = read_trajectory(tmp_path / "run")
     assert again.times == traj.times
 
@@ -287,6 +290,10 @@ def test_read_trajectory_rejects_bad_index(tmp_path):
     bad.write_text("time,file\n")
     with pytest.raises(ValueError):
         read_trajectory(bad)
+    index = write_trajectory(trajectory(GAUSSIAN, [0.0]), tmp_path / "run")
+    index.write_text(index.read_text() + "0.5,state_0000.csv,extra\n")
+    with pytest.raises(ValueError, match="malformed row"):
+        read_trajectory(index)
 
 
 @pytest.mark.parametrize("times, bad", [((0.5, np.nan), "nan"), ((np.nan, 1.0), "nan"), ((0.5, np.inf), "inf")])

@@ -68,6 +68,8 @@ def test_suite_config_validation():
         SuiteConfig(alpha=2.0)  # not below pi/2
     with pytest.raises(ValueError):
         SuiteConfig(alpha=0.1)  # default complex samples fall outside
+    with pytest.raises(ValueError, match="zeta sample .* outside the sector"):
+        SuiteConfig(zetas=(np.exp(1.3j),))
     with pytest.raises(ValueError):
         SuiteConfig(checks=("no-such-group",))
     with pytest.raises(ValueError):
@@ -408,6 +410,15 @@ def test_crashing_unit_fails_all_its_rows(monkeypatch):
         line for line in lines if line.startswith("FAIL  holomorphy")
     ]
     assert "holomorphy broke" not in report.to_csv_text()
+
+
+def test_a_unit_whose_residual_is_no_number_fails_its_rows(monkeypatch):
+    monkeypatch.setattr(verify.kernelmod, "fourier_symbol_residual", lambda zeta, g: 1j)
+    report = run_suite(SuiteConfig(checks=("fourier-symbol",)))
+    assert report.results
+    for r in report.results:
+        assert r.residual == math.inf and not r.passed
+        assert r.meta["error"].startswith("TypeError(")
 
 
 # 2-D N=65: 4225 points, above the grid size from which run_suite starts

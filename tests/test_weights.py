@@ -95,10 +95,11 @@ def test_space_spec_rejects_infinite_p():
         SpaceSpec.make(0, "Lp", math.inf)
 
 
-@pytest.mark.parametrize("c, norm", [(10.0, 10.052511032879064), (1e-3, 1.0052511032879064e-3)])
+@pytest.mark.parametrize("c, norm", [(10.0, 10.052511032879064), (1e-3, 1.0052511032879064e-3), (0.0, 0.0)])
 def test_lp_norm_at_large_p_neither_overflows_nor_underflows(c, norm):
     # c^400 overflows at c=10 and underflows at c=1e-3; the norm of the
-    # constant is c times (sum of h over the 65 points)^(1/p) = c 8.125^(1/400)
+    # constant is c times (sum of h over the 65 points)^(1/p) = c 8.125^(1/400),
+    # and 0 for the zero field, whose sum also falls below the normal range
     g = make_grid(1, 4.0, 65)
     f = sample(g, lambda X: c)
     assert weighted_norm(f, SpaceSpec.make(0, "Lp", 400)) == pytest.approx(norm, rel=1e-12)
