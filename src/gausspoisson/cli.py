@@ -21,6 +21,9 @@ from .grid_field import read_field_csv, sample, write_field_csv
 from .semigroup import apply, trajectory, write_trajectory
 from .verify import (
     SuiteConfig,
+    _g17,
+    _joined,
+    _list_of,
     continuity_scan,
     format_complex,
     parse_complex,
@@ -88,10 +91,6 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _fmt_times(times) -> str:
-    return ",".join(format(t, ".17g") for t in times)
-
-
 def _cmd_evolve(args) -> int:
     cfg = _load(args)
     if (args.rule is None) == (args.input is None):
@@ -123,9 +122,9 @@ def _cmd_evolve(args) -> int:
         write_field_csv(result, _out_dir(args.out) / "field.csv")
         effective["evolve.zeta"] = format_complex(zeta)
     else:
-        times = tuple(float(part) for part in args.times.split(",") if part.strip())
+        times = _list_of(float)(args.times)
         write_trajectory(trajectory(f, times, method=method), args.out)
-        effective["evolve.times"] = _fmt_times(times)
+        effective["evolve.times"] = _joined(_g17)(times)
 
     write_config(effective, Path(args.out) / "effective.cfg")
     return 0

@@ -8,7 +8,6 @@ is the discrete stand-in for a function ``R^n -> C^m``.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from typing import Callable
@@ -197,13 +196,20 @@ def interior_slices(grid: Grid, margin: float) -> tuple[slice, ...]:
 # shortest decimal that reads back to the same double, as orjson writes it
 # (Ryu): ``0.1``, ``1.0``, ``-0.0``, ``1e16``, ``5e-324``.
 
-# Rows per block: bounds the write's and the read's temporaries.
+# Rows per block: bounds the write's temporaries.
 _CSV_BLOCK_ROWS = 4096
 
 
 def _csv_header(n: int, m: int) -> str:
     """The field CSV header ``x1,...,xn,re_1,im_1,...,re_m,im_m``."""
     return ",".join([f"x{i + 1}" for i in range(n)] + [f"{part}_{c + 1}" for c in range(m) for part in ("re", "im")])
+
+
+def _lattice_coordinates(g: Grid, start: int, stop: int) -> np.ndarray:
+    """The points of rows ``start`` to ``stop`` of the row-major lattice,
+    shape ``(stop - start, n)``: coordinate ``j`` of row ``r`` is
+    ``axis[(r // N^(n-1-j)) % N]``."""
+    return g.axis[np.stack(np.unravel_index(np.arange(start, stop), g.shape), axis=1)]
 
 
 def write_field_csv(f: Field, path) -> None:
@@ -216,14 +222,11 @@ def write_field_csv(f: Field, path) -> None:
     g = f.grid
     # complex values viewed as floats are re_1, im_1, ..., re_m, im_m
     values = f.values.reshape(-1, f.m).view(float)
-    # coordinate j of row r is axis[(r // N^(n-1-j)) % N]
-    strides = g.N ** np.arange(g.n - 1, -1, -1)
     with open(path, "wb") as fh:
         fh.write((_csv_header(g.n, f.m) + "\r\n").encode())
         for start in range(0, g.size, _CSV_BLOCK_ROWS):
             block = values[start : start + _CSV_BLOCK_ROWS]
-            rows = np.arange(start, start + len(block))[:, None]
-            block = np.concatenate([g.axis[rows // strides % g.N], block], axis=1)
+            block = np.concatenate([_lattice_coordinates(g, start, start + len(block)), block], axis=1)
             # [[a,b],[c,d]] -> a,b CRLF c,d CRLF
             text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
             fh.write(b"\r\n".join(text[2:-2].split(b"],[")) + b"\r\n")
@@ -231,142 +234,105 @@ def write_field_csv(f: Field, path) -> None:
 
 # -- CSV reading --------------------------------------------------------------
 #
-# ``np.loadtxt`` converts each value on its own, holding the interpreter lock:
-# about 0.45 s for a 263169x6 body.  A body of plain JSON numbers, which is
-# what ``write_field_csv`` writes, is parsed by orjson instead, in pieces of
-# about ``_READ_PIECE`` bytes cut at a line end: one ``orjson.loads`` of
-# ``[`` + the piece with its line ends made commas + ``]`` per piece, into a
-# table sized by a first pass that counts the lines.  orjson and loadtxt both
-# round each decimal correctly; the one text they read differently is ``-0``,
-# a JSON integer whose sign orjson drops, so each zero takes the sign of its
-# text.  Any other body goes to loadtxt whole, so that every file keeps its
-# result and every error its message: a byte outside the number alphabet
-# (spaces, ``#``, ``inf``), a CR that does not end a line, a line with another
-# column count, a cell that is not a JSON number (blank lines, ``+1``, ``1.``,
-# ``.5``, ``01``), a value that overflows, or a line longer than a piece.
+# The body is read in pieces of about ``_READ_PIECE`` bytes cut at a line end
+# and parsed by orjson: one ``orjson.loads`` of ``[`` + the piece with its line
+# ends made commas + ``]`` per piece, copied into the value array, which a
+# first pass that counts the lines sizes.  orjson rounds each decimal
+# correctly; ``-0``, which earlier versions wrote for a negative zero, is a
+# JSON integer whose sign orjson drops, so each zero takes the sign of its
+# text.
 
 # Bytes per piece.  A piece's text, its values as Python floats and their
-# array are alive together, about 0.4 MB.  256 KB pieces parse a 263169x6
-# body a few per cent faster, but a read of a 257^2, m=2 field then peaks at
-# 2.2 times its value array, against 1.8.
+# array are alive together, about 0.4 MB.
 _READ_PIECE = 1 << 16
 _NUMBER_BYTES = b"0123456789.+-eE,\r\n"
 
 
-def _json_piece(piece: bytes, cols: int) -> np.ndarray | None:
-    """The values of ``piece``, whole lines each ended by an LF, or None
-    unless each line holds ``cols`` JSON numbers."""
+def _json_piece(piece: bytes, cols: int, row: int = 1) -> np.ndarray:
+    """The ``(lines, cols)`` values of ``piece``: whole lines, each ended by
+    an LF or CRLF and holding ``cols`` JSON numbers.  Raises ``ValueError``
+    naming the first line that does not, counted from ``row``."""
     import orjson  # imported on use: only field CSV I/O needs it
 
-    if piece.translate(None, _NUMBER_BYTES):
-        return None
     text = np.frombuffer(piece, np.uint8)
-    # each cell ends at a comma or LF; every cols-th end, and no other, is an LF
+    # each cell ends at a comma or LF
     ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
-    lines, extra = divmod(len(ends), cols)
     line_end = text[ends] == ord("\n")
-    if extra or np.count_nonzero(line_end) != lines or not line_end[cols - 1 :: cols].all():
-        return None
-    # loadtxt ends a line at a lone CR
-    if np.count_nonzero(text == ord("\r")) != np.count_nonzero(text[ends[cols - 1 :: cols] - 1] == ord("\r")):
-        return None
+    lines = np.count_nonzero(line_end)
     try:
-        values = np.array(orjson.loads(b"[" + piece.replace(b"\n", b",")[:-1] + b"]"), dtype=float)
-    except orjson.JSONDecodeError:
-        return None
-    zeros = np.flatnonzero(values == 0)
+        # orjson takes spaces, tabs and CRs between cells: only number bytes
+        # are let through, a CR only right before an LF, and an LF at every
+        # cols-th cell end and nowhere else
+        if (
+            piece.translate(None, _NUMBER_BYTES)
+            or np.count_nonzero(text == ord("\r")) != np.count_nonzero(text[ends[line_end] - 1] == ord("\r"))
+            or len(ends) != lines * cols
+            or not line_end[cols - 1 :: cols].all()
+        ):
+            raise ValueError
+        cells = orjson.loads(b"[" + piece.replace(b"\n", b",")[:-1] + b"]")
+        values = np.fromiter(cells, float, len(cells)).reshape(lines, cols)  # a lone blank line is "[]"
+    except ValueError:  # orjson.JSONDecodeError is one too
+        if lines > 1:  # the first bad line raises, naming its own row
+            for i, line in enumerate(piece[:-1].split(b"\n")):
+                _json_piece(line + b"\n", cols, row + i)
+        raise ValueError(f"data row {row} is not {cols} comma-separated JSON numbers") from None
+    flat = values.reshape(-1)
+    zeros = np.flatnonzero(flat == 0)
     if zeros.size:  # -0 is a JSON integer, read as 0
         starts = np.where(zeros > 0, ends[zeros - 1] + 1, 0)
-        values[zeros[text[starts] == ord("-")]] = -0.0
+        flat[zeros[text[starts] == ord("-")]] = -0.0
     return values
 
 
-def _json_table(path, header: str) -> np.ndarray | None:
-    """The body of the field CSV at ``path``, whose first line is ``header``,
-    as a float table parsed by orjson, or None if the body is not plain JSON
-    numbers with the header's column count on every line."""
-    cols = header.count(",") + 1
-    head = header.encode()
+def read_field_csv(path) -> Field:
+    """The field stored at ``path`` by :func:`write_field_csv`, bit for bit.
+
+    The file must be in the writer's format: its header, with ``n >= 1``
+    coordinates and ``m >= 1`` components, then one line of ``n + 2m`` JSON
+    numbers per lattice point, each ended by an LF or CRLF (the last one
+    optional), whose coordinates are a row-major uniform lattice on
+    ``[-L, L]^n`` (within ``1e-12 * max(1, L)``).  Raises ``ValueError`` for
+    any other file, naming the data row, counted from 1, where the body
+    leaves that format.
+    """
     with open(path, "rb") as fh:
-        if fh.readline(len(head) + 2) not in (head + b"\r\n", head + b"\n"):
-            return None
-        body = fh.tell()
+        line = fh.readline()
+        header = line.removesuffix(b"\n").removesuffix(b"\r").decode(errors="replace")
+        names = header.split(",")
+        n = sum(1 for name in names if name.startswith("x"))
+        m = (len(names) - n) // 2
+        if n < 1 or m < 1 or header != _csv_header(n, m):
+            raise ValueError(f"malformed field CSV header: {header[:200]!r}")
         rows = 0
         last = b"\n"
         while piece := fh.read(_READ_PIECE):
             rows += np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
             last = piece[-1:]
         rows += last != b"\n"  # a last line without its line end
-        table = np.empty((rows, cols))
-        flat = table.reshape(-1)
+        if rows == 0:
+            raise ValueError(f"field CSV {path} has a header but no data rows")
+        N = round(rows ** (1.0 / n))
+        if N**n != rows:
+            raise ValueError(f"{rows} rows do not form an N^{n} lattice")
+        values = np.empty((rows, 2 * m))
         done = 0
-        fh.seek(body)
+        fh.seek(len(line))
         while piece := fh.read(_READ_PIECE):
-            if len(piece) < _READ_PIECE and not piece.endswith(b"\n"):
-                piece += b"\n"  # the end of the file ends the last line
+            while b"\n" not in piece and (more := fh.read(_READ_PIECE)):
+                piece += more  # a line longer than a piece
+            if b"\n" not in piece:  # the end of the file ends the last line
+                piece += b"\n"
             end = piece.rfind(b"\n") + 1
-            if end == 0:  # a line longer than a piece
-                return None
             fh.seek(end - len(piece), os.SEEK_CUR)
-            values = _json_piece(piece[:end], cols)
-            if values is None or done + values.size > flat.size:
-                return None
-            flat[done : done + values.size] = values
-            done += values.size
-    return table if done == flat.size else None
-
-
-def read_field_csv(path) -> Field:
-    """The field stored at ``path`` by :func:`write_field_csv`, bit for bit.
-
-    The header must be the writer's, with ``n >= 1`` coordinates and
-    ``m >= 1`` components, and the coordinates a row-major uniform lattice
-    on ``[-L, L]^n`` (within ``1e-12 * max(1, L)``).  A body of plain JSON
-    numbers is parsed by orjson, any other by ``np.loadtxt``, which also
-    names the row of a malformed line.  Raises ``ValueError`` for a file
-    that is not a field CSV.
-    """
-    with open(path) as fh:
-        names = fh.readline().rstrip("\n").split(",")
-    n = sum(1 for name in names if name.startswith("x"))
-    m = (len(names) - n) // 2
-    if n < 1 or m < 1 or ",".join(names) != _csv_header(n, m):
-        raise ValueError(f"malformed field CSV header: {names}")
-    table = _json_table(path, _csv_header(n, m))
-    if table is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no data rows: rejected below
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    rows = len(table)
-    if rows == 0:
-        raise ValueError(f"field CSV {path} has a header but no data rows")
-    # loadtxt rejects a row whose column count differs from the first row's
-    if table.shape[1] != len(names):
-        raise ValueError(f"the number of columns changed from {len(names)} to {table.shape[1]} at row 1;")
-    N = round(rows ** (1.0 / n))
-    if N**n != rows:
-        raise ValueError(f"{rows} rows do not form an N^{n} lattice")
-    grid = make_grid(n, -table[0, 0], N)
-    # axis by axis: column i of a row-major lattice runs over the axis along
-    # its own dimension, constant along the others; one column-sized
-    # temporary at a time
-    atol = 1e-12 * max(1.0, grid.L)
-    for i in range(n):
-        gap = table[:, i].reshape(N**i, N, -1) - grid.axis[:, None]
-        if not np.all(np.abs(gap, out=gap) <= atol):
-            raise ValueError("CSV coordinates are not a row-major uniform lattice")
-        del gap
-    # the value columns move to the front of the table's own buffer; block
-    # [a, b) lands below row b, so no row is overwritten before it is moved
-    width = 2 * m
-    flat = table.reshape(-1)
-    for a in range(0, rows, _CSV_BLOCK_ROWS):
-        b = min(a + _CSV_BLOCK_ROWS, rows)
-        flat[a * width : b * width] = table[a:b, n:].ravel()
-    del flat
-    # no view of table is left (flat and the column slices are gone), so the
-    # reference check, which a profile hook holding a bound method of table
-    # trips, is off
-    table.resize(rows * width, refcheck=False)
-    vals = table.view(complex)  # keeps the sign of a zero
+            table = _json_piece(piece[:end], n + 2 * m, done + 1)
+            if done == 0:
+                grid = make_grid(n, -table[0, 0], N)
+                atol = 1e-12 * max(1.0, grid.L)
+            gap = table[:, :n] - _lattice_coordinates(grid, done, done + len(table))
+            if np.abs(gap, out=gap).max() > atol:
+                raise ValueError("CSV coordinates are not a row-major uniform lattice")
+            values[done : done + len(table)] = table[:, n:]
+            done += len(table)
+    vals = values.view(complex)  # keeps the sign of a zero
     return Field(grid, vals.reshape(grid.shape + (m,)))

@@ -220,13 +220,15 @@ def grid_for_time(zeta, n: int, tol: float = _TAIL_BUDGET) -> Grid:
     The half-extent is the smallest float ``R`` at which
     :func:`kernel_tail_bound` in the sector of angle
     ``alpha = default_sector_angle(zeta)`` is at most ``tol / 10``: an upper
-    end is doubled, then the bound is bisected down to adjacent floats.  The
-    spacing resolves both the modulus width ``sqrt(2 r / cos(alpha))`` and,
+    end is doubled, then the bound is bisected down to adjacent floats;
+    ``tol`` must lie in ``(0, 1)``.  The spacing resolves both the modulus width ``sqrt(2 r / cos(alpha))`` and,
     for nonreal times, the local oscillation wavelength at that radius.
     """
     ct = _require_positive(zeta)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    # a budget under the kernel's unit mass: the bound at R = 0,
+    # cos(alpha)^(-n/2) >= 1, is then above tol / 10, as the bisection needs
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     alpha = default_sector_angle(ct)
     r = ct.modulus
 

@@ -57,9 +57,13 @@ def test_grid_requires_finite_half_extent(tmp_path):
     for L in (np.inf, np.nan):
         with pytest.raises(ValueError, match="half-extent"):
             make_grid(1, L, 5)
-    # a field CSV whose first coordinate is infinite has no grid either
+    # a field CSV whose first coordinate is infinite is not a field CSV, and
+    # one whose grid would overflow has no grid either
     path = tmp_path / "inf.csv"
     path.write_text("x1,re_1,im_1\n-inf,1,0\ninf,1,0\n")
+    with pytest.raises(ValueError, match="data row 1 "):
+        read_field_csv(path)
+    path.write_text("x1,re_1,im_1\n-1e200,1,0\n1e200,1,0\n")
     with pytest.raises(ValueError, match="half-extent"):
         read_field_csv(path)
 
@@ -204,8 +208,7 @@ def test_field_csv_round_trip_is_exact(tmp_path):
      (3, 17, 2)],
 )
 def test_field_csv_round_trip_is_exact_around_the_block_size(tmp_path, n, N, m):
-    # the reader moves the values to the front of loadtxt's table in blocks
-    # of _CSV_BLOCK_ROWS rows
+    # the writer works in blocks of _CSV_BLOCK_ROWS rows
     g = make_grid(n, 1.5, N)
     rng = np.random.default_rng(N + m)
     vals = rng.standard_normal(g.shape + (m,)) + 1j * rng.standard_normal(g.shape + (m,))
@@ -378,6 +381,7 @@ def test_write_field_csv_edge_values_are_shortest_round_trip(tmp_path):
     text = path.read_bytes()
     for cell in (b"-0.0", b"0.0", b"5e-324", b"-1.7976931348623157e308", b"1e16", b"1e-300"):
         assert b"," + cell + b"," in text or b"," + cell + b"\r\n" in text, cell
+    assert np.array_equal(read_field_csv(path).values.view(np.uint64), f.values.view(np.uint64))
 
 
 # an evolve-2d-csv field on a quarter of its grid (n=2, N=257, m=2)
@@ -405,17 +409,18 @@ def test_write_field_csv_builds_no_point_array(tmp_path):
 
 def test_read_field_csv_holds_one_value_array(tmp_path):
     # loadtxt's float table next to a complex copy peaked at 2.6 times the
-    # value array; the coordinates take half of it at n=2, m=2
+    # value array, and a whole table with the coordinates at 1.8; the values
+    # are now parsed piece by piece into the field's own array
     f = PEAK_MIXTURE.sampled(PEAK_GRID)
     write_field_csv(f, tmp_path / "f.csv")
     back, peak = traced_peak(lambda: read_field_csv(tmp_path / "f.csv"))
-    assert peak < 2.3 * f.values.nbytes
+    assert peak < 1.3 * f.values.nbytes
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 
 def test_read_field_csv_runs_under_a_profiler(tmp_path):
-    # a profile hook holds the bound method table.resize while it runs, which
-    # the resize's reference check took for a view of the table
+    # a profile hook holds bound methods of the arrays it sees, so a read must
+    # not depend on an array's reference count (evolve --input under cProfile)
     import cProfile
 
     f = random_gaussian_mixture(2, m=2, rng=np.random.default_rng(5)).sampled(make_grid(2, 6.0, 33))
@@ -448,10 +453,8 @@ def _short(line: bytes) -> bytes:
     [
         lambda ls: b"\r\n".join(ls),  # no line end after the last row
         lambda ls: b"\n".join(ls) + b"\n",
-        lambda ls: b"\r".join(ls) + b"\r",
-        lambda ls: b"\r\n".join(ls[:2] + [b""] + ls[2:4097] + [b"", b""] + ls[4097:] + [b""]),  # blank lines
     ],
-    ids=["no-final-line-end", "lf", "cr", "blank-lines"],
+    ids=["no-final-line-end", "lf"],
 )
 def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
     path = tmp_path / "f.csv"
@@ -461,28 +464,28 @@ def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit, row",
     [
-        # data row 4098 is the second row of the second block
-        (lambda ls: ls[:4098] + [_short(ls[4098])] + ls[4099:], "changed from 4 to 3 at row 4098;"),
-        (lambda ls: ls[:4097] + [_short(ls[4097])] + ls[4098:], "changed from 4 to 3 at row 4097;"),
-        (lambda ls: ls[:4097] + [_short(line) for line in ls[4097:]], "changed from 4 to 3 at row 4097;"),
-        (lambda ls: ls[:3] + [b""] + ls[3:4098] + [_short(ls[4098])] + ls[4099:], "changed from 4 to 3 at row 4098;"),
-        (lambda ls: ls[:5] + [ls[5] + b",1"] + ls[6:], "changed from 4 to 5 at row 5;"),
+        # data row 4098 is the second row of the second block of 4096 rows
+        (lambda ls: ls[:4098] + [_short(ls[4098])] + ls[4099:], 4098),
+        (lambda ls: ls[:4097] + [_short(ls[4097])] + ls[4098:], 4097),
+        (lambda ls: ls[:4097] + [_short(line) for line in ls[4097:]], 4097),
+        # a blank line is a bad row too; a line is dropped to keep 65^2 rows
+        (lambda ls: ls[:3] + [b""] + ls[3:4098] + [_short(ls[4098])] + ls[4100:], 3),
+        (lambda ls: ls[:5] + [ls[5] + b",1"] + ls[6:], 5),
         # the same number of values in all, one too many on row 5
-        (lambda ls: ls[:5] + [ls[5] + b",1", _short(ls[6])] + ls[7:], "changed from 4 to 5 at row 5;"),
-        (lambda ls: ls[:1] + [_short(line) for line in ls[1:]], "changed from 4 to 3 at row 1;"),
-        # loadtxt counts the rows of a conversion error from 0
-        (lambda ls: ls[:4098] + [ls[4098].replace(b",", b",x", 1)] + ls[4099:], "at row 4097, column 2"),
+        (lambda ls: ls[:5] + [ls[5] + b",1", _short(ls[6])] + ls[7:], 5),
+        (lambda ls: ls[:1] + [_short(line) for line in ls[1:]], 1),
+        (lambda ls: ls[:4098] + [ls[4098].replace(b",", b",x", 1)] + ls[4099:], 4098),
     ],
     ids=["short-row-4098", "short-row-4097", "short-block", "blank-then-short", "long-row", "long-then-short",
          "all-short", "text-cell"],
 )
-def test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, message):
+def test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, row):
     path = tmp_path / "f.csv"
     _, lines = edge_file_lines(path)
     path.write_bytes(b"\r\n".join(edit(lines)) + b"\r\n")
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=f"data row {row} is not 4 comma-separated JSON numbers"):
         read_field_csv(path)
 
 
@@ -580,6 +583,8 @@ JSON_CELLS = [b"0", b"-0", b"5e-324", b"2.2250738585072009e-308", b"1.7976931348
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
 def test_json_table_matches_loadtxt_bit_for_bit(tmp_path_factory, data):
+    # loadtxt is the oracle: the piece parser reads every body of JSON numbers
+    # to the same bits
     table = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 7)), elements=finite_doubles))
     rows, cols = table.shape
     out = tmp_path_factory.mktemp("json")
@@ -590,87 +595,42 @@ def test_json_table_matches_loadtxt_bit_for_bit(tmp_path_factory, data):
                                                    st.sampled_from(JSON_CELLS)), max_size=10)):
         lines[r][c] = cell
     line_end = data.draw(st.sampled_from([b"\r\n", b"\n"]))
-    body = line_end.join(b",".join(line) for line in lines) + data.draw(st.sampled_from([line_end, b""]))
-    header = ",".join(f"c{j}" for j in range(cols))
+    body = b"".join(b",".join(line) + line_end for line in lines)
     path = out / "f.csv"
-    path.write_bytes(header.encode() + line_end + body)
-    fast = grid_field._json_table(path, header)
-    assert fast is not None
-    expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    path.write_bytes(body)
+    fast = grid_field._json_piece(body, cols)
+    expected = np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
     assert np.array_equal(fast.view(np.uint64), expected.view(np.uint64))
 
 
 def test_json_table_reads_pieces_at_line_ends(monkeypatch, tmp_path):
-    # lines cut by a piece's end are read whole with the next piece; a line
-    # longer than a piece sends the file to loadtxt
-    monkeypatch.setattr(grid_field, "_READ_PIECE", 4096)
-    f, _ = edge_file_lines(tmp_path / "f.csv")
-    back = read_field_csv(tmp_path / "f.csv")
-    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
-    monkeypatch.setattr(grid_field, "_READ_PIECE", 64)
-    assert grid_field._json_table(tmp_path / "f.csv", "x1,x2,re_1,im_1") is None
-
-
-def test_written_files_never_reach_loadtxt(monkeypatch, tmp_path):
-    # every file the writer writes is plain JSON numbers, the edge values too
-    def loadtxt(*args, **kwargs):
-        raise AssertionError("np.loadtxt read a written file")
-
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
-    rng = np.random.default_rng(17)
-    fields = [edge_field(), golden_field(), Field(make_grid(1, 2.0, 3), np.zeros(3))]
-    fields += [random_gaussian_mixture(n, m=m, rng=rng).sampled(make_grid(n, 6.0, N)) for n, m, N in
-               ((1, 1, 4097), (2, 2, 65), (3, 1, 17))]
-    for f in fields:
-        write_field_csv(f, tmp_path / "f.csv")
-        back = read_field_csv(tmp_path / "f.csv")
+    # lines cut by a piece's end are read whole with the next piece, and a
+    # line longer than a piece grows the piece until it is whole; rows are
+    # counted across pieces
+    path = tmp_path / "f.csv"
+    f, lines = edge_file_lines(path)
+    assert min(map(len, lines[1:])) > 16  # every line is longer than the smallest piece
+    for piece in (4096, 64, 16):
+        monkeypatch.setattr(grid_field, "_READ_PIECE", piece)
+        path.write_bytes(b"\r\n".join(lines))
+        back = read_field_csv(path)
         assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
-
-
-def _read_outcome(path):
-    """What ``read_field_csv`` gives: the bits of the values or the error's
-    type and message."""
-    try:
-        return read_field_csv(path).values.ravel().view(np.uint64).tolist()
-    except ValueError as exc:
-        return type(exc), str(exc)
+        path.write_bytes(b"\r\n".join(lines[:4098] + [_short(lines[4098])] + lines[4099:]))
+        with pytest.raises(ValueError, match="data row 4098 is not"):
+            read_field_csv(path)
 
 
 @pytest.mark.parametrize(
-    "row, outcome",
-    [
-        (b"0,+1,0", [1.0, 1.0, 1.0]),
-        (b"0,1.,0", [1.0, 1.0, 1.0]),
-        (b"0,.5,0", [1.0, 0.5, 1.0]),
-        (b"0,01,0", [1.0, 1.0, 1.0]),
-        (b"0,inf,0", "non-finite field value"),
-        (b"0,nan,0", "non-finite field value"),
-        (b"0, 1 ,0", [1.0, 1.0, 1.0]),
-        (b"0,\t1,0", [1.0, 1.0, 1.0]),
-        (b"\r\n0,1,0", [1.0, 1.0, 1.0]),  # a blank line
-        (b"#0,1,0", "could not convert string '#0' to float64 at row 1, column 1."),
-        (b"0,1", "changed from 3 to 2 at row 2;"),
-        (b"0,one,0", "could not convert string 'one' to float64 at row 1, column 2."),
-        (b"0,1e400,0", "non-finite field value"),
-        (b"0,\r1,0", "changed from 3 to 2 at row 2;"),  # loadtxt ends a line at a lone CR
-    ],
+    "row",
+    [b"0,+1,0", b"0,1.,0", b"0,.5,0", b"0,01,0", b"0,inf,0", b"0,nan,0", b"0, 1 ,0", b"0,\t1,0", b"\r\n0,1,0",
+     b"#0,1,0", b"0,1", b"0,one,0", b"0,1e400,0", b"0,\r1,0", b"0,1,0\r1,1,0"],
     ids=["plus", "trailing-point", "leading-point", "leading-zero", "inf", "nan", "spaces", "tab", "blank-line",
-         "comment", "ragged", "text-cell", "overflow", "lone-cr"],
+         "comment", "ragged", "text-cell", "overflow", "lone-cr", "cr-line-end"],
 )
-def test_read_field_csv_leaves_other_bodies_to_loadtxt(monkeypatch, tmp_path, row, outcome):
+def test_read_field_csv_rejects_other_bodies(tmp_path, row):
+    # only the writer's spelling reads: lines of JSON numbers ended by LF or
+    # CRLF; the bad line is data row 2
     path = tmp_path / "f.csv"
     path.write_bytes(b"x1,re_1,im_1\r\n-1,1,0\r\n" + row + b"\r\n1,1,0\r\n")
-    assert grid_field._json_table(path, "x1,re_1,im_1") is None
-    calls = []
-    loadtxt = np.loadtxt
-    with monkeypatch.context() as mp:
-        mp.setattr(np, "loadtxt", lambda *args, **kw: calls.append(args) or loadtxt(*args, **kw))
-        got = _read_outcome(path)
-    assert calls == [(path,)]
-    with monkeypatch.context() as mp:  # loadtxt as the only reader
-        mp.setattr(grid_field, "_json_table", lambda path, header: None)
-        assert got == _read_outcome(path)
-    if isinstance(outcome, str):
-        assert outcome in got[1]
-    else:
-        assert got == np.array(outcome, dtype=complex).view(np.uint64).tolist()
+    with pytest.raises(ValueError, match="data row 2 is not 3 comma-separated JSON numbers"):
+        read_field_csv(path)

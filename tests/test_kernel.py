@@ -358,10 +358,12 @@ def test_grid_for_time_rejects_zero_time():
         grid_for_time(0.0, 1)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf, 1.0, 100.0])
 def test_grid_for_time_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
-        grid_for_time(1.0, 1, tol=tol)
+    # a budget of the kernel's unit mass or more bisected down to L = 5e-324
+    for zeta in (1.0, 1 + 1j):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            grid_for_time(zeta, 1, tol=tol)
 
 
 def test_sample_kernel_mass_and_symmetry():
