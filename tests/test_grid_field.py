@@ -623,9 +623,9 @@ def test_json_table_reads_pieces_at_line_ends(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "row",
     [b"0,+1,0", b"0,1.,0", b"0,.5,0", b"0,01,0", b"0,inf,0", b"0,nan,0", b"0, 1 ,0", b"0,\t1,0", b"\r\n0,1,0",
-     b"#0,1,0", b"0,1", b"0,one,0", b"0,1e400,0", b"0,\r1,0", b"0,1,0\r1,1,0"],
+     b"\r\n\r\n0,1,0", b"#0,1,0", b"0,1", b"0,one,0", b"0,1e400,0", b"0,\r1,0", b"0,1,0\r1,1,0"],
     ids=["plus", "trailing-point", "leading-point", "leading-zero", "inf", "nan", "spaces", "tab", "blank-line",
-         "comment", "ragged", "text-cell", "overflow", "lone-cr", "cr-line-end"],
+         "blank-lines", "comment", "ragged", "text-cell", "overflow", "lone-cr", "cr-line-end"],
 )
 def test_read_field_csv_rejects_other_bodies(tmp_path, row):
     # only the writer's spelling reads: lines of JSON numbers ended by LF or
