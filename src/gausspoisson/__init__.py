@@ -26,6 +26,7 @@ from .grid_field import (
     make_grid,
     read_field_csv,
     sample,
+    squared_norm,
     write_field_csv,
 )
 from .kernel import (
@@ -68,6 +69,7 @@ from .verify import (
 from .weights import (
     SpaceKind,
     SpaceSpec,
+    difference_norm,
     weight_eval,
     weight_inequality_check,
     weighted_norm,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid_field import Field, interior_slices
 from .semigroup import Method, _path, _spectral_values, apply, apply_dzeta, apply_many
-from .weights import SpaceSpec, difference_norm
+from .weights import SpaceSpec, _magnitude, difference_norm
 
 __all__ = [
     "discrete_laplacian",
@@ -269,7 +269,7 @@ def _window_residuals(times, states, margin: float = DEFAULT_MARGIN):
             a, b, c = window
             dudt = (c[within] - a[within]) / (2.0 * dt)
             lap = _stencil(b, g.n, 1.0 / (g.h * g.h))[within]
-            worst = float(np.sqrt(np.sum(np.abs(dudt - lap) ** 2, axis=-1)).max())
+            worst = float(_magnitude(dudt - lap).max())
             del window[0], a, dudt, lap
             yield worst
     if next(states, None) is not None:

@@ -313,8 +313,6 @@ def read_field_csv(path) -> Field:
         if rows == 0:
             raise ValueError(f"field CSV {path} has a header but no data rows")
         N = round(rows ** (1.0 / n))
-        if N**n != rows:
-            raise ValueError(f"{rows} rows do not form an N^{n} lattice")
         values = np.empty((rows, 2 * m))
         done = 0
         fh.seek(len(line))
@@ -326,6 +324,8 @@ def read_field_csv(path) -> Field:
             end = piece.rfind(b"\n") + 1
             fh.seek(end - len(piece), os.SEEK_CUR)
             table = _json_piece(piece[:end], n + 2 * m, done + 1)
+            if done + len(table) > N**n:
+                raise ValueError(f"{rows} rows do not form an N^{n} lattice")
             if done == 0:
                 grid = make_grid(n, -table[0, 0], N)
                 atol = 1e-12 * max(1.0, grid.L)
@@ -334,5 +334,7 @@ def read_field_csv(path) -> Field:
                 raise ValueError("CSV coordinates are not a row-major uniform lattice")
             values[done : done + len(table)] = table[:, n:]
             done += len(table)
+    if N**n != rows:
+        raise ValueError(f"{rows} rows do not form an N^{n} lattice")
     vals = values.view(complex)  # keeps the sign of a zero
     return Field(grid, vals.reshape(grid.shape + (m,)))

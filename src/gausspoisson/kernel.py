@@ -159,8 +159,7 @@ def kernel_tail_bound(zeta, alpha: float, R: float, n: int, k: float) -> float:
     outside the ball, at least the full absolute mass at ``R = 0``.
     """
     ct = _require_positive(zeta)
-    _checked_sector(alpha)
-    if not abs(ct.argument) < alpha:
+    if not ct.in_sector(alpha):
         raise ValueError(f"zeta argument {ct.argument:.4f} outside the sector of angle {alpha:.4f}")
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")

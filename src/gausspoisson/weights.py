@@ -9,6 +9,7 @@ Riemann sums with uniform cell volume.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,9 +50,9 @@ class SpaceSpec:
     """Declaration of a weighted space: weight exponent, base kind, and p.
 
     The weight is ``w(x) = (1 + |x|)^k`` with finite ``k >= 0``; Lp needs a
-    finite ``p >= 1``.  BUC and C0 share the discrete sup norm; the kind only
-    records which test fields a verification suite admits.  Membership of a
-    sampled field in the declared base space is never checked.
+    finite ``p >= 1``.  BUC and C0 both use the sup norm on a grid, and no
+    check depends on which of the two is declared.  Membership of a sampled
+    field in the declared base space is never checked.
     """
 
     k: float
@@ -69,11 +70,10 @@ class SpaceSpec:
     @staticmethod
     def make(k: float, kind: str = "BUC", p: float | None = None) -> "SpaceSpec":
         """Convenience constructor from plain values, e.g. ``make(2, "Lp", 2)``."""
-        kind_map = {"BUC": SpaceKind.BUC, "C0": SpaceKind.C0, "LP": SpaceKind.LP}
         key = kind.upper()
-        if key not in kind_map:
+        if key not in SpaceKind.__members__:
             raise ValueError(f"unknown space kind {kind!r}; expected BUC, C0 or Lp")
-        return SpaceSpec(float(k), kind_map[key], None if p is None else float(p))
+        return SpaceSpec(float(k), SpaceKind[key], None if p is None else float(p))
 
 
 def weight_eval(k: float, X) -> np.ndarray | float:
@@ -100,28 +100,26 @@ def weight_inequality_check(k: float, x, y) -> np.ndarray:
     return np.stack(slacks, axis=-1)
 
 
-def weighted_norm(f: Field, s: SpaceSpec, margin: float = 0.0) -> float:
-    """Discrete weighted norm of a field: the norm of ``f/w`` in the base kind.
+def _magnitude(values) -> np.ndarray:
+    """The pointwise ``C^m`` norm over the trailing axis, by ``hypot``: no square is formed."""
+    return functools.reduce(np.hypot, np.moveaxis(np.abs(values), -1, 0))
 
-    BUC/C0: max over lattice points of ``|f(x)|_{C^m} / w(x)``.  Lp: Riemann
-    sum ``(sum (|f(x)|/w(x))^p h^n)^{1/p}``.  A positive ``margin`` restricts
-    the norm to the interior window (that fraction excluded per side).
+
+def weighted_norm(f: Field, s: SpaceSpec, margin: float = 0.0) -> float:
+    """Discrete weighted norm of a field: the norm of ``q = |f|_{C^m} / w`` in
+    the base kind, on the window that excludes a ``margin`` fraction per side.
+
+    BUC/C0: the peak ``max q``.  Lp: the Riemann sum scaled by the peak,
+    ``peak (sum (q/peak)^p h^n)^{1/p}``, so that no power overflows.
     """
     g = f.grid
-    sl = interior_slices(g, margin) if margin > 0 else (slice(None),) * g.n
-    mag = np.sqrt(np.sum(np.abs(f.values[sl]) ** 2, axis=-1))
-    # the weight on the window only; at k=0 it is 1 and the quotient is mag
-    quotient = mag / _weight(s.k, g.squared_norms[sl]) if s.k else mag
-    if s.kind in (SpaceKind.BUC, SpaceKind.C0):
-        return float(quotient.max())
-    with np.errstate(over="ignore"):
-        total = float(np.sum(quotient**s.p) * g.cell_volume)
-    if np.finfo(float).tiny <= total < math.inf:
-        return total ** (1.0 / s.p)
-    # the sum overflowed or lost its digits below the normal range: scale by the peak
+    sl = interior_slices(g, margin)
+    quotient = _magnitude(f.values[sl])
+    if s.k:  # the weight on the window only; at k=0 it is 1
+        quotient = quotient / _weight(s.k, g.squared_norms[sl])
     peak = float(quotient.max())
-    if peak == 0:
-        return 0.0
+    if s.kind is not SpaceKind.LP or not 0 < peak < math.inf:  # 0 and inf are their own Lp norms
+        return peak
     return peak * float(np.sum((quotient / peak) ** s.p) * g.cell_volume) ** (1.0 / s.p)
 
 

@@ -33,6 +33,8 @@ def test_mixture_validation():
         GaussianMixture([[1.0]], [-1.0], [[0.0]])  # width must have Re > 0
     with pytest.raises(ValueError):
         GaussianMixture([[1.0], [1.0]], [1.0], [[0.0]])  # term count mismatch
+    with pytest.raises(ValueError, match="mixture is 1-dimensional, grid is 2-dimensional"):
+        GaussianMixture([[1.0]], [1.0], [[0.0]]).sampled(make_grid(2, 1.0, 5))
 
 
 @pytest.mark.parametrize(
@@ -61,6 +63,7 @@ def test_mixture_evolution_closed_form_real_time():
     assert np.isclose(out.amplitudes[0, 0], d**-0.5)
     assert np.isclose(out.widths[0], 2.0 / d)
     np.testing.assert_allclose(out.centers, mix.centers)
+    assert mix.evolved(0) is mix
 
 
 def test_mixture_evolution_matches_operator():
@@ -112,6 +115,8 @@ def test_random_mixture_shapes():
     assert mix.amplitudes.shape == (5, 3)
     assert mix.widths.shape == (5,)
     assert mix.centers.shape == (5, 2)
+    with pytest.raises(ValueError, match="at least one term"):
+        random_gaussian_mixture(2, terms=0)
 
 
 def test_named_field_rules():

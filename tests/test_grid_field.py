@@ -477,15 +477,27 @@ def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
         (lambda ls: ls[:5] + [ls[5] + b",1", _short(ls[6])] + ls[7:], 5),
         (lambda ls: ls[:1] + [_short(line) for line in ls[1:]], 1),
         (lambda ls: ls[:4098] + [ls[4098].replace(b",", b",x", 1)] + ls[4099:], 4098),
+        # a stray line end after the last row is a blank row 4226
+        (lambda ls: ls + [b""], 4226),
     ],
     ids=["short-row-4098", "short-row-4097", "short-block", "blank-then-short", "long-row", "long-then-short",
-         "all-short", "text-cell"],
+         "all-short", "text-cell", "trailing-blank-line"],
 )
 def test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, row):
     path = tmp_path / "f.csv"
     _, lines = edge_file_lines(path)
     path.write_bytes(b"\r\n".join(edit(lines)) + b"\r\n")
     with pytest.raises(ValueError, match=f"data row {row} is not 4 comma-separated JSON numbers"):
+        read_field_csv(path)
+
+
+@pytest.mark.parametrize("edit, rows", [(lambda ls: ls + ls[-1:], 4226), (lambda ls: ls[:-1], 4224)],
+                         ids=["extra-row", "missing-row"])
+def test_read_field_csv_rejects_a_row_count_off_the_lattice(tmp_path, edit, rows):
+    path = tmp_path / "f.csv"
+    _, lines = edge_file_lines(path)
+    path.write_bytes(b"\r\n".join(edit(lines)) + b"\r\n")
+    with pytest.raises(ValueError, match=f"{rows} rows do not form an N\\^2 lattice"):
         read_field_csv(path)
 
 

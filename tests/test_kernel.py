@@ -36,6 +36,8 @@ def test_complex_time_accessors():
     assert np.isclose(z.argument, np.pi / 4)
     zero = ComplexTime(0.0)
     assert zero.is_zero
+    with pytest.raises(ValueError, match="argument undefined at zero time"):
+        zero.argument
 
 
 def test_complex_time_rejects_nonpositive_real_part():

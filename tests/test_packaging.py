@@ -1,6 +1,8 @@
-"""Packaging: the package imports only the standard library and its declared dependencies."""
+"""Packaging: the package imports only the standard library and its declared
+dependencies, and re-exports every public name of its library modules."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -35,3 +37,17 @@ def test_package_imports_only_the_standard_library_and_its_dependencies():
     assert outside == {}
     # scipy is a test oracle only: the transforms and incomplete gammas are numpy's and closed forms
     assert "scipy" not in runtime and "scipy" in _names(project["optional-dependencies"]["dev"])
+
+
+def test_package_re_exports_every_public_name():
+    # the command line module's names are reached through ``python -m gausspoisson``
+    package = importlib.import_module("gausspoisson")
+    missing = []
+    for path in sorted((ROOT / "src" / "gausspoisson").glob("*.py")):
+        if path.stem.startswith("_") or path.stem == "cli":
+            continue
+        module = importlib.import_module(f"gausspoisson.{path.stem}")
+        missing += [
+            f"{path.stem}.{name}" for name in module.__all__ if getattr(package, name, None) is not getattr(module, name)
+        ]
+    assert missing == []

@@ -222,6 +222,7 @@ def test_report_formats():
     text = report.to_text()
     assert "PASS" in text and "FAIL" in text
     assert "1/2 checks passed" in text
+    assert VerificationReport(()).to_text() == "no checks enabled\n"
 
 
 def test_report_write(tmp_path):

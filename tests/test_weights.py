@@ -105,6 +105,32 @@ def test_lp_norm_at_large_p_neither_overflows_nor_underflows(c, norm):
     assert weighted_norm(f, SpaceSpec.make(0, "Lp", 400)) == pytest.approx(norm, rel=1e-12)
 
 
+@pytest.mark.parametrize("c, m", [(1e160, 1), (1e200, 2)])
+def test_norms_of_a_huge_constant_are_finite(c, m):
+    # |v|^2 overflows above about 1.3e154 and the magnitude squares nothing;
+    # each Lp norm is the sup norm times (sum of h over the 65 points)^(1/p)
+    g = make_grid(1, 4.0, 65)
+    f = Field(g, np.full(g.shape + (m,), complex(c)))
+    sup = weighted_norm(f, SpaceSpec.make(0))
+    assert abs(sup - c * math.sqrt(m)) <= math.ulp(sup)
+    for p in (1.0, 2.0, 400.0):
+        norm = weighted_norm(f, SpaceSpec.make(0, "Lp", p))
+        assert math.isfinite(norm)
+        assert norm == pytest.approx(sup * (65 * g.cell_volume) ** (1.0 / p), rel=1e-12)
+
+
+def test_norms_of_a_magnitude_beyond_the_float_range_are_infinite():
+    # every value is finite, but |v| of one point, 1.5e308 sqrt(2), overflows
+    # (and warns); each norm is inf, where an Lp norm used to read nan
+    g = make_grid(1, 4.0, 65)
+    values = np.ones(g.shape + (2,), complex)
+    values[3] = 1.5e308
+    f = Field(g, values)
+    for s in (SpaceSpec.make(1), SpaceSpec.make(1, "Lp", 1), SpaceSpec.make(1, "Lp", 2.5)):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in hypot"):
+            assert weighted_norm(f, s) == math.inf
+
+
 def test_sup_norm_of_gaussian_is_peak_value():
     g = make_grid(1, 10.0, 501)
     f = sample(g, lambda X: np.exp(-X[0] ** 2))
@@ -156,6 +182,8 @@ def test_margin_restricts_norm_window():
     f = sample(g, lambda X: 0.0).with_values(vals)
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0)), 100.0)
     assert np.isclose(weighted_norm(f, SpaceSpec.make(0), margin=0.25), 1.0)
+    with pytest.raises(ValueError, match="margin"):
+        weighted_norm(f, SpaceSpec.make(0), margin=-0.25)
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0, 2.5])
@@ -167,9 +195,10 @@ def test_weighted_norm_matches_full_grid_weight(k):
     f = Field(g, rng.standard_normal(g.shape + (2,)) + 1j * rng.standard_normal(g.shape + (2,)))
     for margin in (0.0, 0.25):
         sl = interior_slices(g, margin)
-        mag = np.sqrt(np.sum(np.abs(f.values[sl]) ** 2, axis=-1))
+        mag = np.hypot(np.abs(f.values[sl][..., 0]), np.abs(f.values[sl][..., 1]))
         quotient = mag / ((1.0 + np.sqrt(g.squared_norms)) ** k)[sl]
-        assert weighted_norm(f, SpaceSpec.make(k), margin) == float(quotient.max())
+        peak = float(quotient.max())
+        assert weighted_norm(f, SpaceSpec.make(k), margin) == peak
         for p in (1.0, 2.0, 2.5):
-            expect = float(np.sum(quotient**p) * g.cell_volume) ** (1.0 / p)
+            expect = peak * float(np.sum((quotient / peak) ** p) * g.cell_volume) ** (1.0 / p)
             assert weighted_norm(f, SpaceSpec.make(k, "Lp", p), margin) == expect
