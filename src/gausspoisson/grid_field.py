@@ -8,6 +8,11 @@ is the discrete stand-in for a function ``R^n -> C^m``.
 from __future__ import annotations
 
 import os
+import shutil
+import signal
+import sys
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from typing import Callable
@@ -199,6 +204,74 @@ def interior_slices(grid: Grid, margin: float) -> tuple[slice, ...]:
 # Rows per block: bounds the write's temporaries.
 _CSV_BLOCK_ROWS = 4096
 
+# Reads and writes of at least this many rows are split across two processes
+# (_in_child).  Split/serial time of an n=2, m=2 file, write | read, on a
+# 2-vCPU VM (medians of 15 alternating rounds, range over three sweeps; the
+# second ran the split slower at every size below 2^18): 2^13 rows 1.47-1.92 |
+# 1.23-1.58, 2^14 1.07-1.68 | 0.91-1.63, 2^15 0.92-1.28 | 0.85-0.96, 2^16
+# 0.83-1.42 | 0.75-1.12, 2^17 0.71-1.06 | 0.67-0.76, 2^18 0.68-0.79 | 0.60-0.72.
+_SPLIT_MIN_ROWS = 1 << 16
+
+
+@contextmanager
+def _in_child(task):
+    """Run ``task()`` in a forked child while the ``with`` body runs here
+    (orjson holds the interpreter lock: threads would not share its work).
+    Yields ``result``, which waits for the child and returns a stream of the
+    bytes-like chunks ``task`` returned, or raises the child's
+    ``ValueError`` again; or ``None``, for the body to do all the work, when
+    ``task`` is ``None`` or a fork is unsafe (not Linux; another thread,
+    whose held locks the child would inherit), useless (one CPU) or fails.
+    The child never returns into the caller, and it is reaped (killed first
+    if the body raised) before the ``with`` block ends."""
+    pid = None
+    if task and sys.platform == "linux" and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1:
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            # off the parent's CPU (field 39 of its stat): on a 2-vCPU VM the
+            # kernel kept a forked child on its parent's CPU for hundreds of ms
+            with suppress(OSError, ValueError, IndexError), open(f"/proc/{os.getppid()}/stat", "rb") as fh:
+                os.sched_setaffinity(0, os.sched_getaffinity(0) - {int(fh.read().rsplit(b")", 1)[1].split()[36])})
+            with open(w, "wb") as out:  # a status byte, then the result or the error
+                try:
+                    chunks = task()
+                except ValueError as exc:
+                    out.write(b"\1" + str(exc).encode())
+                else:
+                    out.write(b"\0")
+                    out.writelines(chunks)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+
+    def result():
+        status = stream.read(1)
+        if status != b"\0":
+            raise ValueError(stream.read().decode()) if status else ChildProcessError("the child ended without a result")
+        return stream
+
+    try:
+        with open(r, "rb") as stream:
+            yield result
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):  # a result cut short
+        raise ChildProcessError(f"the child exited with status {code}")
+
 
 def _csv_header(n: int, m: int) -> str:
     """The field CSV header ``x1,...,xn,re_1,im_1,...,re_m,im_m``."""
@@ -212,24 +285,36 @@ def _lattice_coordinates(g: Grid, start: int, stop: int) -> np.ndarray:
     return g.axis[np.stack(np.unravel_index(np.arange(start, stop), g.shape), axis=1)]
 
 
+def _csv_rows(g: Grid, values: np.ndarray, start: int, stop: int):
+    """The CRLF-ended lines of rows ``start`` to ``stop``, one bytes object
+    per block of up to ``_CSV_BLOCK_ROWS`` rows; ``values`` is the
+    ``(rows, 2m)`` float view of the field's values."""
+    import orjson  # imported on use: only field CSV I/O needs it
+
+    for first in range(start, stop, _CSV_BLOCK_ROWS):
+        block = values[first : min(first + _CSV_BLOCK_ROWS, stop)]
+        block = np.concatenate([_lattice_coordinates(g, first, first + len(block)), block], axis=1)
+        # [[a,b],[c,d]] -> a,b CRLF c,d CRLF
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        yield b"\r\n".join(text[2:-2].split(b"],[")) + b"\r\n"
+
+
 def write_field_csv(f: Field, path) -> None:
     """Write ``f`` to ``path`` as a field CSV: the header
     ``x1,...,xn,re_1,im_1,...,re_m,im_m``, then one line per lattice point in
     row-major order, each value as the shortest decimal that reads back to
     the same double, CRLF line ends."""
-    import orjson  # imported on use: only field CSV I/O needs it
-
     g = f.grid
     # complex values viewed as floats are re_1, im_1, ..., re_m, im_m
     values = f.values.reshape(-1, f.m).view(float)
-    with open(path, "wb") as fh:
+    # a child formats the rows from the block boundary nearest the middle
+    split = _CSV_BLOCK_ROWS * max(1, round(g.size / (2 * _CSV_BLOCK_ROWS)))
+    task = (lambda: list(_csv_rows(g, values, split, g.size))) if g.size >= _SPLIT_MIN_ROWS and split < g.size else None
+    with _in_child(task) as child, open(path, "wb") as fh:  # the child starts while the file is emptied
         fh.write((_csv_header(g.n, f.m) + "\r\n").encode())
-        for start in range(0, g.size, _CSV_BLOCK_ROWS):
-            block = values[start : start + _CSV_BLOCK_ROWS]
-            block = np.concatenate([_lattice_coordinates(g, start, start + len(block)), block], axis=1)
-            # [[a,b],[c,d]] -> a,b CRLF c,d CRLF
-            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-            fh.write(b"\r\n".join(text[2:-2].split(b"],[")) + b"\r\n")
+        fh.writelines(_csv_rows(g, values, 0, split if child else g.size))
+        if child:
+            shutil.copyfileobj(child(), fh)
 
 
 # -- CSV reading --------------------------------------------------------------
@@ -304,36 +389,66 @@ def read_field_csv(path) -> Field:
         m = (len(names) - n) // 2
         if n < 1 or m < 1 or header != _csv_header(n, m):
             raise ValueError(f"malformed field CSV header: {header[:200]!r}")
+        # count the rows, and find the first line end from the body's middle
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
+        middle = (len(line) + size) // 2
         rows = 0
+        split = None  # the byte and the row just after that line end
+        pos = len(line)
         last = b"\n"
         while piece := fh.read(_READ_PIECE):
-            rows += np.count_nonzero(np.frombuffer(piece, np.uint8) == ord("\n"))
+            ends = np.frombuffer(piece, np.uint8) == ord("\n")
+            if split is None and (at := piece.find(b"\n", max(0, middle - pos))) >= 0:
+                split = (pos + at + 1, rows + np.count_nonzero(ends[: at + 1]))
+            rows += np.count_nonzero(ends)
+            pos += len(piece)
             last = piece[-1:]
         rows += last != b"\n"  # a last line without its line end
         if rows == 0:
             raise ValueError(f"field CSV {path} has a header but no data rows")
         N = round(rows ** (1.0 / n))
         values = np.empty((rows, 2 * m))
-        done = 0
-        fh.seek(len(line))
-        while piece := fh.read(_READ_PIECE):
-            while b"\n" not in piece and (more := fh.read(_READ_PIECE)):
-                piece += more  # a line longer than a piece
-            if b"\n" not in piece:  # the end of the file ends the last line
-                piece += b"\n"
-            end = piece.rfind(b"\n") + 1
-            fh.seek(end - len(piece), os.SEEK_CUR)
-            table = _json_piece(piece[:end], n + 2 * m, done + 1)
-            if done + len(table) > N**n:
-                raise ValueError(f"{rows} rows do not form an N^{n} lattice")
-            if done == 0:
-                grid = make_grid(n, -table[0, 0], N)
-                atol = 1e-12 * max(1.0, grid.L)
-            gap = table[:, :n] - _lattice_coordinates(grid, done, done + len(table))
-            if np.abs(gap, out=gap).max() > atol:
-                raise ValueError("CSV coordinates are not a row-major uniform lattice")
-            values[done : done + len(table)] = table[:, n:]
-            done += len(table)
+        grid = None
+
+        def parse(start: int, stop: int, row: int, pieces: int = -1) -> tuple[int, int]:
+            """Parse up to ``pieces`` pieces of bytes ``start`` to ``stop`` into
+            ``values`` from row ``row``; returns the byte and row it ended at."""
+            nonlocal grid
+            while start < stop and pieces:
+                pieces -= 1
+                piece = b""
+                while b"\n" not in piece:  # a line longer than a piece grows it; the file's end ends one
+                    piece += os.pread(fd, min(_READ_PIECE, stop - start - len(piece)), start + len(piece)) or b"\n"
+                end = piece.rfind(b"\n") + 1
+                table = _json_piece(piece[:end], n + 2 * m, row + 1)
+                if row + len(table) > N**n:
+                    raise ValueError(f"{rows} rows do not form an N^{n} lattice")
+                if grid is None:
+                    if not table[0, 0] < 0:  # the lattice is centred: L = -x1 of the first row
+                        raise ValueError("CSV coordinates are not a row-major uniform lattice")
+                    grid = make_grid(n, -table[0, 0], N)
+                gap = table[:, :n] - _lattice_coordinates(grid, row, row + len(table))
+                if np.abs(gap, out=gap).max() > 1e-12 * max(1.0, grid.L):
+                    raise ValueError("CSV coordinates are not a row-major uniform lattice")
+                values[row : row + len(table)] = table[:, n:]
+                start += end
+                row += len(table)
+            return start, row
+
+        def second_half():
+            parse(split[0], size, split[1])
+            return [memoryview(values[split[1] :]).cast("B")]
+
+        # on a split, the first piece ends at the split, and a child parses
+        # the rest of the file from there while this process parses up to it
+        if rows != N**n or rows < _SPLIT_MIN_ROWS:
+            split = None
+        start, row = parse(len(line), split[0] if split else size, 0, pieces=1)
+        with _in_child(second_half if split else None) as child:
+            parse(start, split[0] if child else size, row)
+            if child:
+                child().readinto(memoryview(values[split[1] :]).cast("B"))
     if N**n != rows:
         raise ValueError(f"{rows} rows do not form an N^{n} lattice")
     vals = values.view(complex)  # keeps the sign of a zero

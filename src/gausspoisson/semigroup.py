@@ -328,7 +328,8 @@ def write_trajectory(traj: Trajectory, directory) -> Path:
 
 
 def read_trajectory(index_path) -> Trajectory:
-    """Read a trajectory written by :func:`write_trajectory`."""
+    """Read a trajectory written by :func:`write_trajectory`: each state's
+    file name in the index must be a plain name in the index's directory."""
     index_path = Path(index_path)
     if index_path.is_dir():
         index_path = index_path / "index.csv"
@@ -344,6 +345,8 @@ def read_trajectory(index_path) -> Trajectory:
                 continue
             if len(row) != 2:
                 raise ValueError(f"{index_path}: malformed row {row}")
+            if row[1] in ("", "..") or Path(row[1]).name != row[1]:  # the writer writes plain names only
+                raise ValueError(f"{index_path}: line {reader.line_num} names {row[1]!r}, not a file in its directory")
             times.append(float(row[0]))
             states.append(read_field_csv(index_path.parent / row[1]))
     return Trajectory(tuple(times), tuple(states))

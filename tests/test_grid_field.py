@@ -1,6 +1,9 @@
 """Grid geometry, field containers, interior windows, and CSV round trips."""
 
+import os
 import re
+import sys
+import threading
 from functools import reduce
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from gausspoisson import (
 )
 from gausspoisson import grid_field
 
-from conftest import lattice_points, traced_peak
+from conftest import lattice_points, set_cpus, traced_peak
 
 # the golden field as written by earlier versions, with 17 significant
 # digits, and as written now, with the shortest round-trip digits
@@ -389,13 +392,56 @@ PEAK_MIXTURE = random_gaussian_mixture(2, m=2, terms=3, rng=np.random.default_rn
 PEAK_GRID = make_grid(2, 12.0, 257)
 
 
-def test_write_field_csv_holds_no_whole_table(tmp_path):
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs, on a process
+    that reports two CPUs; checks afterwards that every child was reaped."""
+    set_cpus(monkeypatch, 2)
+    made = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield made
+    with pytest.raises(ChildProcessError):  # no child at all, running or not reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(forks, monkeypatch):
+    """Split every field CSV read and write that can be split; the pids of
+    the children forked."""
+    monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1)
+    return forks
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1 << 62)
+
+
+def assert_write_holds_no_whole_table(tmp_path):
     # concatenating the lattice points with the values peaked at 3.4 times the
     # value array; the blocks' own temporaries do not grow with the grid
     f = PEAK_MIXTURE.sampled(PEAK_GRID)
     write_field_csv(f, tmp_path / "f.csv")  # imports orjson
     _, peak = traced_peak(lambda: write_field_csv(f, tmp_path / "f.csv"))
     assert peak < 2.5 * f.values.nbytes
+
+
+def test_write_field_csv_holds_no_whole_table(tmp_path, split):
+    # tracemalloc sees this process only, not the child that formats half
+    assert_write_holds_no_whole_table(tmp_path)
+    assert len(split) == 2
+
+
+def test_write_field_csv_holds_no_whole_table_serially(tmp_path, serial):
+    assert_write_holds_no_whole_table(tmp_path)
 
 
 def test_write_field_csv_builds_no_point_array(tmp_path):
@@ -407,7 +453,7 @@ def test_write_field_csv_builds_no_point_array(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
-def test_read_field_csv_holds_one_value_array(tmp_path):
+def assert_read_holds_one_value_array(tmp_path):
     # loadtxt's float table next to a complex copy peaked at 2.6 times the
     # value array, and a whole table with the coordinates at 1.8; the values
     # are now parsed piece by piece into the field's own array
@@ -416,6 +462,16 @@ def test_read_field_csv_holds_one_value_array(tmp_path):
     back, peak = traced_peak(lambda: read_field_csv(tmp_path / "f.csv"))
     assert peak < 1.3 * f.values.nbytes
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_read_field_csv_holds_one_value_array(tmp_path, split):
+    # the child's rows land straight in the value array, with no buffer
+    assert_read_holds_one_value_array(tmp_path)
+    assert len(split) == 2
+
+
+def test_read_field_csv_holds_one_value_array_serially(tmp_path, serial):
+    assert_read_holds_one_value_array(tmp_path)
 
 
 def test_read_field_csv_runs_under_a_profiler(tmp_path):
@@ -463,7 +519,7 @@ def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
     assert np.array_equal(read_field_csv(path).values, f.values)
 
 
-@pytest.mark.parametrize(
+BAD_ROW_EDITS = pytest.mark.parametrize(
     "edit, row",
     [
         # data row 4098 is the second row of the second block of 4096 rows
@@ -483,6 +539,9 @@ def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
     ids=["short-row-4098", "short-row-4097", "short-block", "blank-then-short", "long-row", "long-then-short",
          "all-short", "text-cell", "trailing-blank-line"],
 )
+
+
+@BAD_ROW_EDITS
 def test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, row):
     path = tmp_path / "f.csv"
     _, lines = edge_file_lines(path)
@@ -491,8 +550,12 @@ def test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, row)
         read_field_csv(path)
 
 
-@pytest.mark.parametrize("edit, rows", [(lambda ls: ls + ls[-1:], 4226), (lambda ls: ls[:-1], 4224)],
-                         ids=["extra-row", "missing-row"])
+OFF_LATTICE_EDITS = pytest.mark.parametrize(
+    "edit, rows", [(lambda ls: ls + ls[-1:], 4226), (lambda ls: ls[:-1], 4224)], ids=["extra-row", "missing-row"]
+)
+
+
+@OFF_LATTICE_EDITS
 def test_read_field_csv_rejects_a_row_count_off_the_lattice(tmp_path, edit, rows):
     path = tmp_path / "f.csv"
     _, lines = edge_file_lines(path)
@@ -510,20 +573,26 @@ def _with_coordinate(path, row: int, col: int, value: float):
     path.write_bytes(b"\r\n".join(lines))
 
 
-def test_read_field_csv_checks_each_axis_within_the_tolerance(tmp_path):
+def assert_each_axis_within_the_tolerance(tmp_path, point: tuple[int, int]):
+    """A coordinate of the 5x5 lattice point ``point`` moved by 3 tolerances
+    either way is rejected, and by half a tolerance read as it was."""
     g = make_grid(2, 1.5, 5)
     f = Field(g, np.arange(g.size * 2).reshape(g.shape + (2,)) * (1 - 0.5j))
     tol = 1e-12 * 1.5
     for offset, ok in ((3 * tol, False), (-3 * tol, False), (0.5 * tol, True)):
         path = tmp_path / "f.csv"
         write_field_csv(f, path)
-        _with_coordinate(path, 7, 1, g.axis[2] + offset)  # point (1, 2), its second axis
+        _with_coordinate(path, point[0] * 5 + point[1], 1, g.axis[point[1]] + offset)  # the point's second axis
         if ok:
             back = read_field_csv(path)
             assert back.grid == g and np.array_equal(back.values, f.values)
         else:
             with pytest.raises(ValueError, match="row-major uniform lattice"):
                 read_field_csv(path)
+
+
+def test_read_field_csv_checks_each_axis_within_the_tolerance(tmp_path):
+    assert_each_axis_within_the_tolerance(tmp_path, (1, 2))
 
 
 def test_read_field_csv_builds_no_point_array(tmp_path):
@@ -645,4 +714,157 @@ def test_read_field_csv_rejects_other_bodies(tmp_path, row):
     path = tmp_path / "f.csv"
     path.write_bytes(b"x1,re_1,im_1\r\n-1,1,0\r\n" + row + b"\r\n1,1,0\r\n")
     with pytest.raises(ValueError, match="data row 2 is not 3 comma-separated JSON numbers"):
+        read_field_csv(path)
+
+
+# -- the two-process split ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, N, m, block",
+    [(1, 8193, 1, 4096), (1, 5000, 2, 4096), (2, 65, 1, 4096), (2, 65, 2, 4096), (3, 17, 1, 4096), (3, 17, 2, 4096),
+     # a 289-row file of 25 KB: the read splits inside its first 64 KB piece
+     (2, 17, 2, 64)],
+)
+def test_split_round_trip_is_the_serial_bytes_and_bits(tmp_path, monkeypatch, split, n, N, m, block):
+    monkeypatch.setattr(grid_field, "_CSV_BLOCK_ROWS", block)
+    rng = np.random.default_rng(N + m)
+    g = make_grid(n, 1.5, N)
+    vals = rng.standard_normal(g.shape + (m,)) + 1j * rng.standard_normal(g.shape + (m,))
+    vals.reshape(-1)[-1] = complex(-0.0, -0.0)
+    f = Field(g, vals)
+    write_field_csv(f, tmp_path / "split.csv")
+    back = read_field_csv(tmp_path / "split.csv")
+    assert len(split) == 2  # the write's child and the read's
+    assert back.grid == g
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+    monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1 << 62)
+    write_field_csv(f, tmp_path / "serial.csv")
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(split) == 2
+
+
+def test_split_write_matches_golden_bytes(tmp_path, monkeypatch, split):
+    monkeypatch.setattr(grid_field, "_CSV_BLOCK_ROWS", 7)  # 25 rows: the child formats rows 14 to 25
+    test_write_field_csv_matches_golden_bytes(tmp_path)
+    assert len(split) == 2
+
+
+@BAD_ROW_EDITS
+def test_split_read_names_a_bad_row_from_the_file_start(tmp_path, split, edit, row):
+    test_read_field_csv_names_a_bad_row_from_the_file_start(tmp_path, edit, row)
+    # a bad row in the first piece fails before the fork; one in the child's
+    # half comes back from the child; with a row count off the lattice the
+    # read is not split
+    assert len(split) == 1 + (row in (4097, 4098))
+
+
+@OFF_LATTICE_EDITS
+def test_split_read_rejects_a_row_count_off_the_lattice_before_any_fork(tmp_path, split, edit, rows):
+    test_read_field_csv_rejects_a_row_count_off_the_lattice(tmp_path, edit, rows)
+    assert len(split) == 1  # the write's child
+
+
+def test_split_read_checks_each_axis_within_the_tolerance(tmp_path, split):
+    # the 25-row file splits after row 13: points (1, 2) and (3, 4) are rows 8
+    # and 20, one in each half; 25 rows make one block, so no write forks
+    assert_each_axis_within_the_tolerance(tmp_path, (1, 2))
+    assert len(split) == 1  # row 8 is in the first piece: only the good read forks
+    assert_each_axis_within_the_tolerance(tmp_path, (3, 4))
+    assert len(split) == 4
+
+
+def bad_rows_file(path, rows) -> None:
+    """The 4225-row file of ``edge_file_lines`` with the given data rows
+    (counted from 1) one value short."""
+    _, lines = edge_file_lines(path)
+    for row in rows:
+        lines[row] = _short(lines[row])
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+
+
+def test_split_read_names_the_childs_bad_row_and_the_parents_first(tmp_path, split):
+    # the file splits after row 2113; the first 64 KB piece holds rows 1 to 808
+    path = tmp_path / "f.csv"
+    bad_rows_file(path, [4000])
+    with pytest.raises(ValueError, match="^data row 4000 is not 4 comma-separated JSON numbers$"):
+        read_field_csv(path)
+    bad_rows_file(path, [1500, 4000])
+    with pytest.raises(ValueError, match="^data row 1500 is not"):
+        read_field_csv(path)
+    assert len(split) == 4
+
+
+def test_split_read_reports_a_child_that_exits_without_its_result(tmp_path, monkeypatch, split):
+    path = tmp_path / "f.csv"
+    edge_file_lines(path)
+    parent = os.getpid()
+    parse = grid_field._json_piece
+
+    def exits_in_the_child(piece, cols, row=1):
+        if os.getpid() != parent:
+            raise SystemExit(3)
+        return parse(piece, cols, row)
+
+    monkeypatch.setattr(grid_field, "_json_piece", exits_in_the_child)
+    with pytest.raises(ChildProcessError, match="without a result"):
+        read_field_csv(path)
+    assert len(split) == 2
+
+
+def test_in_child_never_returns_into_the_caller(tmp_path, forks):
+    # a child whose task raises SystemExit exits with status 1; had it
+    # returned into the caller, it would run on past the with block
+    parent = os.getpid()
+    pids = tmp_path / "pids"
+    try:
+        with pytest.raises(ChildProcessError, match="exited with status 1"):
+            with grid_field._in_child(lambda: sys.exit(3)) as result:
+                assert result is not None
+    finally:
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != parent:  # it would run the rest of the tests
+            os._exit(0)
+    assert pids.read_text().split() == [str(parent)]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("blocker", ["second-thread", "fork-fails", "one-cpu"])
+def test_split_falls_back_to_the_serial_path(tmp_path, monkeypatch, split, blocker):
+    f = PEAK_MIXTURE.sampled(make_grid(2, 12.0, 65))
+    monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1 << 62)
+    write_field_csv(f, tmp_path / "serial.csv")
+    monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(60,))
+    if blocker == "second-thread":
+        thread.start()
+    elif blocker == "fork-fails":
+
+        def fails():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", fails)
+    else:
+        set_cpus(monkeypatch, 1)
+    try:
+        write_field_csv(f, tmp_path / "f.csv")
+        back = read_field_csv(tmp_path / "f.csv")
+    finally:
+        done.set()
+        if thread.is_alive():
+            thread.join(60)
+            assert not thread.is_alive()
+    assert split == []
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("first", [b"1", b"0", b"0.0", b"-0.0"])
+def test_read_field_csv_names_a_lattice_that_is_not_centred(tmp_path, first):
+    # a first coordinate >= 0 makes no grid: L would be -x1 <= 0
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"x1,re_1,im_1\r\n" + first + b",1,0\r\n0,1,0\r\n-1,1,0\r\n")
+    with pytest.raises(ValueError, match="^CSV coordinates are not a row-major uniform lattice$"):
         read_field_csv(path)

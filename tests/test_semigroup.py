@@ -1,5 +1,6 @@
 """Evolution operator: both discretizations, law, bounds, trajectories."""
 
+import re
 import sys
 import weakref
 from functools import reduce
@@ -293,6 +294,20 @@ def test_read_trajectory_rejects_bad_index(tmp_path):
     index = write_trajectory(trajectory(GAUSSIAN, [0.0]), tmp_path / "run")
     index.write_text(index.read_text() + "0.5,state_0000.csv,extra\n")
     with pytest.raises(ValueError, match="malformed row"):
+        read_trajectory(index)
+
+
+@pytest.mark.parametrize("name", ["../outside.csv", "ABSOLUTE", "sub/state_0000.csv", "..", "", "./state_0000.csv"])
+def test_read_trajectory_reads_nothing_outside_its_directory(tmp_path, name):
+    # a field CSV next to the run directory, which an index could name
+    outside = write_trajectory(trajectory(GAUSSIAN, [0.0]), tmp_path).parent / "state_0000.csv"
+    (tmp_path / "outside.csv").write_bytes(outside.read_bytes())
+    index = write_trajectory(trajectory(GAUSSIAN, [0.0]), tmp_path / "run")
+    (tmp_path / "run" / "sub").mkdir()
+    (tmp_path / "run" / "sub" / "state_0000.csv").write_bytes(outside.read_bytes())
+    name = str(tmp_path / "outside.csv") if name == "ABSOLUTE" else name
+    index.write_text(f"t,filename\n0,state_0000.csv\n0.5,{name}\n")
+    with pytest.raises(ValueError, match=f"line 3 names {re.escape(repr(name))}, not a file in its directory"):
         read_trajectory(index)
 
 
