@@ -7,12 +7,13 @@ is the discrete stand-in for a function ``R^n -> C^m``.
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import signal
 import sys
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from typing import Callable
@@ -218,7 +219,8 @@ def _in_child(task):
     """Run ``task()`` in a forked child while the ``with`` body runs here
     (orjson holds the interpreter lock: threads would not share its work).
     Yields ``result``, which waits for the child and returns a stream of the
-    bytes-like chunks ``task`` returned, or raises the child's
+    bytes-like chunks ``task`` returned (none for a task that leaves its
+    work in memory shared with the caller), or raises the child's
     ``ValueError`` again; or ``None``, for the body to do all the work, when
     ``task`` is ``None`` or a fork is unsafe (not Linux; another thread,
     whose held locks the child would inherit), useless (one CPU) or fails.
@@ -239,10 +241,6 @@ def _in_child(task):
         code = 1
         try:
             os.close(r)
-            # off the parent's CPU (field 39 of its stat): on a 2-vCPU VM the
-            # kernel kept a forked child on its parent's CPU for hundreds of ms
-            with suppress(OSError, ValueError, IndexError), open(f"/proc/{os.getppid()}/stat", "rb") as fh:
-                os.sched_setaffinity(0, os.sched_getaffinity(0) - {int(fh.read().rsplit(b")", 1)[1].split()[36])})
             with open(w, "wb") as out:  # a status byte, then the result or the error
                 try:
                     chunks = task()
@@ -307,9 +305,8 @@ def write_field_csv(f: Field, path) -> None:
     g = f.grid
     # complex values viewed as floats are re_1, im_1, ..., re_m, im_m
     values = f.values.reshape(-1, f.m).view(float)
-    # a child formats the rows from the block boundary nearest the middle
-    split = _CSV_BLOCK_ROWS * max(1, round(g.size / (2 * _CSV_BLOCK_ROWS)))
-    task = (lambda: list(_csv_rows(g, values, split, g.size))) if g.size >= _SPLIT_MIN_ROWS and split < g.size else None
+    split = g.size // 2  # a child formats the rows from the middle one
+    task = (lambda: list(_csv_rows(g, values, split, g.size))) if g.size >= _SPLIT_MIN_ROWS else None
     with _in_child(task) as child, open(path, "wb") as fh:  # the child starts while the file is emptied
         fh.write((_csv_header(g.n, f.m) + "\r\n").encode())
         fh.writelines(_csv_rows(g, values, 0, split if child else g.size))
@@ -408,7 +405,8 @@ def read_field_csv(path) -> Field:
         if rows == 0:
             raise ValueError(f"field CSV {path} has a header but no data rows")
         N = round(rows ** (1.0 / n))
-        values = np.empty((rows, 2 * m))
+        # anonymous shared memory: a split's child parses into it too
+        values = np.frombuffer(mmap.mmap(-1, rows * 2 * m * 8), float).reshape(rows, 2 * m)
         grid = None
 
         def parse(start: int, stop: int, row: int, pieces: int = -1) -> tuple[int, int]:
@@ -438,7 +436,7 @@ def read_field_csv(path) -> Field:
 
         def second_half():
             parse(split[0], size, split[1])
-            return [memoryview(values[split[1] :]).cast("B")]
+            return ()
 
         # on a split, the first piece ends at the split, and a child parses
         # the rest of the file from there while this process parses up to it
@@ -448,7 +446,7 @@ def read_field_csv(path) -> Field:
         with _in_child(second_half if split else None) as child:
             parse(start, split[0] if child else size, row)
             if child:
-                child().readinto(memoryview(values[split[1] :]).cast("B"))
+                child()
     if N**n != rows:
         raise ValueError(f"{rows} rows do not form an N^{n} lattice")
     vals = values.view(complex)  # keeps the sign of a zero

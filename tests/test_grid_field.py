@@ -1,9 +1,12 @@
 """Grid geometry, field containers, interior windows, and CSV round trips."""
 
+import gc
+import mmap
 import os
 import re
 import sys
 import threading
+from contextlib import contextmanager
 from functools import reduce
 from pathlib import Path
 
@@ -453,14 +456,23 @@ def test_write_field_csv_builds_no_point_array(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def mapped_bytes(a: np.ndarray) -> int:
+    """The size of the ``mmap`` that holds ``a``'s data, 0 for none."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return len(a.obj) if isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap) else 0
+
+
 def assert_read_holds_one_value_array(tmp_path):
     # loadtxt's float table next to a complex copy peaked at 2.6 times the
     # value array, and a whole table with the coordinates at 1.8; the values
-    # are now parsed piece by piece into the field's own array
+    # are now parsed piece by piece into the field's own array, a map that
+    # tracemalloc does not see
     f = PEAK_MIXTURE.sampled(PEAK_GRID)
     write_field_csv(f, tmp_path / "f.csv")
     back, peak = traced_peak(lambda: read_field_csv(tmp_path / "f.csv"))
-    assert peak < 1.3 * f.values.nbytes
+    assert mapped_bytes(back.values) == f.values.nbytes
+    assert peak + mapped_bytes(back.values) < 1.3 * f.values.nbytes
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 
@@ -504,7 +516,7 @@ def _short(line: bytes) -> bytes:
     return line.rsplit(b",", 1)[0]
 
 
-@pytest.mark.parametrize(
+LINE_END_EDITS = pytest.mark.parametrize(
     "edit",
     [
         lambda ls: b"\r\n".join(ls),  # no line end after the last row
@@ -512,6 +524,9 @@ def _short(line: bytes) -> bytes:
     ],
     ids=["no-final-line-end", "lf"],
 )
+
+
+@LINE_END_EDITS
 def test_read_field_csv_accepts_line_end_variants(tmp_path, edit):
     path = tmp_path / "f.csv"
     f, lines = edge_file_lines(path)
@@ -745,7 +760,8 @@ def test_split_round_trip_is_the_serial_bytes_and_bits(tmp_path, monkeypatch, sp
 
 
 def test_split_write_matches_golden_bytes(tmp_path, monkeypatch, split):
-    monkeypatch.setattr(grid_field, "_CSV_BLOCK_ROWS", 7)  # 25 rows: the child formats rows 14 to 25
+    # 25 rows: the child formats data rows 13 to 25, in blocks of 7 from row 13
+    monkeypatch.setattr(grid_field, "_CSV_BLOCK_ROWS", 7)
     test_write_field_csv_matches_golden_bytes(tmp_path)
     assert len(split) == 2
 
@@ -759,6 +775,51 @@ def test_split_read_names_a_bad_row_from_the_file_start(tmp_path, split, edit, r
     assert len(split) == 1 + (row in (4097, 4098))
 
 
+@LINE_END_EDITS
+def test_split_read_accepts_line_end_variants(tmp_path, split, edit):
+    # the count pass finds the split at an LF, and the child reads to the end
+    test_read_field_csv_accepts_line_end_variants(tmp_path, edit)
+    assert len(split) == 2
+
+
+def test_split_read_field_outlives_the_call(tmp_path, split):
+    # the values live in the map the child parsed into, held by the field alone
+    f = PEAK_MIXTURE.sampled(make_grid(2, 12.0, 65))
+    write_field_csv(f, tmp_path / "f.csv")
+    back = read_field_csv(tmp_path / "f.csv")
+    gc.collect()
+    assert len(split) == 2
+    assert mapped_bytes(back.values) == f.values.nbytes
+    assert not back.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        back.values[0, 0, 0] = 0
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_split_read_hands_back_only_the_status_byte(tmp_path, monkeypatch, split):
+    # a good child's rows are in the shared value array: nothing follows its
+    # status byte on the pipe
+    in_child = grid_field._in_child
+    after_status = []
+
+    @contextmanager
+    def watched(task):
+        with in_child(task) as result:
+            def read_rest():
+                stream = result()
+                after_status.append(stream.read())
+                return stream
+
+            yield result and read_rest
+
+    f, _ = edge_file_lines(tmp_path / "f.csv")
+    monkeypatch.setattr(grid_field, "_in_child", watched)
+    back = read_field_csv(tmp_path / "f.csv")
+    assert len(split) == 2
+    assert after_status == [b""]
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+
+
 @OFF_LATTICE_EDITS
 def test_split_read_rejects_a_row_count_off_the_lattice_before_any_fork(tmp_path, split, edit, rows):
     test_read_field_csv_rejects_a_row_count_off_the_lattice(tmp_path, edit, rows)
@@ -767,11 +828,11 @@ def test_split_read_rejects_a_row_count_off_the_lattice_before_any_fork(tmp_path
 
 def test_split_read_checks_each_axis_within_the_tolerance(tmp_path, split):
     # the 25-row file splits after row 13: points (1, 2) and (3, 4) are rows 8
-    # and 20, one in each half; 25 rows make one block, so no write forks
+    # and 20, one in each half; each of the three writes forks
     assert_each_axis_within_the_tolerance(tmp_path, (1, 2))
-    assert len(split) == 1  # row 8 is in the first piece: only the good read forks
+    assert len(split) == 3 + 1  # row 8 is in the first piece: only the good read forks
     assert_each_axis_within_the_tolerance(tmp_path, (3, 4))
-    assert len(split) == 4
+    assert len(split) == 4 + 3 + 3
 
 
 def bad_rows_file(path, rows) -> None:
