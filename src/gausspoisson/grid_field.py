@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import pickle
 import shutil
 import signal
 import sys
@@ -220,8 +221,9 @@ def _in_child(task):
     (orjson holds the interpreter lock: threads would not share its work).
     Yields ``result``, which waits for the child and returns a stream of the
     bytes-like chunks ``task`` returned (none for a task that leaves its
-    work in memory shared with the caller), or raises the child's
-    ``ValueError`` again; or ``None``, for the body to do all the work, when
+    work in memory shared with the caller), or raises the child's exception
+    again (a ``SystemExit``, or one that does not pickle, ends the child
+    without a result); or ``None``, for the body to do all the work, when
     ``task`` is ``None`` or a fork is unsafe (not Linux; another thread,
     whose held locks the child would inherit), useless (one CPU) or fails.
     The child never returns into the caller, and it is reaped (killed first
@@ -244,8 +246,8 @@ def _in_child(task):
             with open(w, "wb") as out:  # a status byte, then the result or the error
                 try:
                     chunks = task()
-                except ValueError as exc:
-                    out.write(b"\1" + str(exc).encode())
+                except Exception as exc:
+                    out.write(b"\1" + pickle.dumps(exc))
                 else:
                     out.write(b"\0")
                     out.writelines(chunks)
@@ -257,7 +259,7 @@ def _in_child(task):
     def result():
         status = stream.read(1)
         if status != b"\0":
-            raise ValueError(stream.read().decode()) if status else ChildProcessError("the child ended without a result")
+            raise pickle.loads(stream.read()) if status else ChildProcessError("the child ended without a result")
         return stream
 
     try:
@@ -344,11 +346,10 @@ def _json_piece(piece: bytes, cols: int, row: int = 1) -> np.ndarray:
     try:
         # orjson takes spaces, tabs and CRs between cells: only number bytes
         # are let through, a CR only right before an LF, and an LF at every
-        # cols-th cell end and nowhere else
+        # cols-th cell end (the reshape then checks the number of cells)
         if (
             piece.translate(None, _NUMBER_BYTES)
             or np.count_nonzero(text == ord("\r")) != np.count_nonzero(text[ends[line_end] - 1] == ord("\r"))
-            or len(ends) != lines * cols
             or not line_end[cols - 1 :: cols].all()
         ):
             raise ValueError
@@ -361,9 +362,8 @@ def _json_piece(piece: bytes, cols: int, row: int = 1) -> np.ndarray:
         raise ValueError(f"data row {row} is not {cols} comma-separated JSON numbers") from None
     flat = values.reshape(-1)
     zeros = np.flatnonzero(flat == 0)
-    if zeros.size:  # -0 is a JSON integer, read as 0
-        starts = np.where(zeros > 0, ends[zeros - 1] + 1, 0)
-        flat[zeros[text[starts] == ord("-")]] = -0.0
+    starts = np.where(zeros > 0, ends[zeros - 1] + 1, 0)  # -0 is a JSON integer, read as 0
+    flat[zeros[text[starts] == ord("-")]] = -0.0
     return values
 
 
@@ -372,8 +372,8 @@ def read_field_csv(path) -> Field:
 
     The file must be in the writer's format: its header, with ``n >= 1``
     coordinates and ``m >= 1`` components, then one line of ``n + 2m`` JSON
-    numbers per lattice point, each ended by an LF or CRLF (the last one
-    optional), whose coordinates are a row-major uniform lattice on
+    numbers per lattice point, each ended by an LF or CRLF (optional on the
+    final line), whose coordinates are a row-major uniform lattice on
     ``[-L, L]^n`` (within ``1e-12 * max(1, L)``).  Raises ``ValueError`` for
     any other file, naming the data row, counted from 1, where the body
     leaves that format.
@@ -393,15 +393,13 @@ def read_field_csv(path) -> Field:
         rows = 0
         split = None  # the byte and the row just after that line end
         pos = len(line)
-        last = b"\n"
         while piece := fh.read(_READ_PIECE):
             ends = np.frombuffer(piece, np.uint8) == ord("\n")
             if split is None and (at := piece.find(b"\n", max(0, middle - pos))) >= 0:
                 split = (pos + at + 1, rows + np.count_nonzero(ends[: at + 1]))
             rows += np.count_nonzero(ends)
             pos += len(piece)
-            last = piece[-1:]
-        rows += last != b"\n"  # a last line without its line end
+        rows += size > len(line) and os.pread(fd, 1, size - 1) != b"\n"  # a final line without its line end
         if rows == 0:
             raise ValueError(f"field CSV {path} has a header but no data rows")
         N = round(rows ** (1.0 / n))

@@ -93,9 +93,7 @@ def _riemann_sum(factors, f: Field) -> np.ndarray:
     lag = np.subtract.outer(np.arange(g.N), np.arange(g.N)) + (g.N - 1)
     out = f.values
     for axis, factor in enumerate(factors):
-        moved = np.moveaxis(out, axis, 0)
-        product = (factor * g.h)[lag] @ moved.reshape(g.N, -1)
-        out = np.moveaxis(product.reshape(moved.shape), 0, axis)
+        out = np.moveaxis(np.tensordot((factor * g.h)[lag], out, axes=(1, axis)), 0, axis)
     return out
 
 

@@ -751,8 +751,10 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         for compute, *specs in rows(inputs)
     ]
     threads = len(units) if cfg.grid.size >= _THREADED_MIN_POINTS else 1
-    # costliest first: the costliest groups sit at the end of the table
-    outcomes = _run_all([compute for _, compute, _ in reversed(units)], threads)[::-1]
+    # costliest first: the costliest groups sit at the end of the table; a
+    # residual that is not a number fails its unit's task
+    tasks = [lambda compute=compute: [(float(r), meta) for r, meta in compute()] for _, compute, _ in reversed(units)]
+    outcomes = _run_all(tasks, threads)[::-1]
     # a helper hands over whatever it caught; only an Exception fails just its unit
     died = {
         specs[0][0]: exc
@@ -764,11 +766,6 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         raise RuntimeError(message) from next(iter(died.values()))
     results = []
     for (anchor, _, specs), (rows, error) in zip(units, outcomes):
-        if error is None:
-            try:
-                rows = [(float(residual), meta) for residual, meta in rows]
-            except Exception as exc:
-                error = exc
         if error is not None:
             rows = [(math.inf, {"error": repr(error)}) for _ in specs]
         for (name, tol_key), (residual, meta) in zip(specs, rows, strict=True):

@@ -1,5 +1,6 @@
 """Grid geometry, field containers, interior windows, and CSV round trips."""
 
+import errno
 import gc
 import mmap
 import os
@@ -888,6 +889,53 @@ def test_in_child_never_returns_into_the_caller(tmp_path, forks):
         if os.getpid() != parent:  # it would run the rest of the tests
             os._exit(0)
     assert pids.read_text().split() == [str(parent)]
+    assert len(forks) == 1
+
+
+def split_read_failing_in_the_child(tmp_path, monkeypatch, error):
+    """Read a 4225-row field CSV whose parse raises ``error`` in a child only."""
+    path = tmp_path / "f.csv"
+    edge_file_lines(path)
+    parent = os.getpid()
+    parse = grid_field._json_piece
+
+    def fails_in_the_child(piece, cols, row=1):
+        if os.getpid() != parent:
+            raise error
+        return parse(piece, cols, row)
+
+    monkeypatch.setattr(grid_field, "_json_piece", fails_in_the_child)
+    read_field_csv(path)
+
+
+def test_split_read_raises_the_childs_oserror_as_itself(tmp_path, monkeypatch, split):
+    # the serial read raises an OSError from its parse as it is; the split
+    # read raises the child's the same way (ChildProcessError is an OSError too)
+    with pytest.raises(OSError) as raised:
+        split_read_failing_in_the_child(tmp_path, monkeypatch, OSError(errno.EIO, "read failed"))
+    assert type(raised.value) is OSError
+    assert (raised.value.errno, str(raised.value)) == (errno.EIO, "[Errno 5] read failed")
+    assert len(split) == 2
+
+
+def test_split_read_reports_a_child_error_that_does_not_pickle(tmp_path, monkeypatch, split):
+    error = ValueError("not sent")
+    error.hook = lambda: None  # a lambda does not pickle
+    with pytest.raises(ChildProcessError, match="without a result"):
+        split_read_failing_in_the_child(tmp_path, monkeypatch, error)
+    assert len(split) == 2
+
+
+def test_in_child_reports_a_result_cut_short(forks):
+    # a child that fails after its status byte: the caller reads the chunk
+    # sent before the failure, then learns of it from the exit status
+    def chunks():
+        yield b"first"
+        raise SystemExit(3)
+
+    with pytest.raises(ChildProcessError, match="^the child exited with status 1$"):
+        with grid_field._in_child(chunks) as result:
+            assert result().read() == b"first"
     assert len(forks) == 1
 
 

@@ -451,3 +451,23 @@ def test_one_dimensional_quadrature_is_fftconvolve_bit_for_bit(N):
     k = kernel_eval(zeta, (d,))
     expect = np.stack([fftconvolve(k, f.values[:, c], mode="valid") for c in range(2)], axis=-1) * g.h
     np.testing.assert_array_equal(apply(zeta, f, method=Method.QUADRATURE).values, expect)
+
+
+@pytest.mark.parametrize("n, N", [(2, 33), (2, 64), (3, 17)])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("zeta", [0.7, 0.5 + 0.4j])
+def test_quadrature_from_two_dimensions_keeps_every_bit(n, N, m, zeta):
+    # reference reports stay byte-identical only if each axis keeps the
+    # arithmetic of one product with the dense Toeplitz matrix
+    # T[i, j] = factor[i-j+N-1] h, the axis moved first and the rest flattened
+    g = make_grid(n, 6.0, N)
+    f = random_gaussian_mixture(n, m=m, rng=np.random.default_rng([n, N, m])).sampled(g)
+    d = (np.arange(2 * N - 1) - (N - 1)) * g.h
+    toeplitz = (kernel_eval(zeta, (d,)) * g.h)[np.subtract.outer(np.arange(N), np.arange(N)) + (N - 1)]
+    expect = f.values
+    for axis in range(n):
+        moved = np.moveaxis(expect, axis, 0)
+        product = toeplitz @ moved.reshape(N, -1)
+        expect = np.moveaxis(product.reshape(moved.shape), 0, axis)
+    got = apply(zeta, f, method=Method.QUADRATURE).values
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
