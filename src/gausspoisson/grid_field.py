@@ -288,15 +288,36 @@ def _lattice_coordinates(g: Grid, start: int, stop: int) -> np.ndarray:
 def _csv_rows(g: Grid, values: np.ndarray, start: int, stop: int):
     """The CRLF-ended lines of rows ``start`` to ``stop``, one bytes object
     per block of up to ``_CSV_BLOCK_ROWS`` rows; ``values`` is the
-    ``(rows, 2m)`` float view of the field's values."""
+    ``(rows, 2m)`` float view of the field's values.
+
+    Every coordinate is a point of ``grid.axis``, and each axis point is
+    formatted once per call; a block formats only its values, and at
+    ``n = 1``, where no two rows share a coordinate, its rows' own points,
+    so that no more than a block's texts are alive.  Row ``r`` is the text
+    of its leading ``n - 1`` coordinates, one bytes object for the run of
+    ``N`` rows ``r // N``, then that of ``axis[r % N]``, its values and
+    CRLF, joined once per block."""
     import orjson  # imported on use: only field CSV I/O needs it
 
+    N, dump = g.N, orjson.OPT_SERIALIZE_NUMPY
+
+    def texts(points):  # each point's text, with the comma after it
+        return (orjson.dumps(points, option=dump)[1:-1] + b",").replace(b",", b",\n").splitlines()
+
+    # the N axis texts repeated: any block's last coordinates are one slice
+    cycled = texts(g.axis) * (_CSV_BLOCK_ROWS // N + 2) if g.n > 1 else None
     for first in range(start, stop, _CSV_BLOCK_ROWS):
-        block = values[first : min(first + _CSV_BLOCK_ROWS, stop)]
-        block = np.concatenate([_lattice_coordinates(g, first, first + len(block)), block], axis=1)
-        # [[a,b],[c,d]] -> a,b CRLF c,d CRLF
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-        yield b"\r\n".join(text[2:-2].split(b"],[")) + b"\r\n"
+        end = min(first + _CSV_BLOCK_ROWS, stop)
+        parts = [b"\r\n"] * (4 * (end - first))
+        leads = []
+        for run in range(first // N, (end - 1) // N + 1):
+            lead = b"".join([cycled[run // N**k % N] for k in range(g.n - 2, -1, -1)])
+            leads += [lead] * (min(end, run * N + N) - max(first, run * N))
+        parts[0::4] = leads
+        parts[1::4] = cycled[first % N : first % N + end - first] if cycled else texts(g.axis[first:end])
+        # [[a,b],[c,d]] -> a,b and c,d
+        parts[2::4] = orjson.dumps(values[first:end], option=dump)[2:-2].split(b"],[")
+        yield b"".join(parts)
 
 
 def write_field_csv(f: Field, path) -> None:

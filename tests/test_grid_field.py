@@ -457,6 +457,59 @@ def test_write_field_csv_builds_no_point_array(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def stacked_table_blocks(g, values: np.ndarray, start: int, stop: int) -> list[bytes]:
+    """The blocks of rows ``start`` to ``stop`` as the writer made them when
+    it stacked each block's lattice points next to its values: one
+    ``orjson.dumps`` of the ``(rows, n+2m)`` table per block, ``],[`` made
+    CRLF."""
+    import orjson
+
+    blocks = []
+    for first in range(start, stop, grid_field._CSV_BLOCK_ROWS):
+        block = values[first : min(first + grid_field._CSV_BLOCK_ROWS, stop)]
+        block = np.concatenate([grid_field._lattice_coordinates(g, first, first + len(block)), block], axis=1)
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        blocks.append(b"\r\n".join(text[2:-2].split(b"],[")) + b"\r\n")
+    return blocks
+
+
+@pytest.mark.parametrize("block_rows", [7, 4096])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n, N", [(1, 5000), (2, 65), (3, 17)])  # at n=1 one run of N rows outlasts a block
+def test_csv_rows_are_the_stacked_table_writers_bytes(tmp_path, monkeypatch, split, n, N, m, block_rows):
+    monkeypatch.setattr(grid_field, "_CSV_BLOCK_ROWS", block_rows)
+    g = make_grid(n, 1.7, N)
+    rng = np.random.default_rng(n * N + m)
+    vals = rng.standard_normal(g.shape + (m,)) + 1j * rng.standard_normal(g.shape + (m,))
+    vals.reshape(-1)[::5] = complex(-0.0, 5e-324)
+    f = Field(g, vals)
+    values = f.values.reshape(-1, m).view(float)
+    size = g.size
+    # whole runs of N rows, and ranges that start and stop inside one: the
+    # split write's second half starts at size // 2
+    for start, stop in [(0, size), (0, size // 2), (size // 2, size), (3, size - 2), (size - N + 1, size - N + 5)]:
+        assert list(grid_field._csv_rows(g, values, start, stop)) == stacked_table_blocks(g, values, start, stop)
+    expected = (reference_header(n, m) + "\r\n").encode() + b"".join(stacked_table_blocks(g, values, 0, size))
+
+    def per_row_coordinates(*args):
+        raise AssertionError("the writer gathered lattice points row by row")
+
+    monkeypatch.setattr(grid_field, "_lattice_coordinates", per_row_coordinates)
+    write_field_csv(f, tmp_path / "f.csv")  # split: a child formats the second half
+    assert (tmp_path / "f.csv").read_bytes() == expected
+    assert len(split) == 1
+
+
+def test_write_field_csv_holds_no_coordinate_column_at_one_dimension(tmp_path, serial):
+    # at n=1 each row has its own axis point: the texts of all N points,
+    # made before the first block, peaked at 3.8 value arrays here
+    g = make_grid(1, 12.0, 1 << 17)
+    f = Field(g, np.random.default_rng(0).standard_normal(g.shape + (2,)))
+    write_field_csv(f, tmp_path / "f.csv")  # imports orjson
+    _, peak = traced_peak(lambda: write_field_csv(f, tmp_path / "f.csv"))
+    assert peak < f.values.nbytes
+
+
 def mapped_bytes(a: np.ndarray) -> int:
     """The size of the ``mmap`` that holds ``a``'s data, 0 for none."""
     while isinstance(a, np.ndarray):
