@@ -13,8 +13,9 @@ import pickle
 import shutil
 import signal
 import sys
+import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from typing import Callable
@@ -219,15 +220,14 @@ _SPLIT_MIN_ROWS = 1 << 16
 def _in_child(task):
     """Run ``task()`` in a forked child while the ``with`` body runs here
     (orjson holds the interpreter lock: threads would not share its work).
-    Yields ``result``, which waits for the child and returns a stream of the
-    bytes-like chunks ``task`` returned (none for a task that leaves its
-    work in memory shared with the caller), or raises the child's exception
-    again (a ``SystemExit``, or one that does not pickle, ends the child
-    without a result); or ``None``, for the body to do all the work, when
-    ``task`` is ``None`` or a fork is unsafe (not Linux; another thread,
-    whose held locks the child would inherit), useless (one CPU) or fails.
-    The child never returns into the caller, and it is reaped (killed first
-    if the body raised) before the ``with`` block ends."""
+    The task leaves its work in storage shared with the caller: the pipe carries
+    only a status byte, or the task's exception, pickled.  Yields ``result``,
+    which waits for the child or raises its exception again (a ``SystemExit``,
+    or one that does not pickle, ends the child without a result); or ``None``,
+    for the body to do all the work, when ``task`` is ``None`` or a fork is
+    unsafe (not Linux; another thread, whose held locks the child would inherit),
+    useless (one CPU) or fails.  The child never returns into the caller, and it
+    is reaped (killed first if the body raised) before the ``with`` block ends."""
     pid = None
     if task and sys.platform == "linux" and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1:
         r, w = os.pipe()
@@ -240,27 +240,22 @@ def _in_child(task):
         yield None
         return
     if pid == 0:
-        code = 1
         try:
             os.close(r)
-            with open(w, "wb") as out:  # a status byte, then the result or the error
+            with open(w, "wb") as out:  # a status byte, then any error
                 try:
-                    chunks = task()
+                    task()
+                    out.write(b"\0")
                 except Exception as exc:
                     out.write(b"\1" + pickle.dumps(exc))
-                else:
-                    out.write(b"\0")
-                    out.writelines(chunks)
-            code = 0
+            os._exit(0)
         finally:
-            os._exit(code)
+            os._exit(1)
     os.close(w)
 
     def result():
-        status = stream.read(1)
-        if status != b"\0":
-            raise pickle.loads(stream.read()) if status else ChildProcessError("the child ended without a result")
-        return stream
+        if (sent := stream.read()) != b"\0":
+            raise pickle.loads(sent[1:]) if sent else ChildProcessError("the child ended without a result")
 
     try:
         with open(r, "rb") as stream:
@@ -269,7 +264,7 @@ def _in_child(task):
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         raise
-    if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):  # a result cut short
+    if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):  # its status unread, or killed after it
         raise ChildProcessError(f"the child exited with status {code}")
 
 
@@ -328,13 +323,22 @@ def write_field_csv(f: Field, path) -> None:
     g = f.grid
     # complex values viewed as floats are re_1, im_1, ..., re_m, im_m
     values = f.values.reshape(-1, f.m).view(float)
-    split = g.size // 2  # a child formats the rows from the middle one
-    task = (lambda: list(_csv_rows(g, values, split, g.size))) if g.size >= _SPLIT_MIN_ROWS else None
-    with _in_child(task) as child, open(path, "wb") as fh:  # the child starts while the file is emptied
-        fh.write((_csv_header(g.n, f.m) + "\r\n").encode())
+    split = g.size // 2  # a child formats the rows from the middle one into an unnamed file
+    tail = None
+    with suppress(OSError):  # without one, the write runs serially
+        tail = tempfile.TemporaryFile() if g.size >= _SPLIT_MIN_ROWS else None
+
+    def second_half():  # flushed: the child ends in os._exit
+        tail.writelines(_csv_rows(g, values, split, g.size))
+        tail.flush()
+
+    with tail or nullcontext(), _in_child(tail and second_half) as child, open(path, "wb") as fh:
+        fh.write((_csv_header(g.n, f.m) + "\r\n").encode())  # forked before open() emptied the file
         fh.writelines(_csv_rows(g, values, 0, split if child else g.size))
         if child:
-            shutil.copyfileobj(child(), fh)
+            child()
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)
 
 
 # -- CSV reading --------------------------------------------------------------
@@ -453,16 +457,12 @@ def read_field_csv(path) -> Field:
                 row += len(table)
             return start, row
 
-        def second_half():
-            parse(split[0], size, split[1])
-            return ()
-
         # on a split, the first piece ends at the split, and a child parses
         # the rest of the file from there while this process parses up to it
         if rows != N**n or rows < _SPLIT_MIN_ROWS:
             split = None
         start, row = parse(len(line), split[0] if split else size, 0, pieces=1)
-        with _in_child(second_half if split else None) as child:
+        with _in_child(split and (lambda: parse(split[0], size, split[1]))) as child:
             parse(start, split[0] if child else size, row)
             if child:
                 child()

@@ -1,17 +1,37 @@
 """Helpers shared by the test modules."""
 
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gausspoisson
 
 
 def set_cpus(mp, cpus: int) -> None:
     """Make ``os.sched_getaffinity`` report ``cpus`` CPUs, through the
     monkeypatch ``mp``."""
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's
+    package, with extra variables."""
+    src = str(Path(gausspoisson.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def run_python(code, *args, **env):
+    """Run ``python -c code args`` in a fresh interpreter that imports this
+    checkout's package, with extra environment variables."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=fresh_env(**env), capture_output=True, text=True, timeout=300
+    )
 
 
 def traced_peak(call):

@@ -10,8 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gausspoisson
-
 from gausspoisson import (
     Method,
     SuiteConfig,
@@ -25,6 +23,8 @@ from gausspoisson import (
 )
 from gausspoisson import cli
 from gausspoisson.cli import ConfigError, main, read_config, write_config
+
+from conftest import fresh_env, run_python
 
 FAST = "grid.N=257\nchecks=weights,contour\n"
 
@@ -351,8 +351,8 @@ def test_verify_report_identical_across_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         code = "import sys; from gausspoisson.cli import main; sys.exit(main(sys.argv[1:]))"
-        done = _run_python(code, "verify", "--config", str(cfg), "--out", str(out),
-                           OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = run_python(code, "verify", "--config", str(cfg), "--out", str(out),
+                          OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         assert done.returncode in (0, 1), done.stderr
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
@@ -377,7 +377,7 @@ def test_no_run_loads_scipy(tmp_path):
         f"codes = [main(argv) for argv in {runs!r}]\n"
         "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))"
     )
-    done = _run_python(code)
+    done = run_python(code)
     assert done.returncode == 0, done.stderr
     codes, modules = json.loads(done.stdout.splitlines()[-1])
     assert all(code in (0, 1) for code in codes[:2]) and codes[2:] == [0, 0, 0]  # verify exits 1 on a FAIL row
@@ -387,7 +387,7 @@ def test_no_run_loads_scipy(tmp_path):
 def test_import_loads_no_orjson():
     # the field-CSV reader imports orjson on its first read
     code = "import sys, gausspoisson; print('orjson' in sys.modules)"
-    done = _run_python(code)
+    done = run_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -397,7 +397,7 @@ def test_import_loads_no_concurrent_futures():
     # ``concurrent.futures`` with the package would add about 16 ms to every
     # command's start
     code = "import sys, gausspoisson; print('concurrent.futures' in sys.modules)"
-    done = _run_python(code)
+    done = run_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -406,7 +406,7 @@ def test_python_m_runs_the_cli(tmp_path):
     # ``python -m gausspoisson`` is the console script without an install
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "gausspoisson", *args], env=_env(), capture_output=True, text=True, timeout=300
+            [sys.executable, "-m", "gausspoisson", *args], env=fresh_env(), capture_output=True, text=True, timeout=300
         )
 
     shown = run("--help")
@@ -422,7 +422,7 @@ def test_python_m_on_the_cli_module_runs_it(tmp_path):
     # ``python -m gausspoisson.cli`` runs the CLI too, as ``-m`` would
     code = "import runpy; runpy.run_module('gausspoisson.cli', run_name='__main__', alter_sys=True)"
     out = tmp_path / "out"
-    bad = _run_python(code, "evolve", "--out", str(out), "--bogus")
+    bad = run_python(code, "evolve", "--out", str(out), "--bogus")
     assert bad.returncode == 2
     assert "unrecognized arguments: --bogus" in bad.stderr
     assert not out.exists()
@@ -433,7 +433,7 @@ def test_demos_run(tmp_path):
     # five start at once, one BLAS thread each
     demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
     assert len(demos) == 5
-    env = _env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = fresh_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     running = [
         subprocess.Popen([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -458,19 +458,3 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
-
-
-def _env(**extra):
-    """The environment of a fresh interpreter that imports this checkout's
-    package, with extra variables."""
-    src = str(Path(gausspoisson.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
-
-
-def _run_python(code, *args, **env):
-    """Run ``python -c code args`` in a fresh interpreter that imports this
-    checkout's package, with extra environment variables."""
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], env=_env(**env), capture_output=True, text=True, timeout=300
-    )

@@ -6,6 +6,7 @@ import mmap
 import os
 import re
 import sys
+import tempfile
 import threading
 from contextlib import contextmanager
 from functools import reduce
@@ -29,7 +30,7 @@ from gausspoisson import (
 )
 from gausspoisson import grid_field
 
-from conftest import lattice_points, set_cpus, traced_peak
+from conftest import lattice_points, run_python, set_cpus, traced_peak
 
 # the golden field as written by earlier versions, with 17 significant
 # digits, and as written now, with the shortest round-trip digits
@@ -400,6 +401,8 @@ PEAK_GRID = make_grid(2, 12.0, 257)
 def forks(monkeypatch):
     """The pids of the children forked while the test runs, on a process
     that reports two CPUs; checks afterwards that every child was reaped."""
+    if sys.platform != "linux":
+        pytest.skip("field CSV reads and writes fork on Linux only")
     set_cpus(monkeypatch, 2)
     made = []
     fork = os.fork
@@ -850,28 +853,82 @@ def test_split_read_field_outlives_the_call(tmp_path, split):
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 
-def test_split_read_hands_back_only_the_status_byte(tmp_path, monkeypatch, split):
-    # a good child's rows are in the shared value array: nothing follows its
-    # status byte on the pipe
-    in_child = grid_field._in_child
-    after_status = []
+def test_split_read_and_write_send_back_only_the_status_byte(tmp_path, monkeypatch, split):
+    # the child's rows are in the shared value array or in the unnamed file:
+    # all a good child sends through the pipe is its status byte
+    pipe, in_child = os.pipe, grid_field._in_child
+    read_ends, sent = [], []
+
+    def recorded():
+        ends = pipe()
+        read_ends.append(ends[0])
+        return ends
 
     @contextmanager
     def watched(task):
         with in_child(task) as result:
-            def read_rest():
-                stream = result()
-                after_status.append(stream.read())
-                return stream
 
-            yield result and read_rest
+            def read_the_pipe():  # to its end, in place of result
+                sent.append(b"".join(iter(lambda: os.read(read_ends[-1], 1 << 16), b"")))
 
-    f, _ = edge_file_lines(tmp_path / "f.csv")
+            yield result and read_the_pipe
+
+    monkeypatch.setattr(os, "pipe", recorded)
     monkeypatch.setattr(grid_field, "_in_child", watched)
+    f, _ = edge_file_lines(tmp_path / "f.csv")
     back = read_field_csv(tmp_path / "f.csv")
     assert len(split) == 2
-    assert after_status == [b""]
+    assert sent == [b"\0", b"\0"]
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+    monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1 << 62)
+    write_field_csv(f, tmp_path / "serial.csv")
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_field_csv_io_of_66049_rows_forks_once_per_call(tmp_path, monkeypatch, forks):
+    # the threshold as set, not patched
+    f = PEAK_MIXTURE.sampled(PEAK_GRID)
+    assert f.grid.size >= grid_field._SPLIT_MIN_ROWS
+    write_field_csv(f, tmp_path / "split.csv")
+    assert len(forks) == 1
+    back = read_field_csv(tmp_path / "split.csv")
+    assert len(forks) == 2
+    monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1 << 62)
+    write_field_csv(f, tmp_path / "serial.csv")
+    serial = read_field_csv(tmp_path / "serial.csv")
+    assert len(forks) == 2
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
+    assert np.array_equal(serial.values.view(np.uint64), f.values.view(np.uint64))
+
+
+# The largest resident set of the children (KiB on Linux) after a child that
+# does nothing, then after a split write of a 28.6 MB file (n=2, N=513, m=2);
+# both fork from a fresh interpreter with orjson loaded.
+CHILD_PEAKS = """
+import os, resource, sys
+import numpy as np
+import orjson
+from gausspoisson import grid_field, make_grid, random_gaussian_mixture, write_field_csv
+os.sched_getaffinity = lambda pid: {0, 1}  # split on a one-CPU host too
+f = random_gaussian_mixture(2, m=2, terms=3, rng=np.random.default_rng(7)).sampled(make_grid(2, 12.0, 513))
+with grid_field._in_child(lambda: None) as child:
+    child()
+idle = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+write_field_csv(f, sys.argv[1])
+print(idle, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="field CSV writes fork on Linux only")
+def test_split_write_child_holds_no_half_of_the_file(tmp_path):
+    # a child that held its half of the text (about 14 MB) until it was done
+    # peaked 15.5 MB above the idle child; one that writes each block to the
+    # unnamed file as it formats it, 2.0 MB
+    done = run_python(CHILD_PEAKS, str(tmp_path / "f.csv"))
+    assert done.returncode == 0, done.stderr
+    idle, peak = map(int, done.stdout.split())
+    assert (peak - idle) * 1024 < (tmp_path / "f.csv").stat().st_size / 4
 
 
 @OFF_LATTICE_EDITS
@@ -979,20 +1036,27 @@ def test_split_read_reports_a_child_error_that_does_not_pickle(tmp_path, monkeyp
     assert len(split) == 2
 
 
-def test_in_child_reports_a_result_cut_short(forks):
-    # a child that fails after its status byte: the caller reads the chunk
-    # sent before the failure, then learns of it from the exit status
-    def chunks():
-        yield b"first"
-        raise SystemExit(3)
+def test_split_write_keeps_a_child_cut_short_out_of_the_file(tmp_path, monkeypatch, split):
+    # the child writes its first block, of 2113 rows and larger than the
+    # unnamed file's buffer, then exits: the file ends at the parent's rows
+    f, lines = edge_file_lines(tmp_path / "serial.csv")
+    parent = os.getpid()
+    rows = grid_field._csv_rows
 
-    with pytest.raises(ChildProcessError, match="^the child exited with status 1$"):
-        with grid_field._in_child(chunks) as result:
-            assert result().read() == b"first"
-    assert len(forks) == 1
+    def exits_in_the_child(g, values, start, stop):
+        for block in rows(g, values, start, stop):
+            yield block
+            if os.getpid() != parent:
+                raise SystemExit(3)
+
+    monkeypatch.setattr(grid_field, "_csv_rows", exits_in_the_child)
+    with pytest.raises(ChildProcessError, match="^the child ended without a result$"):
+        write_field_csv(f, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == b"\r\n".join(lines[: 1 + f.grid.size // 2] + [b""])
+    assert len(split) == 2
 
 
-@pytest.mark.parametrize("blocker", ["second-thread", "fork-fails", "one-cpu"])
+@pytest.mark.parametrize("blocker", ["second-thread", "fork-fails", "one-cpu", "no-unnamed-file"])
 def test_split_falls_back_to_the_serial_path(tmp_path, monkeypatch, split, blocker):
     f = PEAK_MIXTURE.sampled(make_grid(2, 12.0, 65))
     monkeypatch.setattr(grid_field, "_SPLIT_MIN_ROWS", 1 << 62)
@@ -1008,17 +1072,24 @@ def test_split_falls_back_to_the_serial_path(tmp_path, monkeypatch, split, block
             raise BlockingIOError("fork refused")
 
         monkeypatch.setattr(os, "fork", fails)
+    elif blocker == "no-unnamed-file":
+
+        def no_file():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
     else:
         set_cpus(monkeypatch, 1)
     try:
         write_field_csv(f, tmp_path / "f.csv")
+        assert split == []
         back = read_field_csv(tmp_path / "f.csv")
     finally:
         done.set()
         if thread.is_alive():
             thread.join(60)
             assert not thread.is_alive()
-    assert split == []
+    assert len(split) == (blocker == "no-unnamed-file")  # a read makes no unnamed file
     assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
